@@ -118,7 +118,6 @@ class Circuit:
         self.event_sinks = set()
         self.level = level
         self.is_inner = inner
-        self.lift_count = 0
         self.metrics = Metrics()
         self.entry_id = None
         self.sum_id = None
@@ -346,7 +345,11 @@ class Circuit:
             return v
 
         if kind == "lifted":
-            v = node.fn(*ins)
+            try:
+                v = node.fn(*ins)
+            except TypeError as e:
+                # Values of clashing types met in an expression or an ordering.
+                raise ValidationError(f"operator {node.label or 'lifted'!r}: {e}") from e
             m = self.metrics
             if m is not None:
                 # Probed arguments (indexed state looked up per element of the
@@ -521,7 +524,6 @@ class Circuit:
     def clone(self):
         """Structural copy without runtime state."""
         out = Circuit(level=self.level, inner=self.is_inner)
-        out.lift_count = self.lift_count
         out.metrics = Metrics()
         for n in self.nodes:
             meta = dict(n.meta)
@@ -575,7 +577,6 @@ def lift_circuit(c):
     """
     c.validate()
     out = Circuit(level=c.level, inner=c.is_inner)
-    out.lift_count = c.lift_count + 1
     for n in c.nodes:
         if n.kind == "nested":
             raise CircuitError("cannot vector-lift a circuit containing nested domains")

@@ -3,15 +3,24 @@
 Predicates, key functions, and map functions are small expression trees so the
 spec file format can describe them; host code may instead pass any pure Python
 callable where a Predicate/KeyFunc/MapFunc is expected.
+
+Each tree compiles once, at construction, into a plain closure (`kernel`);
+calling the tree runs that closure, so there is a single evaluation path.
+Operators that run a kernel per row take it with `kernel(f)`, which returns
+host callables unchanged.
 """
 
+import operator
+
 from .errors import ValidationError
-from .zset import element_column, exact_div
+from .zset import column_reader, exact_div
 
 
 class Expr:
+    __slots__ = ("kernel",)
+
     def __call__(self, elem):
-        raise NotImplementedError
+        return self.kernel(elem)
 
     def to_json(self):
         raise NotImplementedError
@@ -22,9 +31,7 @@ class Col(Expr):
 
     def __init__(self, index):
         self.index = index
-
-    def __call__(self, elem):
-        return element_column(elem, self.index)
+        self.kernel = column_reader(index)
 
     def to_json(self):
         return ["col", self.index]
@@ -38,9 +45,7 @@ class Const(Expr):
 
     def __init__(self, value):
         self.value = value
-
-    def __call__(self, elem):
-        return self.value
+        self.kernel = lambda elem: value
 
     def to_json(self):
         return ["const", self.value]
@@ -62,24 +67,26 @@ def _mod(a, b):
 
 
 _BINOPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
     "/": _div,
     "%": _mod,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
     "and": lambda a, b: bool(a) and bool(b),
     "or": lambda a, b: bool(a) or bool(b),
 }
 
 
 class BinOp(Expr):
-    __slots__ = ("op", "left", "right", "_fn")
+    """Both operands are always evaluated, `and`/`or` included."""
+
+    __slots__ = ("op", "left", "right")
 
     def __init__(self, op, left, right):
         if op not in _BINOPS:
@@ -87,10 +94,12 @@ class BinOp(Expr):
         self.op = op
         self.left = left
         self.right = right
-        self._fn = _BINOPS[op]
-
-    def __call__(self, elem):
-        return self._fn(self.left(elem), self.right(elem))
+        fn, lk, rk = _BINOPS[op], left.kernel, right.kernel
+        if isinstance(right, Const):
+            value = right.value
+            self.kernel = lambda elem: fn(lk(elem), value)
+        else:
+            self.kernel = lambda elem: fn(lk(elem), rk(elem))
 
     def to_json(self):
         return [self.op, self.left.to_json(), self.right.to_json()]
@@ -104,9 +113,8 @@ class Not(Expr):
 
     def __init__(self, inner):
         self.inner = inner
-
-    def __call__(self, elem):
-        return not self.inner(elem)
+        ik = inner.kernel
+        self.kernel = lambda elem: not ik(elem)
 
     def to_json(self):
         return ["not", self.inner.to_json()]
@@ -136,38 +144,46 @@ def parse_expr(node):
     raise ValidationError(f"unknown expression head {head!r}")
 
 
+def _tuple_kernel(exprs):
+    """A closure building one tuple value per expression.
+
+    A pure column list reads tuple elements with `operator.itemgetter`; scalar
+    elements take the per-column readers, so column 0 is the scalar itself.
+    """
+    kernels = [e.kernel for e in exprs]
+    if not all(isinstance(e, Col) for e in exprs):
+        return lambda elem: tuple([k(elem) for k in kernels])
+    if not exprs:
+        return lambda elem: ()
+    if len(exprs) == 1:
+        i, k0 = exprs[0].index, kernels[0]
+        return lambda elem: (elem[i],) if type(elem) is tuple else (k0(elem),)
+    get = operator.itemgetter(*(e.index for e in exprs))
+    return lambda elem: get(elem) if type(elem) is tuple else tuple([k(elem) for k in kernels])
+
+
 class KeyFunc:
     """Tuple-valued key: one value per expression."""
 
-    __slots__ = ("exprs",)
+    __slots__ = ("exprs", "kernel")
 
     def __init__(self, exprs):
         self.exprs = tuple(Col(e) if isinstance(e, int) else e for e in exprs)
+        self.kernel = _tuple_kernel(self.exprs)
 
     def __call__(self, elem):
-        return tuple(e(elem) for e in self.exprs)
+        return self.kernel(elem)
 
     def __repr__(self):
-        return f"KeyFunc({list(self.exprs)!r})"
+        return f"{type(self).__name__}({list(self.exprs)!r})"
 
 
-class MapFunc:
+class MapFunc(KeyFunc):
     """Tuple-valued row constructor: one output column per expression."""
 
-    __slots__ = ("exprs",)
-
-    def __init__(self, exprs):
-        self.exprs = tuple(Col(e) if isinstance(e, int) else e for e in exprs)
-
-    def __call__(self, elem):
-        return tuple(e(elem) for e in self.exprs)
-
-    def __repr__(self):
-        return f"MapFunc({list(self.exprs)!r})"
+    __slots__ = ()
 
 
-def as_callable(f):
-    """Accept an Expr, KeyFunc, MapFunc, or plain callable."""
-    if callable(f):
-        return f
-    raise ValidationError(f"expected a callable or expression, got {f!r}")
+def kernel(f):
+    """The compiled closure of an expression, key or map; any other callable as is."""
+    return f.kernel if isinstance(f, (Expr, KeyFunc)) else f

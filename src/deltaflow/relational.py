@@ -7,13 +7,16 @@ the right rewrite without inspecting Python code.
 """
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from . import circuit as _c
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
 from .errors import ValidationError
-from .expr import KeyFunc, MapFunc
+from .expr import KeyFunc, MapFunc, kernel
 from .groupval import ZERO, as_zset
 from .zset import (
+    WEIGHT_MAX,
+    WEIGHT_MIN,
     IndexedZSet,
     ZSet,
     aggregate_avg,
@@ -22,9 +25,8 @@ from .zset import (
     aggregate_min,
     aggregate_sum,
     check_weight,
-    concat_elements,
+    column_reader,
     distinct,
-    element_column,
     group_by,
     makeset,
 )
@@ -74,12 +76,11 @@ class FilterFn:
     klass = LINEAR
 
     def __init__(self, pred):
-        self.pred = pred
+        self.pred = kernel(pred)
 
     def __call__(self, m):
-        m = as_zset(m)
         pred = self.pred
-        return ZSet._wrap({x: w for x, w in m.raw_items() if pred(x)})
+        return ZSet._wrap({x: w for x, w in as_zset(m).raw_items() if pred(x)})
 
 
 class MapFn:
@@ -89,20 +90,28 @@ class MapFn:
     klass = LINEAR
 
     def __init__(self, fn):
-        self.fn = fn
+        self.fn = kernel(fn)
 
     def __call__(self, m):
-        m = as_zset(m)
         fn = self.fn
         d = {}
-        for x, w in m.raw_items():
+        get = d.get
+        for x, w in as_zset(m).raw_items():
             y = fn(x)
-            nw = check_weight(d.get(y, 0) + w)
-            if nw:
-                d[y] = nw
+            nw = get(y)
+            if nw is None:
+                d[y] = w
             else:
-                del d[y]
+                _add_weight(d, y, nw + w)
         return ZSet._wrap(d)
+
+
+def _add_weight(d, x, w):
+    """Store an accumulated weight, dropping x when it cancels out."""
+    if check_weight(w):
+        d[x] = w
+    else:
+        del d[x]
 
 
 def project_fn(cols):
@@ -115,28 +124,6 @@ class DistinctFn:
 
     def __call__(self, m):
         return distinct(as_zset(m))
-
-
-class GroupByFn:
-    arity = 1
-    klass = LINEAR
-
-    def __init__(self, key):
-        self.key = key
-
-    def __call__(self, m):
-        return group_by(self.key, as_zset(m))
-
-
-class FlatmapFn:
-    arity = 1
-    klass = LINEAR
-
-    def __call__(self, i):
-        from .groupval import as_indexed
-        from .zset import flatmap
-
-        return flatmap(as_indexed(i))
 
 
 def _identity_key(x):
@@ -155,69 +142,37 @@ class JoinFn:
     klass = BILINEAR
 
     def __init__(self, key_left, key_right, mode="join", label=None):
-        self.key_left = key_left
-        self.key_right = key_right
+        self.key_left = kernel(key_left)
+        self.key_right = kernel(key_right)
         self.mode = mode
         self.label = label or mode
 
     def index_keys(self):
         return (self.key_left, self.key_right)
 
-    def _pairs(self, a, b):
-        """Yield (x, wx, y, wy) for key-matching pairs."""
-        kl, kr = self.key_left, self.key_right
-        if isinstance(a, IndexedZSet) and isinstance(b, ZSet):
-            for y, wy in b.raw_items():
-                for x, wx in a.group(kr(y)).raw_items():
-                    yield x, wx, y, wy
-        elif isinstance(b, IndexedZSet) and isinstance(a, ZSet):
-            for x, wx in a.raw_items():
-                for y, wy in b.group(kl(x)).raw_items():
-                    yield x, wx, y, wy
-        elif isinstance(a, ZSet) and isinstance(b, ZSet):
-            if len(a) <= len(b):
-                index = {}
-                for x, wx in a.raw_items():
-                    index.setdefault(kl(x), []).append((x, wx))
-                for y, wy in b.raw_items():
-                    for x, wx in index.get(kr(y), ()):
-                        yield x, wx, y, wy
-            else:
-                index = {}
-                for y, wy in b.raw_items():
-                    index.setdefault(kr(y), []).append((y, wy))
-                for x, wx in a.raw_items():
-                    for y, wy in index.get(kl(x), ()):
-                        yield x, wx, y, wy
-        else:  # both indexed
-            small, big, flip = (a, b, False) if len(a) <= len(b) else (b, a, True)
-            for k, g in small.raw_items():
-                og = big.group(k)
-                if og.is_zero():
-                    continue
-                for u, wu in g.raw_items():
-                    for v, wv in og.raw_items():
-                        yield (u, wu, v, wv) if not flip else (v, wv, u, wu)
-
     def __call__(self, a, b):
-        a = _join_operand(a)
-        b = _join_operand(b)
+        a, b = _join_operand(a), _join_operand(b)
+        kl, kr = self.key_left, self.key_right
+        semi = self.mode != "join"
         d = {}
-        if self.mode == "join":
-            for x, wx, y, wy in self._pairs(a, b):
-                out = concat_elements(x, y)
-                nw = check_weight(d.get(out, 0) + check_weight(wx * wy))
-                if nw:
-                    d[out] = nw
-                else:
-                    del d[out]
-        else:  # semijoin flavors keep the left element
-            for x, wx, y, wy in self._pairs(a, b):
-                nw = check_weight(d.get(x, 0) + check_weight(wx * wy))
-                if nw:
-                    d[x] = nw
-                else:
-                    del d[x]
+        if isinstance(a, IndexedZSet) and isinstance(b, IndexedZSet):
+            small, big, small_left = (a, b, True) if len(a) <= len(b) else (b, a, False)
+            groups = big._groups
+            for k, g in small._groups.items():
+                if k in groups:
+                    _probe(d, zip(repeat(k), g._entries.items()), groups, small_left, semi)
+            return ZSet._wrap(d)
+        if isinstance(a, ZSet) and isinstance(b, ZSet):
+            if len(a) <= len(b):
+                a = group_by(kl, a)
+            else:
+                b = group_by(kr, b)
+        if isinstance(a, IndexedZSet):
+            rows = b._entries
+            _probe(d, zip(map(kr, rows), rows.items()), a._groups, False, semi)
+        else:
+            rows = a._entries
+            _probe(d, zip(map(kl, rows), rows.items()), b._groups, True, semi)
         return ZSet._wrap(d)
 
 
@@ -227,6 +182,35 @@ def _join_operand(v):
     if v is ZERO:
         return ZSet()
     raise ValidationError(f"join expects Z-set operands, got {type(v).__name__}")
+
+
+def _probe(d, keyed_rows, groups, rows_left, semi):
+    """Add to d the pairs of each (key, (row, weight)) with the rows of its
+    key's group in groups; a pair's weight is the product of their weights.
+
+    A join pair is the flat concatenation left + right (scalars count as
+    1-tuples); a semijoin pair is the left row alone.
+    """
+    get = d.get
+    for k, (p, wp) in keyed_rows:
+        g = groups.get(k)
+        if g is None:
+            continue
+        pt = p if type(p) is tuple else (p,)
+        for q, wq in g._entries.items():
+            if semi:
+                out = p if rows_left else q
+            else:
+                qt = q if type(q) is tuple else (q,)
+                out = pt + qt if rows_left else qt + pt
+            w = wp * wq
+            if not WEIGHT_MIN <= w <= WEIGHT_MAX:
+                check_weight(w)
+            nw = get(out)
+            if nw is None:
+                d[out] = w
+            else:
+                _add_weight(d, out, nw + w)
 
 
 def cartesian_fn():
@@ -253,9 +237,10 @@ class DistinctDeltaFn:
     def __call__(self, i, d):
         i = as_zset(i)
         d = as_zset(d)
+        get = i._entries.get
         out = {}
         for x, w in d.raw_items():
-            old = i[x]
+            old = get(x, 0)
             new = old + w
             if old > 0 and new <= 0:
                 out[x] = -1
@@ -283,7 +268,7 @@ class AggregateFn:
             raise ValidationError(f"unknown aggregate {kind!r}")
         self.kind = kind
         self.column = column
-        self.group_key = KeyFunc(group_cols) if group_cols is not None else None
+        self.group_key = KeyFunc(group_cols).kernel if group_cols is not None else None
 
     def _value(self, z):
         return self._FNS[self.kind](z, self.column)
@@ -432,7 +417,8 @@ def build_window_snapshot(c: Circuit, snapshot, theta, spec: WindowSpec):
 
 def _advance_theta(old, theta_in, label):
     z = as_zset(theta_in)
-    candidates = [element_column(x, 0) for x, w in z.raw_items() if w > 0]
+    read = column_reader(0)
+    candidates = [read(x) for x, w in z.raw_items() if w > 0]
     if not candidates:
         return old
     new = max(candidates)
@@ -445,8 +431,8 @@ def _window_filter(content, theta, spec):
     if theta is None:
         return content
     bound = theta - spec.width
-    col = spec.ts_column
-    return ZSet._wrap({x: w for x, w in content.raw_items() if element_column(x, col) >= bound})
+    read = column_reader(spec.ts_column)
+    return ZSet._wrap({x: w for x, w in content.raw_items() if read(x) >= bound})
 
 
 def _eval_window(c, node, ins, latches):

@@ -32,9 +32,7 @@ def lift_stream(c):
 
     Per-tick evaluation is unchanged; this marks intent for the later stages.
     """
-    out = c.clone()
-    out.lift_count += 1
-    return out
+    return c.clone()
 
 
 def incrementalize_naive(c):
@@ -45,7 +43,6 @@ def incrementalize_naive(c):
     stay raw: they are per-tick values, not changes of anything.
     """
     out = Circuit(level=c.level)
-    out.lift_count = c.lift_count
     mapping = {}
     pending_feedback = []
     for n in c.nodes:
@@ -73,7 +70,6 @@ def incrementalize_naive(c):
 def deincrementalize_naive(c):
     """The inverse reading: differentiate inputs, integrate outputs."""
     out = Circuit(level=c.level)
-    out.lift_count = c.lift_count
     mapping = {}
     pending_feedback = []
     for n in c.nodes:
@@ -177,7 +173,6 @@ def optimize(c):
     if not any(n.meta.get("bracket") == "i" for n in c.nodes):
         raise CircuitError("optimize expects a naively incrementalized circuit (no brackets found)")
     out = Circuit(level=c.level)
-    out.lift_count = c.lift_count
     seeds = {}
     for n in c.nodes:
         if n.kind == "source":
@@ -514,7 +509,6 @@ def _rebuild_topological(c):
         raise CircuitError("cycle without a strict (delay) operator")
 
     out = Circuit(level=c.level, inner=c.is_inner)
-    out.lift_count = c.lift_count
     mapping = {}
     pending = []
     for nid in order:

@@ -59,11 +59,16 @@ def _tick_inputs(spec, t):
     return inputs
 
 
-def _step_circuit(circuit, inputs):
+def _step_circuit(circuit, inputs, tx=None):
     m = circuit.metrics
     t0, i0 = m.tuples, m.iterations
     start = time.perf_counter_ns()
-    out = circuit.step(inputs)
+    try:
+        out = circuit.step(inputs)
+    except ValidationError as e:
+        if tx is None:
+            raise
+        raise ValidationError(f"tx {tx}: {e}") from e
     wall = time.perf_counter_ns() - start
     return out, {"tuples": m.tuples - t0, "iterations": m.iterations - i0, "wall_ns": wall}
 
@@ -83,10 +88,10 @@ def run_trace(cs, trace, mode):
         tick = {"tx": t.tx, "changes": {}}
         metrics = {"tx": t.tx}
         if mode in ("incremental", "compare"):
-            out_inc, m = _step_circuit(cs.incremental, inputs)
+            out_inc, m = _step_circuit(cs.incremental, inputs, t.tx)
             metrics.update(m)
         if mode in ("reference", "compare"):
-            out_ref, m = _step_circuit(cs.reference, inputs)
+            out_ref, m = _step_circuit(cs.reference, inputs, t.tx)
             if mode == "reference":
                 metrics.update(m)
             else:

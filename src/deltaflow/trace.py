@@ -1,6 +1,7 @@
 """Change traces and run reports: newline-delimited JSON, one transaction per
 line, canonical ordering so outputs are byte-stable."""
 
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,6 +41,32 @@ def _coerce_value(v, decl_type, where):
     return v
 
 
+_ACCEPTED_TYPES = {"int": (int,), "float": (int, float), "str": (str,), None: (int, float, str)}
+
+
+@functools.lru_cache(maxsize=None)
+def _row_checker(types):
+    """A check of a JSON row against declared column types (None: untyped).
+
+    It returns the row as a tuple when every value is of an accepted type,
+    else None: the caller then runs the full per-value check, which accepts
+    the row or raises the usual message.
+    """
+    accepted = [_ACCEPTED_TYPES[t] for t in types]
+    if all(len(a) == 1 for a in accepted):
+        signature = [a[0] for a in accepted]
+        return lambda values: tuple(values) if list(map(type, values)) == signature else None
+
+    def check(values):
+        for v, a in zip(values, accepted):
+            t = type(v)
+            if t not in a or (t is float and v != v):
+                return None
+        return tuple(values)
+
+    return check
+
+
 def parse_transaction(obj, relations, where):
     if not isinstance(obj, dict) or "tx" not in obj or "changes" not in obj:
         raise ValidationError(f"{where}: each line needs 'tx' and 'changes'")
@@ -47,24 +74,30 @@ def parse_transaction(obj, relations, where):
     if not isinstance(tx, int):
         raise ValidationError(f"{where}: 'tx' must be an integer")
     changes = {}
+    declared = {}  # relation -> (column types, row checker)
     for i, entry in enumerate(obj["changes"]):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValidationError(f"{where}: change {i} must be [relation, [values...], weight]")
         rel, values, weight = entry
-        if relations is not None:
-            if rel not in relations:
-                raise ValidationError(f"{where}: unknown relation {rel!r}")
-            decl = relations[rel]
-            if len(values) != decl.schema.arity:
-                raise ValidationError(
-                    f"{where}: relation {rel!r} expects {decl.schema.arity} values, got {len(values)}"
-                )
-            types = decl.schema.types or (None,) * decl.schema.arity
-        else:
+        if relations is None:
             types = (None,) * len(values)
+            check = _row_checker(types)
+        else:
+            decl = declared.get(rel)
+            if decl is None:
+                if rel not in relations:
+                    raise ValidationError(f"{where}: unknown relation {rel!r}")
+                schema = relations[rel].schema
+                types = schema.types or (None,) * schema.arity
+                decl = declared[rel] = (types, _row_checker(types))
+            types, check = decl
+            if len(values) != len(types):
+                raise ValidationError(f"{where}: relation {rel!r} expects {len(types)} values, got {len(values)}")
         if not isinstance(weight, int) or isinstance(weight, bool) or weight == 0:
             raise ValidationError(f"{where}: weight must be a nonzero integer")
-        row = tuple(_coerce_value(v, t, f"{where}: relation {rel!r}") for v, t in zip(values, types))
+        row = check(values) if type(values) is list else None
+        if row is None:
+            row = tuple(_coerce_value(v, t, f"{where}: relation {rel!r}") for v, t in zip(values, types))
         changes.setdefault(rel, []).append((row, weight))
     return Transaction(tx=tx, changes={rel: ZSet(rows) for rel, rows in changes.items()})
 
@@ -94,9 +127,10 @@ def load_trace(path, relations=None):
 
 
 def _json_value(v):
+    """json.dumps fallback: exact rationals print as integers or floats."""
     if isinstance(v, Fraction):
         return int(v) if v.denominator == 1 else float(v)
-    return v
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
 def dump_transaction(tx, changes):
@@ -104,11 +138,11 @@ def dump_transaction(tx, changes):
     canonical order, weights as signed decimal integers."""
     out = []
     for rel in sorted(changes):
-        z = changes[rel]
-        for row, w in z.items():
-            values = list(row) if type(row) is tuple else [row]
-            out.append([rel, [_json_value(v) for v in values], w])
-    return json.dumps({"tx": tx, "changes": out}, sort_keys=True, separators=(",", ":")) + "\n"
+        out += [[rel, row if type(row) is tuple else [row], w] for row, w in changes[rel].items()]
+    line = json.dumps(
+        {"tx": tx, "changes": out}, sort_keys=True, separators=(",", ":"), default=_json_value, check_circular=False
+    )
+    return line + "\n"
 
 
 def dump_metrics(report):

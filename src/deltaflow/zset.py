@@ -34,6 +34,19 @@ def sort_key(elem):
     return (0, elem)
 
 
+def canonical_keys(d):
+    """The keys of d sorted in sort_key order.
+
+    A plain tuple sort compares two elements only at their first differing
+    position and raises TypeError on any mix of numbers, strings and tuples
+    there, so whenever it succeeds its order is the sort_key order.
+    """
+    try:
+        return sorted(d)
+    except TypeError:
+        return sorted(d, key=sort_key)
+
+
 def validate_element(elem):
     """Ingestion check: no NULLs, no NaN, no bools, only supported scalars."""
     if type(elem) is tuple:
@@ -131,11 +144,12 @@ class ZSet:
         return len(self._entries)
 
     def __iter__(self):
-        return iter(sorted(self._entries, key=sort_key))
+        return iter(canonical_keys(self._entries))
 
     def items(self):
         """Entries in canonical element order."""
-        return [(x, self._entries[x]) for x in sorted(self._entries, key=sort_key)]
+        d = self._entries
+        return [(x, d[x]) for x in canonical_keys(d)]
 
     def raw_items(self):
         """Entries in hash order; use in hot paths where order is irrelevant."""
@@ -206,12 +220,17 @@ def concat_elements(a, b):
     return _as_parts(a) + _as_parts(b)
 
 
-def element_column(elem, col):
-    if type(elem) is tuple:
-        return elem[col]
+def column_reader(col):
+    """A closure reading column col of an element; a scalar is its own column 0."""
     if col == 0:
-        return elem
-    raise ValidationError(f"column {col} out of range for scalar element")
+        return lambda elem: elem[0] if type(elem) is tuple else elem
+
+    def read(elem):
+        if type(elem) is tuple:
+            return elem[col]
+        raise ValidationError(f"column {col} out of range for scalar element")
+
+    return read
 
 
 class IndexedZSet:
@@ -275,7 +294,7 @@ class IndexedZSet:
         return len(self._groups)
 
     def keys(self):
-        return sorted(self._groups, key=sort_key)
+        return canonical_keys(self._groups)
 
     def items(self):
         return [(k, self._groups[k]) for k in self.keys()]
@@ -302,8 +321,8 @@ _EMPTY_ZSET = ZSet()
 def group_by(key_fn, m):
     """Partition m by key_fn; linear, weight-preserving."""
     groups = {}
-    for x, w in m.raw_items():
-        k = key_fn(x)
+    entries = m._entries
+    for k, (x, w) in zip(map(key_fn, entries), entries.items()):
         g = groups.get(k)
         if g is None:
             g = groups[k] = {}
@@ -347,9 +366,10 @@ def aggregate_count(m):
 
 def aggregate_sum(m, col=0):
     """Weighted sum of a numeric column; linear."""
+    read = column_reader(col)
     total = 0
     for x, w in m.raw_items():
-        v = element_column(x, col)
+        v = read(x)
         if isinstance(v, str):
             raise ValidationError(f"SUM over non-numeric column {col}")
         total += v * w
@@ -371,13 +391,13 @@ def aggregate_general(f, m):
 def aggregate_min(m, col=0):
     if m.is_zero():
         raise ValidationError("MIN over empty input")
-    return aggregate_general(lambda s: min(element_column(x, col) for x in s), m)
+    return aggregate_general(lambda s: min(map(column_reader(col), s)), m)
 
 
 def aggregate_max(m, col=0):
     if m.is_zero():
         raise ValidationError("MAX over empty input")
-    return aggregate_general(lambda s: max(element_column(x, col) for x in s), m)
+    return aggregate_general(lambda s: max(map(column_reader(col), s)), m)
 
 
 def exact_div(a, b):

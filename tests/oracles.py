@@ -4,7 +4,9 @@ Everything here is deliberately naive: plain Python sets, list-based stream
 math, and snapshot recomputation.  Nothing imports the circuit machinery.
 """
 
-from deltaflow import ZSet
+from fractions import Fraction
+
+from deltaflow import ValidationError, ZSet
 from deltaflow.groupval import ZERO
 
 
@@ -106,3 +108,59 @@ def closure_with_self_loops(edges):
 
 def zset_of(rows, weight=1):
     return ZSet([(r, weight) for r in rows])
+
+
+# -- expressions -------------------------------------------------------------------
+
+
+def _exact_div(a, b):
+    if b == 0:
+        raise ValidationError("division by zero")
+    if isinstance(a, int) and isinstance(b, int):
+        f = Fraction(a, b)
+        return int(f) if f.denominator == 1 else f
+    return a / b
+
+
+def _mod(a, b):
+    if b == 0:
+        raise ValidationError("modulo by zero")
+    return a % b
+
+
+_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": _exact_div,
+    "%": _mod,
+    "==": lambda a, b: a == b,
+    "!=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    "<=": lambda a, b: a <= b,
+    ">": lambda a, b: a > b,
+    ">=": lambda a, b: a >= b,
+    "and": lambda a, b: bool(a) and bool(b),
+    "or": lambda a, b: bool(a) or bool(b),
+}
+
+
+def eval_expr(e, elem):
+    """Walk an expression's JSON encoding over one element; a scalar element
+    is its own column 0."""
+    return _eval_node(e.to_json(), elem)
+
+
+def _eval_node(node, elem):
+    head = node[0]
+    if head == "col":
+        if type(elem) is tuple:
+            return elem[node[1]]
+        if node[1] == 0:
+            return elem
+        raise ValidationError(f"column {node[1]} out of range for scalar element")
+    if head == "const":
+        return node[1]
+    if head == "not":
+        return not _eval_node(node[1], elem)
+    return _OPS[head](_eval_node(node[1], elem), _eval_node(node[2], elem))

@@ -1,6 +1,9 @@
 """Spec/trace loading, the batch CLI, report round-trips, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -348,6 +351,33 @@ class TestOperatorCoverage:
         p = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": [["ghost", [1], 1]]}))
         with pytest.raises(ValidationError):
             load_trace(p, spec.relations)
+
+
+class TestTypedErrors:
+    """Values of clashing types in an untyped relation end in exit 2 with a
+    message naming the operator and the tx, not in a Python traceback."""
+
+    def run_cli(self, tmp_path, query, rows):
+        spec = {"relations": [{"name": "r", "columns": ["a", "b"]}], "views": [{"name": "v", "query": query}]}
+        sp = write(tmp_path, "s.json", json.dumps(spec))
+        tp = write(tmp_path, "t.ndjson", "".join(jline({"tx": tx, "changes": [["r", row, 1]]}) for tx, row in rows))
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        cmd = [sys.executable, "-m", "deltaflow.cli", "compare", "--spec", sp, "--trace", tp]
+        return subprocess.run(cmd, capture_output=True, text=True, env=env)
+
+    def test_comparison_of_str_and_int(self, tmp_path):
+        pred = {"op": "filter", "predicate": [">", ["col", 0], ["const", 1]], "input": {"op": "rel", "name": "r"}}
+        proc = self.run_cli(tmp_path, pred, [(0, [2, 1]), (5, ["x", 1])])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "tx 5" in proc.stderr and "operator 'filter'" in proc.stderr
+
+    def test_min_over_mixed_column(self, tmp_path):
+        agg = {"op": "aggregate", "agg": "min", "column": 1, "input": {"op": "rel", "name": "r"}}
+        proc = self.run_cli(tmp_path, agg, [(0, [1, 5]), (3, [2, "x"])])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "tx 3" in proc.stderr and "operator 'aggregate'" in proc.stderr
 
 
 class TestEventViews:
