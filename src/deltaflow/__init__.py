@@ -21,6 +21,7 @@ from .errors import (
     DeltaflowError,
     DivergenceError,
     NonTerminationError,
+    TypeMismatchError,
     ValidationError,
     WeightOverflowError,
 )

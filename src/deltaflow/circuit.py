@@ -24,7 +24,7 @@ corrections from earlier ticks are fully replayed.
 
 import os
 
-from .errors import CircuitError, NonTerminationError, ValidationError
+from .errors import CircuitError, NonTerminationError, TypeMismatchError, ValidationError
 from .groupval import ZERO, StreamVector, as_vector, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
 from .zset import IndexedZSet, ZSet, group_by
 
@@ -279,7 +279,11 @@ class Circuit:
     # -- evaluation ------------------------------------------------------------
 
     def step(self, inputs):
-        """Advance one tick: one value per source in, one per sink out."""
+        """Advance one tick: one value per source in, one per sink out.
+
+        A type clash inside an expression or a MIN/MAX raises
+        TypeMismatchError naming the operator; exceptions raised by host
+        callables pass through unchanged."""
         self.validate()
         for name in self.sources:
             if name not in inputs:
@@ -347,9 +351,8 @@ class Circuit:
         if kind == "lifted":
             try:
                 v = node.fn(*ins)
-            except TypeError as e:
-                # Values of clashing types met in an expression or an ordering.
-                raise ValidationError(f"operator {node.label or 'lifted'!r}: {e}") from e
+            except TypeMismatchError as e:
+                raise TypeMismatchError(f"operator {node.label or 'lifted'!r}: {e}") from e
             m = self.metrics
             if m is not None:
                 # Probed arguments (indexed state looked up per element of the

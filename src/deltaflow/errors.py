@@ -11,6 +11,10 @@ class ValidationError(DeltaflowError):
     exit_code = 2
 
 
+class TypeMismatchError(ValidationError):
+    """Values of clashing types met in an expression or a MIN/MAX ordering."""
+
+
 class DivergenceError(DeltaflowError):
     """Compare mode found a tick where incremental and reference outputs differ."""
 

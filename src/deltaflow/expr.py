@@ -12,7 +12,7 @@ host callables unchanged.
 
 import operator
 
-from .errors import ValidationError
+from .errors import TypeMismatchError, ValidationError
 from .zset import column_reader, exact_div
 
 
@@ -95,11 +95,14 @@ class BinOp(Expr):
         self.left = left
         self.right = right
         fn, lk, rk = _BINOPS[op], left.kernel, right.kernel
-        if isinstance(right, Const):
-            value = right.value
-            self.kernel = lambda elem: fn(lk(elem), value)
-        else:
-            self.kernel = lambda elem: fn(lk(elem), rk(elem))
+
+        def binop(elem):
+            try:
+                return fn(lk(elem), rk(elem))
+            except TypeError as e:
+                raise TypeMismatchError(str(e)) from e
+
+        self.kernel = binop
 
     def to_json(self):
         return [self.op, self.left.to_json(), self.right.to_json()]

@@ -41,30 +41,19 @@ def _coerce_value(v, decl_type, where):
     return v
 
 
-_ACCEPTED_TYPES = {"int": (int,), "float": (int, float), "str": (str,), None: (int, float, str)}
-
-
 @functools.lru_cache(maxsize=None)
 def _row_checker(types):
-    """A check of a JSON row against declared column types (None: untyped).
+    """A check of a JSON row against declared int/str column types.
 
-    It returns the row as a tuple when every value is of an accepted type,
-    else None: the caller then runs the full per-value check, which accepts
-    the row or raises the usual message.
+    It returns the row as a tuple when every value has exactly its column's
+    type, else None: the caller then runs the full per-value check, which
+    accepts the row or raises the usual message. Schemas with any other
+    column type have no checker (None) and always take the full check.
     """
-    accepted = [_ACCEPTED_TYPES[t] for t in types]
-    if all(len(a) == 1 for a in accepted):
-        signature = [a[0] for a in accepted]
-        return lambda values: tuple(values) if list(map(type, values)) == signature else None
-
-    def check(values):
-        for v, a in zip(values, accepted):
-            t = type(v)
-            if t not in a or (t is float and v != v):
-                return None
-        return tuple(values)
-
-    return check
+    if not all(t in ("int", "str") for t in types):
+        return None
+    signature = [int if t == "int" else str for t in types]
+    return lambda values: tuple(values) if list(map(type, values)) == signature else None
 
 
 def parse_transaction(obj, relations, where):
@@ -81,7 +70,7 @@ def parse_transaction(obj, relations, where):
         rel, values, weight = entry
         if relations is None:
             types = (None,) * len(values)
-            check = _row_checker(types)
+            check = None
         else:
             decl = declared.get(rel)
             if decl is None:
@@ -95,7 +84,7 @@ def parse_transaction(obj, relations, where):
                 raise ValidationError(f"{where}: relation {rel!r} expects {len(types)} values, got {len(values)}")
         if not isinstance(weight, int) or isinstance(weight, bool) or weight == 0:
             raise ValidationError(f"{where}: weight must be a nonzero integer")
-        row = check(values) if type(values) is list else None
+        row = check(values) if check is not None and type(values) is list else None
         if row is None:
             row = tuple(_coerce_value(v, t, f"{where}: relation {rel!r}") for v, t in zip(values, types))
         changes.setdefault(rel, []).append((row, weight))

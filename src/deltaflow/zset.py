@@ -9,7 +9,7 @@ Z-sets a canonical enumeration order.
 
 from fractions import Fraction
 
-from .errors import ValidationError, WeightOverflowError
+from .errors import TypeMismatchError, ValidationError, WeightOverflowError
 
 WEIGHT_MAX = 2**63 - 1
 WEIGHT_MIN = -(2**63)
@@ -388,16 +388,26 @@ def aggregate_general(f, m):
     return f(to_set(m))
 
 
+def _ordered(f, name, col):
+    def pick(s):
+        try:
+            return f(map(column_reader(col), s))
+        except TypeError as e:
+            raise TypeMismatchError(f"{name} over column {col} of mixed types: {e}") from e
+
+    return pick
+
+
 def aggregate_min(m, col=0):
     if m.is_zero():
         raise ValidationError("MIN over empty input")
-    return aggregate_general(lambda s: min(map(column_reader(col), s)), m)
+    return aggregate_general(_ordered(min, "MIN", col), m)
 
 
 def aggregate_max(m, col=0):
     if m.is_zero():
         raise ValidationError("MAX over empty input")
-    return aggregate_general(lambda s: max(map(column_reader(col), s)), m)
+    return aggregate_general(_ordered(max, "MAX", col), m)
 
 
 def exact_div(a, b):

@@ -6,7 +6,7 @@ math, and snapshot recomputation.  Nothing imports the circuit machinery.
 
 from fractions import Fraction
 
-from deltaflow import ValidationError, ZSet
+from deltaflow import TypeMismatchError, ValidationError, ZSet
 from deltaflow.groupval import ZERO
 
 
@@ -163,4 +163,8 @@ def _eval_node(node, elem):
         return node[1]
     if head == "not":
         return not _eval_node(node[1], elem)
-    return _OPS[head](_eval_node(node[1], elem), _eval_node(node[2], elem))
+    a, b = _eval_node(node[1], elem), _eval_node(node[2], elem)
+    try:
+        return _OPS[head](a, b)
+    except TypeError as e:
+        raise TypeMismatchError(str(e)) from e

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from deltaflow import Circuit, IndexedZSet, ValidationError, ZSet, differential_check, group_by
+import pytest
+from deltaflow import Circuit, IndexedZSet, TypeMismatchError, ValidationError, ZSet, differential_check, group_by
 from deltaflow.expr import BinOp, Col, Const, KeyFunc, MapFunc, Not
-from deltaflow.relational import JoinFn, build_antijoin, build_equijoin, build_projection, build_semijoin
+from deltaflow.relational import AggregateFn, FilterFn, JoinFn, build_antijoin, build_equijoin, build_projection, build_semijoin
 from deltaflow.trace import dump_transaction
 from deltaflow.zset import canonical_keys, sort_key
 from oracles import eval_expr
@@ -97,6 +98,36 @@ class TestCompiledExpressions:
     def test_host_callables_still_accepted(self):
         f = JoinFn(lambda x: x[0], lambda y: y[1])
         assert f(ZSet({(1, "a"): 2}), ZSet({("b", 1): 3})) == ZSet({(1, "a", "b", 1): 6})
+
+
+# -- type clashes ------------------------------------------------------------------
+
+
+def one_operator_circuit(fn, label):
+    c = Circuit()
+    c.add_sink(c.add_lifted(fn, [c.add_source("r")], label=label), "o")
+    return c
+
+
+class TestTypeClashes:
+    def test_expression_clash_names_the_operator(self):
+        c = one_operator_circuit(FilterFn(BinOp(">", Col(0), Const(1))), "filter")
+        with pytest.raises(TypeMismatchError, match="operator 'filter': '>' not supported"):
+            c.step({"r": ZSet({("x", 1): 1})})
+
+    def test_min_over_mixed_column(self):
+        c = one_operator_circuit(AggregateFn("min", column=1), "aggregate")
+        with pytest.raises(TypeMismatchError, match="operator 'aggregate': MIN over column 1 of mixed types"):
+            c.step({"r": ZSet({(1, 5): 1, (2, "x"): 1})})
+
+    def test_host_callable_type_error_passes_through(self):
+        def bad(x):
+            return x[0] > 1
+
+        c = one_operator_circuit(FilterFn(bad), "filter")
+        with pytest.raises(TypeError) as info:
+            c.step({"r": ZSet({("x", 1): 1})})
+        assert not isinstance(info.value, ValidationError)
 
 
 # -- join probes -------------------------------------------------------------------
