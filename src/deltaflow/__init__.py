@@ -29,14 +29,13 @@ from .expr import BinOp, Col, Const, KeyFunc, MapFunc, Not, parse_expr
 from .groupval import ZERO, StreamVector, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
 from .relational import Schema, WindowSpec
 from .rewrite import (
+    compile_query,
     consolidate_distinct,
     deincrementalize_naive,
     differential_check,
     incrementalize_naive,
-    lift_stream,
-    optimize,
-    reference_circuit,
     incrementalize_query,
+    optimize,
 )
 from .specfile import CircuitSpec, compile_spec, load_spec
 from .trace import RunReport, Transaction, load_trace
@@ -60,7 +59,6 @@ from .zset import (
     to_set,
     to_zset,
     zset_add,
-    zset_negate,
     zset_size,
 )
 

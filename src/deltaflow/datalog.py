@@ -21,7 +21,7 @@ from .relational import (
     build_filter,
     build_map,
 )
-from .rewrite import _connect_pending, _copy_node, loop_incrementalize, incrementalize_query
+from .rewrite import incrementalize_query, loop_incrementalize
 
 DATALOG_ITERATION_CAP = 100_000
 
@@ -374,14 +374,7 @@ def build_while(q, cap=None):
     fb = inner.add_feedback(depth=inner.level)
     start = inner.add_plus([entry, fb])
 
-    mapping = {s_id: start}
-    pending = []
-    for n in q.nodes:
-        if n.kind == "source":
-            continue
-        mapping[n.id] = _copy_node(inner, n, mapping, pending)
-    _connect_pending(inner, mapping, pending)
-    qout = mapping[v_id]
+    qout = inner.copy_nodes(q.nodes, {s_id: start})[v_id]
     inner.connect_feedback(qout, fb)
     d = inner.add_differentiate(qout, depth=inner.level)
     inner.add_stream_sum(d, max_iterations=cap)

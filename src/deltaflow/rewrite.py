@@ -1,5 +1,5 @@
-"""Circuit-to-circuit transforms: distinct consolidation, lifting to streams,
-naive incrementalization, and the chain-rule optimizer.
+"""Circuit-to-circuit transforms: distinct consolidation, naive
+incrementalization, and the chain-rule optimizer, chained by compile_query.
 
 The optimizer walks a naively incrementalized circuit and rebuilds it so that
 every edge carries changes instead of snapshots:
@@ -27,12 +27,22 @@ _RULE_ABSORB = _RULE_COMMUTE | {"project", "map", "plus"}
 # -- algorithm pipeline -------------------------------------------------------
 
 
-def lift_stream(c):
-    """Read a scalar circuit as a stream circuit (pointwise per tick).
+def compile_query(c):
+    """Compile a scalar query circuit to (reference, incremental).
 
-    Per-tick evaluation is unchanged; this marks intent for the later stages.
+    Distinct operators are consolidated first, so both circuits share that
+    form.  The reference wraps it in integrate/differentiate brackets and
+    recomputes from snapshots; the incremental circuit pushes the
+    incrementalization through every node, so no full snapshot is rebuilt
+    where a cheaper form exists.
     """
-    return c.clone()
+    reference = incrementalize_naive(consolidate_distinct(c))
+    return reference, optimize(reference)
+
+
+def incrementalize_query(c):
+    """The optimized incremental form of a scalar query circuit."""
+    return compile_query(c)[1]
 
 
 def incrementalize_naive(c):
@@ -42,60 +52,39 @@ def incrementalize_naive(c):
     body still computes on full snapshots.  Event-typed sources and sinks
     stay raw: they are per-tick values, not changes of anything.
     """
-    out = Circuit(level=c.level)
-    mapping = {}
-    pending_feedback = []
-    for n in c.nodes:
-        if n.kind == "source":
-            sid = out.add_source(n.name, sort=n.meta.get("sort", "zset"), event=n.meta.get("event", False))
-            if n.meta.get("event"):
-                mapping[n.id] = sid
-            else:
-                iid = out.add_integrate(sid, depth=c.level)
-                out.nodes[iid].meta["bracket"] = "i"
-                mapping[n.id] = iid
-        else:
-            mapping[n.id] = _copy_node(out, n, mapping, pending_feedback)
-    _connect_pending(out, mapping, pending_feedback)
-    for name, nid in c.sinks.items():
-        if name in c.event_sinks:
-            out.add_sink(mapping[nid], name, event=True)
-        else:
-            did = out.add_differentiate(mapping[nid], depth=c.level)
-            out.nodes[did].meta["bracket"] = "d"
-            out.add_sink(did, name)
-    return out
+    return _bracketed(c, _marked(Circuit.add_integrate, "i"), _marked(Circuit.add_differentiate, "d"))
 
 
 def deincrementalize_naive(c):
     """The inverse reading: differentiate inputs, integrate outputs."""
+    return _bracketed(c, Circuit.add_differentiate, Circuit.add_integrate)
+
+
+def _bracketed(c, wrap_in, wrap_out):
+    """Copy c with wrap_in after every source and wrap_out before every sink,
+    leaving event-typed ones raw."""
     out = Circuit(level=c.level)
-    mapping = {}
-    pending_feedback = []
-    for n in c.nodes:
-        if n.kind == "source":
-            sid = out.add_source(n.name, sort=n.meta.get("sort", "zset"), event=n.meta.get("event", False))
-            mapping[n.id] = sid if n.meta.get("event") else out.add_differentiate(sid, depth=c.level)
-        else:
-            mapping[n.id] = _copy_node(out, n, mapping, pending_feedback)
-    _connect_pending(out, mapping, pending_feedback)
+    sources = [n for n in c.nodes if n.kind == "source"]
+    mapping = out.copy_nodes(sources, {})
+    for n in sources:
+        if not n.meta.get("event"):
+            mapping[n.id] = wrap_in(out, mapping[n.id])
+    out.copy_nodes(c.nodes, mapping)
     for name, nid in c.sinks.items():
-        if name in c.event_sinks:
-            out.add_sink(mapping[nid], name, event=True)
-        else:
-            out.add_sink(out.add_integrate(mapping[nid], depth=c.level), name)
+        event = name in c.event_sinks
+        out.add_sink(mapping[nid] if event else wrap_out(out, mapping[nid]), name, event=event)
     return out
 
 
-def incrementalize_query(c):
-    """Turn a scalar query circuit into its optimized incremental form.
+def _marked(add, tag):
+    """add, tagging the new node as an incrementalization bracket."""
 
-    Stages: consolidate distinct operators, reinterpret the circuit over
-    streams, wrap it in integrate/differentiate so it maps deltas to deltas,
-    then push the incrementalization through every node so no full snapshot
-    is rebuilt where a cheaper form exists.
-    """
-    return optimize(incrementalize_naive(lift_stream(consolidate_distinct(c))))
+    def add_marked(out, x):
+        nid = add(out, x)
+        out.nodes[nid].meta["bracket"] = tag
+        return nid
+
+    return add_marked
 
 
 def differential_check(scalar, traces, raise_on_mismatch=True):
@@ -106,8 +95,7 @@ def differential_check(scalar, traces, raise_on_mismatch=True):
     """
     from .groupval import gv_eq
 
-    naive = incrementalize_naive(lift_stream(scalar))
-    opt = optimize(naive)
+    naive, opt = compile_query(scalar)
     for ti, trace in enumerate(traces):
         naive.reset()
         opt.reset()
@@ -125,62 +113,20 @@ def differential_check(scalar, traces, raise_on_mismatch=True):
     return None
 
 
-def reference_circuit(c):
-    """Snapshot-recompute form: integrate inputs, run the query, differentiate."""
-    return incrementalize_naive(lift_stream(c))
-
-
-# -- node copying helpers ------------------------------------------------------
-
-
-def _copy_node(out, n, mapping, pending_feedback):
-    if n.kind in _STATEFUL_KINDS and n.meta.get("feedback"):
-        nid = out.add_feedback(depth=n.depth, delayed=n.meta.get("delayed", True))
-        if n.inputs:
-            pending_feedback.append((nid, n.inputs[0]))
-        return nid
-    meta = dict(n.meta)
-    if n.kind == "nested":
-        inner = meta["inner"].clone()
-        inner.metrics = out.metrics
-        meta["inner"] = inner
-    nid = out._add(
-        n.kind,
-        tuple(mapping[i] for i in n.inputs),
-        depth=n.depth,
-        fn=n.fn,
-        label=n.label,
-        klass=n.klass,
-        meta=meta,
-    )
-    if n.kind == "delta0":
-        out.entry_id = nid
-    elif n.kind == "stream_sum":
-        out.sum_id = nid
-    return nid
-
-
-def _connect_pending(out, mapping, pending_feedback):
-    for stub, old_from in pending_feedback:
-        out.connect_feedback(mapping[old_from], stub)
-
-
 # -- the chain-rule optimizer ---------------------------------------------------
 
 
 def optimize(c):
     """Push the incrementalization through a naively incrementalized circuit."""
-    if not any(n.meta.get("bracket") == "i" for n in c.nodes):
+    # A circuit whose sources are all event streams has nothing to bracket.
+    if not any(n.meta.get("bracket") == "i" for n in c.nodes) and any(
+        n.kind == "source" and not n.meta.get("event") for n in c.nodes
+    ):
         raise CircuitError("optimize expects a naively incrementalized circuit (no brackets found)")
     out = Circuit(level=c.level)
-    seeds = {}
-    for n in c.nodes:
-        if n.kind == "source":
-            seeds[n.id] = out.add_source(n.name, sort=n.meta.get("sort", "zset"), event=n.meta.get("event", False))
-    dmap = _delta_compile(c, out, seeds, bracket_depth=c.level)
-    for name, nid in c.sinks.items():
-        out.add_sink(dmap[nid], name, event=name in c.event_sinks)
-    return prune_dead_nodes(out)
+    seeds = out.copy_nodes([n for n in c.nodes if n.kind == "source"], {})
+    out.copy_sinks(c, _delta_compile(c, out, seeds, bracket_depth=c.level))
+    return _rebuild_topological(out)
 
 
 def _delta_compile(src, out, dmap, bracket_depth):
@@ -196,7 +142,8 @@ def _delta_compile(src, out, dmap, bracket_depth):
             dmap[n.id] = None  # folded into its fragment's dedicated rewrite
             continue
         dmap[n.id] = _delta_node(src, out, n, dmap, bracket_depth, pending_feedback)
-    _connect_pending(out, dmap, pending_feedback)
+    for stub, old_from in pending_feedback:
+        out.connect_feedback(dmap[old_from], stub)
     return dmap
 
 
@@ -509,20 +456,5 @@ def _rebuild_topological(c):
         raise CircuitError("cycle without a strict (delay) operator")
 
     out = Circuit(level=c.level, inner=c.is_inner)
-    mapping = {}
-    pending = []
-    for nid in order:
-        n = c.nodes[nid]
-        if n.kind == "source":
-            mapping[nid] = out.add_source(n.name, sort=n.meta.get("sort", "zset"), event=n.meta.get("event", False))
-        else:
-            mapping[nid] = _copy_node(out, n, mapping, pending)
-    _connect_pending(out, mapping, pending)
-    for name, sid in c.sinks.items():
-        out.add_sink(mapping[sid], name, event=name in c.event_sinks)
+    out.copy_sinks(c, out.copy_nodes([c.nodes[nid] for nid in order], {}))
     return out
-
-
-def prune_dead_nodes(c):
-    """Drop nodes not reachable from any sink (or loop skeleton)."""
-    return _rebuild_topological(c)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from .errors import DivergenceError, ValidationError
 from .groupval import ZERO
-from .rewrite import consolidate_distinct, incrementalize_naive, lift_stream, optimize
+from .rewrite import compile_query
 from .trace import RunReport
 from .zset import ZSet
 
@@ -22,19 +22,19 @@ class CompiledSpec:
 
 
 def compile_circuits(spec, mode="compare", max_iterations=None):
-    """Build the run pipelines from one consolidated query circuit.
+    """Build the run pipelines with compile_query.
 
     Both modes share the consolidated form, so compare mode checks the
     incrementalization itself and stays exact even on traces that push
     multiplicities outside set semantics.
     """
     cs = CompiledSpec(spec=spec)
-    naive = incrementalize_naive(lift_stream(consolidate_distinct(spec.circuit)))
+    reference, incremental = compile_query(spec.circuit)
     if mode in ("incremental", "compare"):
-        cs.incremental = optimize(naive)
+        cs.incremental = incremental
         _apply_cap(cs.incremental, max_iterations)
     if mode in ("reference", "compare"):
-        cs.reference = naive
+        cs.reference = reference
         _apply_cap(cs.reference, max_iterations)
     return cs
 
@@ -53,21 +53,18 @@ def _apply_cap(circuit, cap):
 def _tick_inputs(spec, t):
     empty = ZSet()
     inputs = {name: empty for name in spec.relations}
-    if t is not None:
-        for rel, z in t.changes.items():
-            inputs[rel] = z
+    for rel, z in t.changes.items():
+        inputs[rel] = z
     return inputs
 
 
-def _step_circuit(circuit, inputs, tx=None):
+def _step_circuit(circuit, inputs, tx):
     m = circuit.metrics
     t0, i0 = m.tuples, m.iterations
     start = time.perf_counter_ns()
     try:
         out = circuit.step(inputs)
     except ValidationError as e:
-        if tx is None:
-            raise
         raise ValidationError(f"tx {tx}: {e}") from e
     wall = time.perf_counter_ns() - start
     return out, {"tuples": m.tuples - t0, "iterations": m.iterations - i0, "wall_ns": wall}
@@ -178,28 +175,16 @@ def bench_join(base_size, delta_size, seed, ticks=8):
     cs = compile_circuits(spec, mode="compare")
     base_orders = ZSet([((i, i % (base_size // 2 + 1)), 1) for i in range(base_size)])
     base_cust = ZSet([((i, f"r{i % 7}"), 1) for i in range(base_size // 2 + 1)])
-    load = Transaction(tx=0, changes={"orders": base_orders, "customers": base_cust})
-
-    inc_ns = []
-    ref_ns = []
-    inputs = _tick_inputs(spec, load)
-    _step_circuit(cs.incremental, inputs)
-    _step_circuit(cs.reference, inputs)
+    txs = [Transaction(tx=0, changes={"orders": base_orders, "customers": base_cust})]
     next_id = base_size
     for k in range(1, ticks + 1):
         rows = ZSet([((next_id + j, rng.randrange(base_size // 2 + 1)), 1) for j in range(delta_size)])
         next_id += delta_size
-        t = Transaction(tx=k, changes={"orders": rows})
-        inputs = _tick_inputs(spec, t)
-        out_inc, m_inc = _step_circuit(cs.incremental, inputs)
-        out_ref, m_ref = _step_circuit(cs.reference, inputs)
-        for view in spec.view_names:
-            if _as_zset_out(out_inc[view]) != _as_zset_out(out_ref[view]):
-                raise DivergenceError(f"bench divergence at tick {k}")
-        inc_ns.append(m_inc["wall_ns"])
-        ref_ns.append(m_ref["wall_ns"])
-    inc = sum(inc_ns) / len(inc_ns)
-    ref = sum(ref_ns) / len(ref_ns)
+        txs.append(Transaction(tx=k, changes={"orders": rows}))
+    report = run_trace(cs, txs, "compare")
+    check_verdict(report)
+    inc = sum(m["wall_ns"] for m in report.metrics[1:]) / ticks
+    ref = sum(m["reference_wall_ns"] for m in report.metrics[1:]) / ticks
     return {
         "workload": "join",
         "base_size": base_size,
@@ -252,25 +237,17 @@ def bench_closure(n_nodes, delta_edges, seed):
     spec = _closure_spec()
     cs = compile_circuits(spec, mode="compare")
     edges = random_graph(n_nodes, n_nodes, rng)
-    base = ZSet([(e, 1) for e in edges])
-    inputs = _tick_inputs(spec, Transaction(tx=0, changes={"E": base}))
-    _step_circuit(cs.incremental, inputs)
-    _step_circuit(cs.reference, inputs)
-
+    base = Transaction(tx=0, changes={"E": ZSet([(e, 1) for e in edges])})
     fresh = [e for e in random_graph(n_nodes, n_nodes + delta_edges, rng) if e not in edges][:delta_edges]
-    t = Transaction(tx=1, changes={"E": ZSet([(e, 1) for e in fresh])})
-    inputs = _tick_inputs(spec, t)
-    out_inc, m_inc = _step_circuit(cs.incremental, inputs)
-    out_ref, m_ref = _step_circuit(cs.reference, inputs)
-    for view in spec.view_names:
-        if _as_zset_out(out_inc[view]) != _as_zset_out(out_ref[view]):
-            raise DivergenceError("bench divergence on closure delta")
+    report = run_trace(cs, [base, Transaction(tx=1, changes={"E": ZSet([(e, 1) for e in fresh])})], "compare")
+    check_verdict(report)
+    m = report.metrics[1]
     return {
         "workload": "closure",
         "nodes": n_nodes,
         "delta_edges": delta_edges,
-        "incremental_tuples": m_inc["tuples"],
-        "reference_tuples": m_ref["tuples"],
-        "incremental_iterations": m_inc["iterations"],
-        "reference_iterations": m_ref["iterations"],
+        "incremental_tuples": m["tuples"],
+        "reference_tuples": m["reference_tuples"],
+        "incremental_iterations": m["iterations"],
+        "reference_iterations": m["reference_iterations"],
     }

@@ -6,7 +6,7 @@ are Datalog-style rules whose derived relations views may then reference.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit
 from .datalog import Atom, Rule, RuleProgram, compile_program_into
@@ -48,7 +48,6 @@ class CircuitSpec:
     event_views: set
     circuit: Circuit
     program: RuleProgram = None
-    raw: dict = field(default_factory=dict)
 
 
 def load_spec(path):
@@ -105,7 +104,7 @@ def compile_spec(doc):
             view_names.append(name)
     if not view_names:
         raise ValidationError("spec defines no views")
-    return CircuitSpec(relations=relations, view_names=view_names, event_views=event_views, circuit=c, program=program, raw=doc)
+    return CircuitSpec(relations=relations, view_names=view_names, event_views=event_views, circuit=c, program=program)
 
 
 def _parse_relations(items):

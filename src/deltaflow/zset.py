@@ -168,16 +168,8 @@ class ZSet:
         return f"ZSet({{{inner}}})"
 
 
-def zset(entries=None):
-    return ZSet(entries)
-
-
 def zset_add(a, b):
     return a + b
-
-
-def zset_negate(a):
-    return -a
 
 
 def zset_size(m):
@@ -284,9 +276,6 @@ class IndexedZSet:
     def is_zero(self):
         return not self._groups
 
-    def group(self, key):
-        return self._groups.get(key, _EMPTY_ZSET)
-
     def __contains__(self, key):
         return key in self._groups
 
@@ -302,9 +291,6 @@ class IndexedZSet:
     def raw_items(self):
         return self._groups.items()
 
-    def total_size(self):
-        return sum(len(z) for z in self._groups.values())
-
     def __eq__(self, other):
         if isinstance(other, IndexedZSet):
             return self._groups == other._groups
@@ -313,9 +299,6 @@ class IndexedZSet:
     def __repr__(self):
         inner = ", ".join(f"{k!r}: {z!r}" for k, z in self.items())
         return f"IndexedZSet({{{inner}}})"
-
-
-_EMPTY_ZSET = ZSet()
 
 
 def group_by(key_fn, m):

@@ -21,7 +21,6 @@ from deltaflow import (
     indexed_aggregate,
     is_positive,
     is_set,
-    lift_stream,
     optimize,
     incrementalize_query,
 )
@@ -169,7 +168,7 @@ def test_criterion_5_rewrite_calculus_rules():
     lin = Circuit()
     s = lin.add_source("s")
     lin.add_sink(build_projection(lin, s, [1]), "o")
-    lin_inc = optimize(incrementalize_naive(lift_stream(lin)))
+    lin_inc = optimize(incrementalize_naive(lin))
     assert not any(n.kind in ("integrate", "differentiate") for n in lin_inc.nodes)
     from deltaflow.relational import project_fn
 
@@ -209,12 +208,12 @@ def test_criterion_5_rewrite_calculus_rules():
         c.add_sink(build_equijoin(c, dd, dd, KeyFunc([0]), KeyFunc([0])), "o")
         return c
 
-    whole = optimize(incrementalize_naive(lift_stream(composed())))
+    whole = optimize(incrementalize_naive(composed()))
     manual = Circuit()
     s2 = manual.add_source("s")
     dd2 = build_inc_distinct(manual, s2)
     manual.add_sink(build_inc_join(manual, dd2, dd2, KeyFunc([0]), KeyFunc([0])), "o")
-    naive_chain = incrementalize_naive(lift_stream(composed()))
+    naive_chain = incrementalize_naive(composed())
     for _ in range(TRACES):
         ds = deltas()
         whole.reset()
@@ -234,8 +233,8 @@ def test_criterion_5_rewrite_calculus_rules():
         c.add_sink(c.add_plus([q1, q2]), "o")
         return c
 
-    sum_inc = optimize(incrementalize_naive(lift_stream(summed())))
-    sum_naive = incrementalize_naive(lift_stream(summed()))
+    sum_inc = optimize(incrementalize_naive(summed()))
+    sum_naive = incrementalize_naive(summed())
     for _ in range(TRACES):
         ds = deltas()
         sum_inc.reset()
@@ -255,8 +254,8 @@ def test_criterion_5_rewrite_calculus_rules():
         c.add_sink(body, "o")
         return c
 
-    loop_inc = optimize(incrementalize_naive(lift_stream(loop())))
-    loop_naive = incrementalize_naive(lift_stream(loop()))
+    loop_inc = optimize(incrementalize_naive(loop()))
+    loop_naive = incrementalize_naive(loop())
     for _ in range(TRACES):
         ds = deltas()
         loop_inc.reset()
@@ -281,7 +280,7 @@ def test_criterion_6_algorithm_end_to_end():
 
     from deltaflow import consolidate_distinct
 
-    ref = incrementalize_naive(lift_stream(consolidate_distinct(_fig_query())))
+    ref = incrementalize_naive(consolidate_distinct(_fig_query()))
     for seed in range(50):
         rng = random.Random(seed)
         trace = rand_trace(rng, ["t1", "t2"], ticks=5, arity=3)

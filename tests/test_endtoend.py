@@ -5,6 +5,9 @@ import json
 import random
 import threading
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from deltaflow import ZSet
 from deltaflow.runner import compile_circuits, run_trace
 from deltaflow.specfile import compile_spec
@@ -90,6 +93,113 @@ class TestCompareFuzz:
             assert report.verdict == {"equal": True}, (seed, report.verdict)
 
 
+# -- random views over the spec grammar --------------------------------------------
+
+# Tables a and b, and two derived relations: hop is the transitive closure of
+# a by a non-linear rule (both join sides change along the fixpoint loop), cut
+# is b minus hop (stratified negation over the recursive block).
+SPEC_RELATIONS = {"a": 2, "b": 2, "hop": 2, "cut": 2}
+SPEC_RECURSIVE = {
+    "relations": [{"name": "hop", "columns": ["x", "y"]}, {"name": "cut", "columns": ["x", "y"]}],
+    "rules": [
+        {"head": {"rel": "hop", "terms": ["x", "y"]}, "body": [{"rel": "a", "terms": ["x", "y"]}]},
+        {
+            "head": {"rel": "hop", "terms": ["x", "y"]},
+            "body": [{"rel": "hop", "terms": ["x", "z"]}, {"rel": "hop", "terms": ["z", "y"]}],
+        },
+        {
+            "head": {"rel": "cut", "terms": ["x", "y"]},
+            "body": [{"rel": "b", "terms": ["x", "y"]}, {"rel": "hop", "terms": ["x", "y"], "negated": True}],
+        },
+    ],
+}
+UNARY_OPS = ["filter", "project", "map", "distinct", "aggregate"]
+BINARY_OPS = ["union", "union_all", "except", "intersect", "join", "antijoin", "cartesian"]
+DOM = 4
+
+
+def _reshape(q, arity, want):
+    """q read as a relation of arity want (its columns repeat cyclically)."""
+    if arity == want:
+        return q
+    return {"op": "map", "exprs": [["col", i % arity] for i in range(want)], "input": q}
+
+
+@st.composite
+def view_queries(draw, depth=3):
+    """A random view query over SPEC_RELATIONS; returns (query, arity)."""
+    if depth == 0 or draw(st.integers(0, 3)) == 0:
+        name = draw(st.sampled_from(sorted(SPEC_RELATIONS)))
+        return {"op": "rel", "name": name}, SPEC_RELATIONS[name]
+    op = draw(st.sampled_from(UNARY_OPS + BINARY_OPS))
+    q, n = draw(view_queries(depth - 1))
+    col = st.integers(0, n - 1)
+    if op == "filter":
+        pred = [draw(st.sampled_from([">", "==", "!="])), ["col", draw(col)], ["const", draw(st.integers(0, DOM - 1))]]
+        return {"op": op, "predicate": pred, "input": q}, n
+    if op == "project":
+        cols = draw(st.lists(col, min_size=1, max_size=2))
+        return {"op": op, "columns": cols, "input": q}, len(cols)
+    if op == "map":
+        shift = draw(st.integers(1, DOM - 1))
+        exprs = [["%", ["+", ["col", draw(col)], ["const", shift]], ["const", DOM]], ["col", draw(col)]]
+        return {"op": op, "exprs": exprs, "input": q}, 2
+    if op == "distinct":
+        return {"op": op, "input": q}, n
+    if op == "aggregate":
+        agg = draw(st.sampled_from(["count", "sum"]))
+        return {"op": op, "agg": agg, "column": draw(col), "group_by": [draw(col)], "input": q}, 2
+    r, m = draw(view_queries(depth - 1))
+    if op in ("union", "union_all", "except", "intersect"):
+        return {"op": op, "left": q, "right": _reshape(r, m, n)}, n
+    out = {"op": op, "left": q, "right": r}
+    if op != "cartesian":
+        out["left_key"] = [draw(col)]
+        out["right_key"] = [draw(st.integers(0, m - 1))]
+    if op == "antijoin":
+        return out, n
+    # keep joined rows narrow: two of their columns, from either side
+    cols = draw(st.lists(st.integers(0, n + m - 1), min_size=2, max_size=2))
+    return {"op": "project", "columns": cols, "input": out}, 2
+
+
+rows = st.tuples(st.integers(0, DOM - 1), st.integers(0, DOM - 1))
+signed_weights = st.sampled_from([-3, -2, -1, 1, 2, 3])
+table_changes = st.fixed_dictionaries(
+    {rel: st.dictionaries(rows, signed_weights, max_size=4) for rel in ("a", "b")}
+)
+
+
+class TestSpecFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(view_queries(), min_size=1, max_size=2), st.lists(table_changes, min_size=1, max_size=5))
+    def test_random_views_compare_equal(self, views, txs):
+        doc = {
+            "relations": [{"name": rel, "columns": ["x", "y"]} for rel in ("a", "b")],
+            "recursive": SPEC_RECURSIVE,
+            "views": [{"name": f"v{i}", "query": q} for i, (q, _) in enumerate(views)],
+        }
+        cs = compile_circuits(compile_spec(doc), "compare")
+        trace = [
+            Transaction(tx=t, changes={rel: ZSet(d) for rel, d in changes.items()})
+            for t, changes in enumerate(txs)
+        ]
+        assert run_trace(cs, trace, "compare").verdict == {"equal": True}
+
+
+class TestEventOnlySpec:
+    def test_every_mode_runs(self):
+        doc = {
+            "relations": [{"name": "ev", "columns": ["k"], "kind": "stream"}],
+            "views": [{"name": "v", "query": {"op": "rel", "name": "ev"}}],
+        }
+        spec = compile_spec(doc)
+        trace = [Transaction(tx=0, changes={"ev": ZSet({(1,): 1})}), Transaction(tx=1, changes={})]
+        for mode in ("incremental", "reference", "compare"):
+            report = run_trace(compile_circuits(spec, mode), trace, mode)
+            assert [t["changes"]["v"] for t in report.ticks] == [ZSet({(1,): 1}), ZSet()]
+
+
 class TestThreading:
     def test_distinct_circuits_run_concurrently(self):
         spec = compile_spec(FUZZ_DOC)
@@ -149,7 +259,7 @@ class TestSharedDistinctNotDropped:
     def test_consolidation_respects_sharing(self):
         import random as _r
 
-        from deltaflow import Circuit, consolidate_distinct, incrementalize_naive, lift_stream
+        from deltaflow import Circuit, consolidate_distinct, incrementalize_naive
         from deltaflow.expr import KeyFunc
         from deltaflow.relational import build_distinct, build_equijoin, build_projection
 
@@ -163,8 +273,8 @@ class TestSharedDistinctNotDropped:
             c.add_sink(build_distinct(c, j), "j")
             return c
 
-        base = incrementalize_naive(lift_stream(build()))
-        cons = incrementalize_naive(lift_stream(consolidate_distinct(build())))
+        base = incrementalize_naive(build())
+        cons = incrementalize_naive(consolidate_distinct(build()))
         rng = _r.Random(0)
         cur = set()
         for _ in range(25):

@@ -12,7 +12,6 @@ from deltaflow import (
     consolidate_distinct,
     deincrementalize_naive,
     incrementalize_naive,
-    lift_stream,
     optimize,
     incrementalize_query,
 )
@@ -59,7 +58,7 @@ class TestNaiveIncrementalization:
         c = Circuit()
         s = c.add_source("s")
         c.add_sink(build_projection(c, s, [1]), "o")
-        naive = incrementalize_naive(lift_stream(c))
+        naive = incrementalize_naive(c)
         rng = random.Random(0)
         deltas = [rand_zset(rng) for _ in range(10)]
         got = [as_z(naive.step({"s": d})["o"]) for d in deltas]
@@ -71,7 +70,7 @@ class TestNaiveIncrementalization:
         c = Circuit()
         s = c.add_source("s")
         c.add_sink(build_projection(c, s, [1]), "o")
-        naive = incrementalize_naive(lift_stream(c))
+        naive = incrementalize_naive(c)
         out = as_z(naive.step({"s": ZSet({(1, "a"): 1})})["o"])
         assert out == ZSet({("a",): 1})
 
@@ -79,7 +78,7 @@ class TestNaiveIncrementalization:
         c = Circuit()
         s = c.add_source("s")
         c.add_sink(build_projection(c, s, [0]), "o")
-        naive = incrementalize_naive(lift_stream(c))
+        naive = incrementalize_naive(c)
         for _ in range(4):
             assert as_z(naive.step({"s": ZSet()})["o"]).is_zero()
 
@@ -88,7 +87,7 @@ class TestNaiveIncrementalization:
         c = Circuit()
         s = c.add_source("s")
         c.add_sink(build_filter(c, s, lambda r: r[0] > 1), "o")
-        roundtrip = deincrementalize_naive(incrementalize_naive(lift_stream(c)))
+        roundtrip = deincrementalize_naive(incrementalize_naive(c))
         assert_equivalent(c, roundtrip, ["s"])
 
 
@@ -106,7 +105,7 @@ class TestCalculusRules:
 
         plain = Circuit()
         build(plain)
-        inc = optimize(incrementalize_naive(lift_stream(plain)))
+        inc = optimize(incrementalize_naive(plain))
         assert_equivalent(plain, inc, ["a", "b"])
 
     def test_push_pull(self):
@@ -136,7 +135,7 @@ class TestCalculusRules:
             c.add_sink(j, "o")
             return c
 
-        whole = optimize(incrementalize_naive(lift_stream(composed(Circuit()))))
+        whole = optimize(incrementalize_naive(composed(Circuit())))
 
         manual = Circuit()
         s = manual.add_source("s")
@@ -145,7 +144,7 @@ class TestCalculusRules:
         manual.add_sink(jj, "o")
 
         assert_equivalent(whole, manual, ["s"])
-        assert_equivalent(whole, incrementalize_naive(lift_stream(composed(Circuit()))), ["s"])
+        assert_equivalent(whole, incrementalize_naive(composed(Circuit())), ["s"])
 
     def test_add_rule(self):
         # (Q1 + Q2)^d == Q1^d + Q2^d
@@ -156,7 +155,7 @@ class TestCalculusRules:
             c.add_sink(c.add_plus([q1, q2]), "o")
             return c
 
-        inc = optimize(incrementalize_naive(lift_stream(summed(Circuit()))))
+        inc = optimize(incrementalize_naive(summed(Circuit())))
         assert_equivalent(inc, summed(Circuit()), ["s"])  # both linear: their own incremental
 
     def test_cycle_rule(self):
@@ -172,8 +171,8 @@ class TestCalculusRules:
             return c
 
         base = loop(Circuit())
-        inc = optimize(incrementalize_naive(lift_stream(loop(Circuit()))))
-        naive = incrementalize_naive(lift_stream(loop(Circuit())))
+        inc = optimize(incrementalize_naive(loop(Circuit())))
+        naive = incrementalize_naive(loop(Circuit()))
         assert_equivalent(inc, naive, ["s"], ticks=8)
         # loop shape preserved: exactly one feedback stub, no brackets
         stubs = [n for n in inc.nodes if n.meta.get("feedback")]
@@ -187,7 +186,7 @@ class TestOptimize:
         s = c.add_source("s")
         p = build_projection(c, build_filter(c, s, lambda r: r[0] > 0), [0])
         c.add_sink(p, "o")
-        inc = optimize(incrementalize_naive(lift_stream(c)))
+        inc = optimize(incrementalize_naive(c))
         assert not any(n.kind in ("integrate", "differentiate") for n in inc.nodes)
         assert_equivalent(inc, c, ["s"])
 
@@ -201,8 +200,8 @@ class TestOptimize:
 
     def test_bilinear_expansion_equivalence(self):
         c = _join_only()
-        inc = optimize(incrementalize_naive(lift_stream(c)))
-        naive = incrementalize_naive(lift_stream(_join_only()))
+        inc = optimize(incrementalize_naive(c))
+        naive = incrementalize_naive(_join_only())
         assert_equivalent(inc, naive, ["a", "b"], seeds=range(5))
 
     def test_distinct_expansion_equivalence(self):
@@ -212,8 +211,8 @@ class TestOptimize:
             c.add_sink(build_distinct(c, s), "o")
             return c
 
-        inc = optimize(incrementalize_naive(lift_stream(build())))
-        assert_equivalent(inc, incrementalize_naive(lift_stream(build())), ["s"], seeds=range(5))
+        inc = optimize(incrementalize_naive(build()))
+        assert_equivalent(inc, incrementalize_naive(build()), ["s"], seeds=range(5))
 
     def test_general_node_keeps_brackets(self):
         from deltaflow.relational import build_aggregate
@@ -221,10 +220,10 @@ class TestOptimize:
         c = Circuit()
         s = c.add_source("s")
         c.add_sink(build_aggregate(c, s, "min", column=0), "o")
-        inc = optimize(incrementalize_naive(lift_stream(c)))
+        inc = optimize(incrementalize_naive(c))
         kinds = [n.kind for n in inc.nodes]
         assert "integrate" in kinds and "differentiate" in kinds
-        naive = incrementalize_naive(lift_stream(c))
+        naive = incrementalize_naive(c)
         # min needs positive inputs: drive with insert-only traces
         rng = random.Random(2)
         cur = []
@@ -237,8 +236,8 @@ class TestOptimize:
     def test_random_dags_match_naive(self):
         for seed in range(12):
             scalar = _random_scalar_circuit(random.Random(seed))
-            inc = optimize(incrementalize_naive(lift_stream(scalar)))
-            naive = incrementalize_naive(lift_stream(scalar))
+            inc = optimize(incrementalize_naive(scalar))
+            naive = incrementalize_naive(scalar)
             assert_equivalent(inc, naive, sorted(scalar.sources), seeds=(seed, seed + 100))
 
     def test_differential_checker(self):
@@ -252,13 +251,13 @@ class TestOptimize:
         broken = _mixed_query()
         sink = broken.sinks["o"]
         broken.sinks["o"] = broken.nodes[sink].inputs[0]  # skip the final distinct
-        naive_ok = incrementalize_naive(lift_stream(_mixed_query()))
+        naive_ok = incrementalize_naive(_mixed_query())
         found = differential_check(broken, traces, raise_on_mismatch=False)
         # the sabotaged scalar is still self-consistent, so this passes...
         assert found is None
         # ...but comparing it against the intact query's outputs does not
-        intact = optimize(incrementalize_naive(lift_stream(_mixed_query())))
-        crooked = optimize(incrementalize_naive(lift_stream(broken)))
+        intact = optimize(incrementalize_naive(_mixed_query()))
+        crooked = optimize(incrementalize_naive(broken))
         diverged = False
         for t in traces[0]:
             if as_z(intact.step(t)["o"]) != as_z(crooked.step(t)["o"]):
@@ -288,8 +287,8 @@ class TestAlgorithmPipeline:
 
     def test_consolidation_preserves_set_semantics(self):
         rng = random.Random(5)
-        ref_a = incrementalize_naive(lift_stream(_fig_query()))
-        ref_b = incrementalize_naive(lift_stream(consolidate_distinct(_fig_query())))
+        ref_a = incrementalize_naive(_fig_query())
+        ref_b = incrementalize_naive(consolidate_distinct(_fig_query()))
         cur1, cur2 = set(), set()
         for _ in range(30):
             d1, cur1 = _set_delta(rng, cur1)
@@ -326,7 +325,7 @@ class TestAlgorithmPipeline:
 
     def test_end_to_end_matches_reference(self):
         inc = incrementalize_query(_fig_query())
-        ref = incrementalize_naive(lift_stream(consolidate_distinct(_fig_query())))
+        ref = incrementalize_naive(consolidate_distinct(_fig_query()))
         assert_equivalent(inc, ref, ["t1", "t2"], seeds=range(6), ticks=8, arity=3)
 
 
