@@ -15,21 +15,26 @@ Stateful operators carry a `depth` (number of liftings applied):
   nested domain; its state is a vector indexed by the local tick and it
   persists across parent ticks.
 
+Every stateful node (integrate, delay, differentiate, stream-sum, window)
+keeps its state by one rule.  On its own clock the state sits at key `nid`
+in the circuit's `_state`; on the parent clock it sits at key `(nid, u)`,
+u the inner tick, in a `prev`/`cur` pair of dicts that the nested domain
+swaps once per parent tick.  A node reads its state when it is evaluated
+and latches the next state at the end of the tick, never in between.
+
 Nested clock domains are bracketed by a single delta0 entry and a single
 stream-sum exit.  Each parent tick runs the inner clock until the sum node's
 input hits the termination predicate (default: the group zero), with a floor
 of the longest run seen so far when the domain carries parent-clock state, so
-corrections from earlier ticks are fully replayed.
+corrections from earlier ticks are fully replayed and every `(nid, u)` of
+the previous tick is rewritten.
 """
 
-import os
-
 from .errors import CircuitError, NonTerminationError, TypeMismatchError, ValidationError
-from .groupval import ZERO, StreamVector, as_vector, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
+from .groupval import ZERO, StreamVector, as_vector, as_zset, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
 from .zset import IndexedZSet, ZSet, group_by
 
 DEFAULT_ITERATION_CAP = 1_000_000
-ITERATION_CAP_ENV = "DELTAFLOW_MAX_ITER"
 
 LINEAR = "linear"
 BILINEAR = "bilinear"
@@ -37,30 +42,11 @@ GENERAL = "general"
 DELAY_CLASS = "delay"
 BOUNDARY = "boundary"
 
+# State kinds with a nesting depth: own, parent or vector (column) clock.
 _STATEFUL_KINDS = frozenset({"delay", "integrate", "differentiate"})
-
-# Extension node kinds (window operators live in relational.py).
-NODE_EVAL = {}
-
-
-def iteration_cap(node_cap=None, forced=False):
-    """Resolve the fixpoint iteration cap.
-
-    Precedence: a cap forced by the caller (CLI flag), then the
-    DELTAFLOW_MAX_ITER environment variable, then the node's own cap, then
-    the global default.
-    """
-    if forced and node_cap is not None:
-        return node_cap
-    env = os.environ.get(ITERATION_CAP_ENV)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"bad {ITERATION_CAP_ENV} value {env!r}")
-    if node_cap is not None:
-        return node_cap
-    return DEFAULT_ITERATION_CAP
+# Every kind that keeps state; stream-sums and windows run on their own clock.
+# A window node's fn(state, content, clock) returns (output, next_state).
+_STATE_KINDS = _STATEFUL_KINDS | {"stream_sum", "window", "window_fold"}
 
 
 class Metrics:
@@ -93,12 +79,11 @@ class Node:
 class _InnerCtx:
     """Per-inner-tick evaluation context for a nested domain."""
 
-    __slots__ = ("u", "entry", "acc", "prev", "cur")
+    __slots__ = ("u", "entry", "prev", "cur")
 
-    def __init__(self, u, entry, acc, prev, cur):
+    def __init__(self, u, entry, prev, cur):
         self.u = u
         self.entry = entry
-        self.acc = acc
         self.prev = prev
         self.cur = cur
 
@@ -263,11 +248,10 @@ class Circuit:
         self._validated = True
 
     def reset(self):
-        """Drop all operator state (including nested-domain caches)."""
+        """Drop all operator state.  Nested bodies clear their own state at
+        the start of every block run, and their parent-clock state lives in
+        this circuit's."""
         self._state.clear()
-        for n in self.nodes:
-            if n.kind == "nested":
-                n.meta["inner"].reset()
 
     # -- evaluation ------------------------------------------------------------
 
@@ -299,7 +283,7 @@ class Circuit:
         else:
             # Lifted feedback: solve the column-axis fixpoint by iteration.
             stub_vals = {sid: ZERO for sid in vector_stubs}
-            for _ in range(iteration_cap()):
+            for _ in range(DEFAULT_ITERATION_CAP):
                 vals, latches = self._pass(inputs, ctx, stub_vals)
                 new_vals = {sid: as_vector(vals[self.nodes[sid].inputs[0]]).shift() for sid in vector_stubs}
                 if all(gv_eq(new_vals[s], stub_vals[s]) for s in vector_stubs):
@@ -307,7 +291,7 @@ class Circuit:
                 stub_vals = new_vals
             else:
                 raise NonTerminationError("lifted feedback did not stabilize")
-        self._apply_latches(latches, ctx, vals)
+        self._apply_latches(latches, vals)
         return vals
 
     def _pass(self, inputs, ctx, vector_stub_vals):
@@ -317,19 +301,14 @@ class Circuit:
             vals[node.id] = self._eval_node(node, vals, inputs, ctx, vector_stub_vals, latches)
         return vals, latches
 
-    def _apply_latches(self, latches, ctx, vals):
+    @staticmethod
+    def _apply_latches(latches, vals):
         # State changes are deferred to the end of the tick: delays must not
         # see their own new input, and the lifted-feedback fixpoint re-runs
-        # the pass without committing anything.
-        for kind, nid, a, b in latches:
-            if kind == "acc":
-                self._state[nid] = a
-            elif kind == "defer_delay":
-                self._state[nid] = vals[a]
-            elif kind == "outer_acc":
-                ctx.acc.setdefault(nid, {})[a] = b
-            elif kind == "outer_cur_from":
-                ctx.cur.setdefault(nid, {})[a] = vals[b]
+        # the pass without committing anything.  A latch stores the value of
+        # node src at the end of the tick, or the given value when src is None.
+        for store, key, src, value in latches:
+            store[key] = value if src is None else vals[src]
 
     def _eval_node(self, node, vals, inputs, ctx, vector_stub_vals, latches):
         kind = node.kind
@@ -369,31 +348,50 @@ class Circuit:
         if kind == "negate":
             return gv_neg(ins[0])
 
-        if kind in _STATEFUL_KINDS:
-            eff = node.depth - self.level
-            if eff == 1:
-                return self._eval_vector_op(node, vals, vector_stub_vals)
-            if eff == 0:
-                return self._eval_local_state(node, ins, latches)
-            return self._eval_parent_state(node, ins, ctx, latches)
+        if kind in _STATE_KINDS:
+            return self._eval_state(node, ins, ctx, vals, vector_stub_vals, latches)
 
         if kind == "delta0":
             if ctx is None:
                 raise CircuitError("delta0 evaluated outside a nested domain")
             return ctx.entry if ctx.u == 0 else ZERO
 
-        if kind == "stream_sum":
-            total = gv_add(self._state.get(node.id, ZERO), ins[0])
-            latches.append(("acc", node.id, total, None))
-            return total
-
         if kind == "nested":
             return self._run_block(node, ins[0])
 
-        ev = NODE_EVAL.get(kind)
-        if ev is not None:
-            return ev(self, node, ins, latches)
         raise CircuitError(f"unknown node kind {kind!r}")
+
+    def _eval_state(self, node, ins, ctx, vals, vector_stub_vals, latches):
+        """The one state rule: read the node's state, latch the next one."""
+        kind = node.kind
+        old = new = self._state
+        key = node.id
+        if kind in _STATEFUL_KINDS:
+            eff = node.depth - self.level
+            if eff == 1:
+                return self._eval_vector_op(node, vals, vector_stub_vals)
+            if eff == -1:
+                if ctx is None:
+                    raise CircuitError(f"node {node} needs a parent clock")
+                old, new, key = ctx.prev, ctx.cur, (node.id, ctx.u)
+        if kind == "window" or kind == "window_fold":
+            out, state = node.fn(old.get(key), ins[0], ins[1])
+            latches.append((new, key, None, state))
+            self.metrics.tuples += len(as_zset(ins[0])) + len(out)
+            return out
+        state = old.get(key, ZERO)
+        if kind == "delay":
+            # Emits last tick's input; the new input latches after the full
+            # tick so feedback consumers see the strict previous value.
+            latches.append((new, key, node.inputs[0], None))
+            return state
+        if kind == "differentiate":
+            latches.append((new, key, None, ins[0]))
+            return gv_sub(ins[0], state)
+        # integrate, stream_sum
+        out = self._integrate_value(state, ins[0], node.meta.get("index_key"))
+        latches.append((new, key, None, out))
+        return out
 
     def _eval_vector_op(self, node, vals, vector_stub_vals):
         if node.meta.get("feedback"):
@@ -407,25 +405,6 @@ class Circuit:
             return v.prefix_sum()
         return v.diff()
 
-    def _eval_local_state(self, node, ins, latches):
-        nid = node.id
-        if node.kind == "delay":
-            # Emits last tick's input; the new input latches after the full
-            # tick so feedback consumers see the strict previous value.
-            out = self._state.get(nid, ZERO)
-            if node.inputs:
-                latches.append(("defer_delay", nid, node.inputs[0], None))
-            return out
-        if node.kind == "integrate":
-            cur = self._state.get(nid, ZERO)
-            out = self._integrate_value(cur, ins[0], node.meta.get("index_key"))
-            latches.append(("acc", nid, out, None))
-            return out
-        # differentiate
-        prev = self._state.get(nid, ZERO)
-        latches.append(("acc", nid, ins[0], None))
-        return gv_sub(ins[0], prev)
-
     @staticmethod
     def _integrate_value(acc, delta, index_key):
         if index_key is None:
@@ -436,57 +415,39 @@ class Circuit:
             raise ValidationError("indexed integration expects Z-set deltas")
         return gv_add(acc, group_by(index_key, delta))
 
-    def _eval_parent_state(self, node, ins, ctx, latches):
-        if ctx is None:
-            raise CircuitError(f"node {node} needs a parent clock")
-        nid, u = node.id, ctx.u
-        if node.kind == "integrate":
-            cur = ctx.acc.get(nid, {}).get(u, ZERO)
-            out = self._integrate_value(cur, ins[0], node.meta.get("index_key"))
-            latches.append(("outer_acc", nid, u, out))
-            return out
-        if node.kind == "delay":
-            src = node.inputs[0] if node.inputs else None
-            if src is None:
-                raise CircuitError(f"feedback stub {nid} left unconnected")
-            latches.append(("outer_cur_from", nid, u, src))
-            return ctx.prev.get(nid, {}).get(u, ZERO)
-        # differentiate on the parent clock
-        latches.append(("outer_cur_from", nid, u, node.inputs[0]))
-        return gv_sub(ins[0], ctx.prev.get(nid, {}).get(u, ZERO))
-
     def _run_block(self, node, entry_val):
         inner = node.meta["inner"]
-        sum_node = inner.nodes[inner.sum_id]
-        cap = iteration_cap(sum_node.meta.get("cap"), forced=sum_node.meta.get("cap_forced", False))
+        sum_id = inner.sum_id
+        sum_node = inner.nodes[sum_id]
+        cap = sum_node.meta.get("cap")
+        if cap is None:
+            cap = DEFAULT_ITERATION_CAP
         term = sum_node.meta.get("termination") or gv_is_zero
         bstate = self._state.get(node.id)
         if bstate is None:
-            bstate = self._state[node.id] = {"max_len": 0, "acc": {}, "prev": {}, "term_acc": {}}
+            bstate = self._state[node.id] = {"max_len": 0, "prev": {}}
         inner._state.clear()
-        cur = {}
+        prev, cur = bstate["prev"], {}
         incremental = inner.has_parent_axis()
         # A domain with parent-clock state emits cross-tick corrections: run at
         # least as long as any earlier tick did, and test convergence on the
         # accumulated per-iteration change (the current tick's underlying
-        # fixpoint progress), not on this tick's correction alone.
+        # fixpoint progress, kept at (sum_id, u) beside the nodes' state), not
+        # on this tick's correction alone.
         floor = bstate["max_len"] if incremental else 0
         change_src = sum_node.inputs[0]
         probe = node.meta.get("probe")
         if probe is not None:
-            bstate["probe_values"] = []
+            probes = bstate["probe_values"] = []
         u = 0
         while True:
-            ctx = _InnerCtx(u, entry_val, bstate["acc"], bstate["prev"], cur)
-            vals = inner._eval_tick(None, ctx)
-            tick_change = vals[change_src]
+            vals = inner._eval_tick(None, _InnerCtx(u, entry_val, prev, cur))
             if probe is not None:
-                bstate["probe_values"].append(vals[probe])
+                probes.append(vals[probe])
+            progress = vals[change_src]
             if incremental:
-                progress = gv_add(bstate["term_acc"].get(u, ZERO), tick_change)
-                bstate["term_acc"][u] = progress
-            else:
-                progress = tick_change
+                key = (sum_id, u)
+                progress = cur[key] = gv_add(prev.get(key, ZERO), progress)
             u += 1
             if u >= max(floor, 1) and term(progress):
                 break
@@ -495,7 +456,7 @@ class Circuit:
         self.metrics.iterations += u
         bstate["max_len"] = max(floor, u)
         bstate["prev"] = cur
-        return vals[inner.sum_id]
+        return vals[sum_id]
 
     def probe_nested(self, block, inner_node):
         """Record the per-iteration values of an inner node on each tick.

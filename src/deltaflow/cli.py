@@ -23,7 +23,6 @@ def _build_parser():
         if trace_required:
             sp.add_argument("--trace", required=True, help="change trace (NDJSON, one transaction per line)")
         sp.add_argument("--max-iterations", type=int, default=None, help="cap on nested fixpoint iterations")
-        sp.add_argument("--seed", type=int, default=0, help="seed for randomized workloads")
         sp.add_argument("--metrics-out", default=None, help="write per-tick metrics (NDJSON)")
         sp.add_argument("--out", default=None, help="write output deltas here instead of stdout")
 

@@ -331,20 +331,19 @@ def compile_program_into(c, program, rel_nodes, cap=None, seminaive=True):
 def build_naive(program, cap=None):
     """Fixpoint circuit running each recursive unit by naive iteration:
     re-derive everything from the accumulated result until nothing changes."""
-    c = Circuit()
-    rel_nodes = {name: c.add_source(name) for name in sorted(program.inputs)}
-    compile_program_into(c, program, rel_nodes, cap, seminaive=False)
-    for name in sorted(program.outputs):
-        c.add_sink(rel_nodes[name], name)
-    return c
+    return _build_program(program, cap, seminaive=False)
 
 
 def build_seminaive(program, cap=None):
     """Same fixpoint, but each loop body is incrementalized along the loop
     clock so every iteration only touches newly derived facts."""
+    return _build_program(program, cap, seminaive=True)
+
+
+def _build_program(program, cap, seminaive):
     c = Circuit()
     rel_nodes = {name: c.add_source(name) for name in sorted(program.inputs)}
-    compile_program_into(c, program, rel_nodes, cap, seminaive=True)
+    compile_program_into(c, program, rel_nodes, cap, seminaive=seminaive)
     for name in sorted(program.outputs):
         c.add_sink(rel_nodes[name], name)
     return c

@@ -9,7 +9,6 @@ the right rewrite without inspecting Python code.
 from dataclasses import dataclass
 from itertools import repeat
 
-from . import circuit as _c
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
 from .errors import ValidationError
 from .expr import KeyFunc, MapFunc, kernel
@@ -404,18 +403,29 @@ def build_window(c: Circuit, delta, theta, spec: WindowSpec):
     Keeps only in-window tuples as state (the clock input must never
     decrease), so memory stays bounded by the window.
     """
-    return c._add("window_fold", (delta, theta), klass=GENERAL, label="window", meta={"window": spec})
+
+    def fold(state, d, clock):
+        now, content = state or (None, ZSet())
+        now = _advance_theta(now, clock)
+        content = _window_filter(content + as_zset(d), now, spec)
+        return content, (now, content)
+
+    return c._add("window_fold", (delta, theta), fn=fold, klass=GENERAL, label="window", meta={"window": spec})
 
 
 def build_window_snapshot(c: Circuit, snapshot, theta, spec: WindowSpec):
     """Window over a full snapshot input (the non-incremental reading)."""
-    return c._add("window", (snapshot, theta), klass=GENERAL, label="window", meta={"window": spec})
+
+    def window(now, snap, clock):
+        now = _advance_theta(now, clock)
+        return _window_filter(as_zset(snap), now, spec), now
+
+    return c._add("window", (snapshot, theta), fn=window, klass=GENERAL, label="window", meta={"window": spec})
 
 
-# -- window node evaluators --------------------------------------------------------
-
-
-def _advance_theta(old, theta_in, label):
+def _advance_theta(old, theta_in):
+    """The window clock after this tick's clock input: its largest
+    positively weighted value, which must not fall below the old one."""
     z = as_zset(theta_in)
     read = column_reader(0)
     candidates = [read(x) for x, w in z.raw_items() if w > 0]
@@ -423,7 +433,7 @@ def _advance_theta(old, theta_in, label):
         return old
     new = max(candidates)
     if old is not None and new < old:
-        raise ValidationError(f"{label}: clock input decreased from {old} to {new}")
+        raise ValidationError(f"window: clock input decreased from {old} to {new}")
     return new
 
 
@@ -433,28 +443,3 @@ def _window_filter(content, theta, spec):
     bound = theta - spec.width
     read = column_reader(spec.ts_column)
     return ZSet._wrap({x: w for x, w in content.raw_items() if read(x) >= bound})
-
-
-def _eval_window(c, node, ins, latches):
-    spec = node.meta["window"]
-    st = c._state.get(node.id) or {"theta": None}
-    theta = _advance_theta(st["theta"], ins[1], "window")
-    latches.append(("acc", node.id, {"theta": theta}, None))
-    snap = as_zset(ins[0])
-    out = _window_filter(snap, theta, spec)
-    c.metrics.tuples += len(snap) + len(out)
-    return out
-
-
-def _eval_window_fold(c, node, ins, latches):
-    spec = node.meta["window"]
-    st = c._state.get(node.id) or {"theta": None, "content": ZSet()}
-    theta = _advance_theta(st["theta"], ins[1], "window")
-    content = _window_filter(st["content"] + as_zset(ins[0]), theta, spec)
-    latches.append(("acc", node.id, {"theta": theta, "content": content}, None))
-    c.metrics.tuples += len(as_zset(ins[0])) + len(content)
-    return content
-
-
-_c.NODE_EVAL["window"] = _eval_window
-_c.NODE_EVAL["window_fold"] = _eval_window_fold

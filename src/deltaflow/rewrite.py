@@ -18,7 +18,7 @@ every edge carries changes instead of snapshots:
 
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit, _STATEFUL_KINDS
 from .errors import CircuitError
-from .relational import DistinctDeltaFn, build_inc_distinct, build_inc_join
+from .relational import DistinctDeltaFn, build_inc_distinct, build_inc_join, build_window
 
 _RULE_COMMUTE = {"filter", "join", "cartesian", "intersect", "semijoin"}
 _RULE_ABSORB = _RULE_COMMUTE | {"project", "map", "plus"}
@@ -157,18 +157,14 @@ def _delta_node(src, out, n, dmap, bracket_depth, pending_feedback):
         raise CircuitError("sources must be seeded before delta compilation")
 
     if kind == "delta0":
-        nid = out.add_delta0(depth=n.depth)
-        return nid
+        return out.add_delta0(depth=n.depth)
 
     if kind == "stream_sum":
-        nid = out.add_stream_sum(
+        return out.add_stream_sum(
             dmap[n.inputs[0]],
             termination=n.meta.get("termination"),
             max_iterations=n.meta.get("cap"),
         )
-        if n.meta.get("cap_forced"):
-            out.nodes[nid].meta["cap_forced"] = True
-        return nid
 
     if kind == "plus":
         group = n.meta.get("inc_join")
@@ -192,13 +188,7 @@ def _delta_node(src, out, n, dmap, bracket_depth, pending_feedback):
         return _delta_nested(out, n, dmap, bracket_depth)
 
     if kind == "window":
-        wf = out._add(
-            "window_fold",
-            (dmap[n.inputs[0]], dmap[n.inputs[1]]),
-            klass=GENERAL,
-            label="window",
-            meta={"window": n.meta["window"]},
-        )
+        wf = build_window(out, dmap[n.inputs[0]], dmap[n.inputs[1]], n.meta["window"])
         return out.add_differentiate(wf, depth=bracket_depth)
 
     if kind == "lifted":

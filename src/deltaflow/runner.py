@@ -5,7 +5,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import DivergenceError, ValidationError
+from .errors import DivergenceError, NonTerminationError, ValidationError, WeightOverflowError
 from .groupval import ZERO
 from .rewrite import compile_query
 from .trace import RunReport
@@ -45,7 +45,6 @@ def _apply_cap(circuit, cap):
     for n in circuit.nodes:
         if n.kind == "stream_sum":
             n.meta["cap"] = cap
-            n.meta["cap_forced"] = True
         elif n.kind == "nested":
             _apply_cap(n.meta["inner"], cap)
 
@@ -64,8 +63,8 @@ def _step_circuit(circuit, inputs, tx):
     start = time.perf_counter_ns()
     try:
         out = circuit.step(inputs)
-    except ValidationError as e:
-        raise ValidationError(f"tx {tx}: {e}") from e
+    except (ValidationError, NonTerminationError, WeightOverflowError) as e:
+        raise type(e)(f"tx {tx}: {e}") from e
     wall = time.perf_counter_ns() - start
     return out, {"tuples": m.tuples - t0, "iterations": m.iterations - i0, "wall_ns": wall}
 

@@ -155,7 +155,7 @@ class TestGoldenRuns:
             met = tmp_path / f"m{i}.ndjson"
             rc = main(
                 ["run", "--spec", str(GOLDENS / "closure.spec.json"), "--trace", str(GOLDENS / "closure.trace.ndjson"),
-                 "--mode", "incremental", "--seed", "7", "--out", str(out), "--metrics-out", str(met)]
+                 "--mode", "incremental", "--out", str(out), "--metrics-out", str(met)]
             )
             assert rc == 0
             outs.append(out.read_bytes())
@@ -216,13 +216,6 @@ class TestExitCodes:
         p = write(tmp_path, "bad.json", "{")
         assert main(["validate", "--spec", p]) == 2
 
-    def test_nontermination_is_4(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DELTAFLOW_MAX_ITER", "2")
-        rc = main(
-            ["run", "--spec", str(GOLDENS / "closure.spec.json"), "--trace", str(GOLDENS / "closure.trace.ndjson")]
-        )
-        assert rc == 4
-
     def test_flag_overrides_cap(self, tmp_path):
         rc = main(
             ["run", "--spec", str(GOLDENS / "closure.spec.json"), "--trace", str(GOLDENS / "closure.trace.ndjson"),
@@ -262,6 +255,27 @@ class TestExitCodes:
         monkeypatch.setattr(cli_mod, "run_trace", fake_run_trace)
         rc = main(["compare", "--spec", str(FIG_SPEC), "--trace", str(FIG_TRACE), "--out", str(tmp_path / "o")])
         assert rc == 3
+
+
+class TestErrorContext:
+    """A cap hit or an overflow in the middle of a trace names its tx."""
+
+    def test_cap_hit_names_tx(self, tmp_path, capsys):
+        rc = main(
+            ["run", "--spec", str(GOLDENS / "closure.spec.json"), "--trace", str(GOLDENS / "closure.trace.ndjson"),
+             "--max-iterations", "2", "--out", str(tmp_path / "o")]
+        )
+        assert rc == 4
+        assert "deltaflow: tx 0: nested domain exceeded 2 iterations" in capsys.readouterr().err
+
+    def test_overflow_names_tx(self, tmp_path, capsys):
+        sp = write(tmp_path, "s.json", json.dumps(
+            {"relations": [{"name": "r", "columns": ["a"]}], "views": [{"name": "v", "query": {"op": "rel", "name": "r"}}]}
+        ))
+        row = ["r", [1], 2**62]
+        tp = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": [row]}) + jline({"tx": 1, "changes": [row]}))
+        assert main(["run", "--spec", sp, "--trace", tp, "--mode", "reference"]) == 5
+        assert "deltaflow: tx 1: weight" in capsys.readouterr().err
 
 
 class TestBench:

@@ -126,13 +126,15 @@ def _reshape(q, arity, want):
 
 
 @st.composite
-def view_queries(draw, depth=3):
-    """A random view query over SPEC_RELATIONS; returns (query, arity)."""
+def view_queries(draw, depth=3, unary=UNARY_OPS):
+    """A random view query over SPEC_RELATIONS; returns (query, arity).
+
+    A "window" among the unary ops reads the event-stream clock clk."""
     if depth == 0 or draw(st.integers(0, 3)) == 0:
         name = draw(st.sampled_from(sorted(SPEC_RELATIONS)))
         return {"op": "rel", "name": name}, SPEC_RELATIONS[name]
-    op = draw(st.sampled_from(UNARY_OPS + BINARY_OPS))
-    q, n = draw(view_queries(depth - 1))
+    op = draw(st.sampled_from(unary + BINARY_OPS))
+    q, n = draw(view_queries(depth - 1, unary))
     col = st.integers(0, n - 1)
     if op == "filter":
         pred = [draw(st.sampled_from([">", "==", "!="])), ["col", draw(col)], ["const", draw(st.integers(0, DOM - 1))]]
@@ -149,7 +151,9 @@ def view_queries(draw, depth=3):
     if op == "aggregate":
         agg = draw(st.sampled_from(["count", "sum"]))
         return {"op": op, "agg": agg, "column": draw(col), "group_by": [draw(col)], "input": q}, 2
-    r, m = draw(view_queries(depth - 1))
+    if op == "window":
+        return _window(q, draw(col), draw(st.integers(1, DOM - 1))), n
+    r, m = draw(view_queries(depth - 1, unary))
     if op in ("union", "union_all", "except", "intersect"):
         return {"op": op, "left": q, "right": _reshape(r, m, n)}, n
     out = {"op": op, "left": q, "right": r}
@@ -161,6 +165,21 @@ def view_queries(draw, depth=3):
     # keep joined rows narrow: two of their columns, from either side
     cols = draw(st.lists(st.integers(0, n + m - 1), min_size=2, max_size=2))
     return {"op": "project", "columns": cols, "input": out}, 2
+
+
+def _window(q, ts_column, width):
+    return {"op": "window", "input": q, "ts_column": ts_column, "width": width, "theta": "clk"}
+
+
+@st.composite
+def event_views(draw):
+    """A view whose root reads an event stream: a window on the clock clk or
+    a stream join with ev, over a random view that may hold windows too."""
+    q, n = draw(view_queries(unary=UNARY_OPS + ["window"]))
+    if draw(st.booleans()):
+        return _window(q, draw(st.integers(0, n - 1)), draw(st.integers(1, DOM - 1)))
+    left_key, right_key = [draw(st.integers(0, n - 1))], [draw(st.integers(0, 1))]
+    return {"op": "stream_join", "left": q, "right": {"op": "rel", "name": "ev"}, "left_key": left_key, "right_key": right_key}
 
 
 rows = st.tuples(st.integers(0, DOM - 1), st.integers(0, DOM - 1))
@@ -185,6 +204,55 @@ class TestSpecFuzz:
             for t, changes in enumerate(txs)
         ]
         assert run_trace(cs, trace, "compare").verdict == {"equal": True}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(event_views(), min_size=1, max_size=2),
+        st.lists(
+            st.tuples(table_changes, st.dictionaries(rows, signed_weights, max_size=3), st.none() | st.integers(0, 2)),
+            min_size=1,
+            max_size=5,
+        ),
+    )
+    def test_windows_and_stream_joins_compare_equal(self, views, txs):
+        doc = {
+            "relations": [{"name": rel, "columns": ["x", "y"]} for rel in ("a", "b")]
+            + [
+                {"name": "ev", "columns": ["k", "tag"], "kind": "stream"},
+                {"name": "clk", "columns": ["now"], "kind": "stream"},
+            ],
+            "recursive": SPEC_RECURSIVE,
+            "views": [{"name": f"v{i}", "query": q} for i, q in enumerate(views)],
+        }
+        cs = compile_circuits(compile_spec(doc), "compare")
+        trace = []
+        now = 0
+        for t, (changes, events, step) in enumerate(txs):
+            changes = {rel: ZSet(d) for rel, d in changes.items()}
+            changes["ev"] = ZSet(events)
+            if step is not None:  # the clock never decreases; some ticks leave it out
+                now += step
+                changes["clk"] = ZSet({(now,): 1})
+            trace.append(Transaction(tx=t, changes=changes))
+        assert run_trace(cs, trace, "compare").verdict == {"equal": True}
+
+
+class TestReset:
+    def test_replay_after_reset_is_identical(self):
+        """A recursive block, a window and stream joins all start over."""
+        spec = compile_spec(FUZZ_DOC)
+        cs = compile_circuits(spec, "compare")
+        trace = fuzz_trace(11, ticks=10)
+        runs = []
+        for _ in range(2):
+            report = run_trace(cs, trace, "compare")
+            assert report.verdict == {"equal": True}
+            counts = [{k: v for k, v in m.items() if not k.endswith("wall_ns")} for m in report.metrics]
+            runs.append((report.to_jsonl(), counts))
+            cs.incremental.reset()
+            cs.reference.reset()
+        assert runs[0] == runs[1]
+        assert any(m["iterations"] for m in runs[0][1])
 
 
 class TestEventOnlySpec:
