@@ -15,24 +15,30 @@ Stateful operators carry a `depth` (number of liftings applied):
   nested domain; its state is a vector indexed by the local tick and it
   persists across parent ticks.
 
-Every stateful node (integrate, delay, differentiate, stream-sum, window)
-keeps its state by one rule.  On its own clock the state sits at key `nid`
-in the circuit's `_state`; on the parent clock it sits at key `(nid, u)`,
-u the inner tick, in a `prev`/`cur` pair of dicts that the nested domain
-swaps once per parent tick.  A node reads its state when it is evaluated
-and latches the next state at the end of the tick, never in between.
+Every stateful node (integrate, delay, differentiate, trace, stream-sum,
+window) keeps its state by one rule.  A node reads its state when it is
+evaluated and latches the next state at the end of the tick, never in
+between.  On its own clock the state sits at key `nid` in the circuit's
+`_state`.  On the parent clock it sits in the nested domain's parent-clock
+store, which lives in the parent's `_state` and is updated in place: at key
+`(nid, u)`, u the inner tick, or, for a trace node, at key `nid` as one
+two-axis trace (zset.Trace) over all inner ticks; the domain's accumulated
+per-iteration change is a trace at the stream-sum's id.  A trace node's
+value is a TraceView that only probing operators may read, never a sink.
+A parent tick that fails (a cap hit, an overflow) is rolled back, so the
+store is as it was before the tick.
 
 Nested clock domains are bracketed by a single delta0 entry and a single
 stream-sum exit.  Each parent tick runs the inner clock until the sum node's
 input hits the termination predicate (default: the group zero), with a floor
 of the longest run seen so far when the domain carries parent-clock state, so
-corrections from earlier ticks are fully replayed and every `(nid, u)` of
-the previous tick is rewritten.
+corrections from earlier ticks are fully replayed and every inner tick u
+that holds state is visited again.
 """
 
 from .errors import CircuitError, NonTerminationError, TypeMismatchError, ValidationError
 from .groupval import ZERO, StreamVector, as_vector, as_zset, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
-from .zset import IndexedZSet, ZSet, group_by
+from .zset import IndexedZSet, Trace, TraceView, ZSet, group_by
 
 DEFAULT_ITERATION_CAP = 1_000_000
 
@@ -42,8 +48,9 @@ GENERAL = "general"
 DELAY_CLASS = "delay"
 BOUNDARY = "boundary"
 
-# State kinds with a nesting depth: own, parent or vector (column) clock.
-_STATEFUL_KINDS = frozenset({"delay", "integrate", "differentiate"})
+# State kinds with a nesting depth: own, parent or vector (column) clock;
+# a trace runs on the parent clock only.
+_STATEFUL_KINDS = frozenset({"delay", "integrate", "differentiate", "trace"})
 # Every kind that keeps state; stream-sums and windows run on their own clock.
 # A window node's fn(state, content, clock) returns (output, next_state).
 _STATE_KINDS = _STATEFUL_KINDS | {"stream_sum", "window", "window_fold"}
@@ -77,15 +84,17 @@ class Node:
 
 
 class _InnerCtx:
-    """Per-inner-tick evaluation context for a nested domain."""
+    """Evaluation context of a nested domain's block run: the inner tick u,
+    the entry value, the parent-clock store and the journal of what the
+    store's `(nid, u)` keys held before this parent tick."""
 
-    __slots__ = ("u", "entry", "prev", "cur")
+    __slots__ = ("u", "entry", "outer", "journal")
 
-    def __init__(self, u, entry, prev, cur):
-        self.u = u
+    def __init__(self, entry, outer):
+        self.u = 0
         self.entry = entry
-        self.prev = prev
-        self.cur = cur
+        self.outer = outer
+        self.journal = {}
 
 
 class Circuit:
@@ -101,6 +110,10 @@ class Circuit:
         self.sum_id = None
         self._state = {}
         self._validated = False
+        # Set by validate(): feedback stubs on the vector clock, and whether
+        # any state runs on the parent clock.
+        self._vector_stubs = ()
+        self._parent_axis = False
 
     # -- construction --------------------------------------------------------
 
@@ -155,6 +168,17 @@ class Circuit:
 
     def add_differentiate(self, x, depth=None):
         return self._add("differentiate", (x,), depth=self.level if depth is None else depth, klass=DELAY_CLASS)
+
+    def add_trace(self, x, depth=None, index_key=None):
+        """A two-axis trace of change stream x, grouped by index_key, on the
+        parent clock of this nested domain (see zset.Trace)."""
+        return self._add(
+            "trace",
+            (x,),
+            depth=self.level - 1 if depth is None else depth,
+            klass=DELAY_CLASS,
+            meta={"index_key": index_key},
+        )
 
     def add_feedback(self, depth=None, delayed=True):
         """A feedback stub: a delay whose input is wired up later."""
@@ -225,13 +249,11 @@ class Circuit:
                 c.update(n.meta["inner"].census())
         return c
 
-    def has_parent_axis(self):
-        return any(n.kind in _STATEFUL_KINDS and n.depth == self.level - 1 for n in self.nodes)
-
     def validate(self):
         if self._validated:
             return
-        for n in self.nodes:
+        nodes = self.nodes
+        for n in nodes:
             if n.kind in _STATEFUL_KINDS:
                 eff = n.depth - self.level
                 if n.meta.get("feedback") and not n.inputs:
@@ -240,11 +262,27 @@ class Circuit:
                     raise CircuitError(f"node {n} nesting depth {n.depth} unusable at level {self.level}")
                 if eff == -1 and not self.is_inner:
                     raise CircuitError(f"node {n} references a parent clock but has none")
+                if n.kind == "trace" and eff != -1:
+                    raise CircuitError(f"trace {n} must run on the parent clock of a nested domain")
             if n.kind == "nested":
                 inner = n.meta["inner"]
                 if inner.entry_id is None or inner.sum_id is None:
                     raise CircuitError("nested domain needs exactly one delta0 entry and one stream-sum exit")
                 inner.validate()
+            # A trace is state updated in place: only operators that probe it
+            # may read it, so it never reaches a sink or another value.
+            for slot, i in enumerate(n.inputs):
+                if nodes[i].kind == "trace" and not (
+                    n.kind == "lifted" and slot in getattr(n.fn, "probe_args", ())
+                ):
+                    raise CircuitError(f"trace {nodes[i]} feeds {n}, which does not probe it")
+        for name, nid in self.sinks.items():
+            if nodes[nid].kind == "trace":
+                raise CircuitError(f"sink {name!r} reads trace {nodes[nid]}")
+        self._vector_stubs = [
+            n.id for n in nodes if n.kind == "delay" and n.meta.get("feedback") and n.depth - self.level == 1
+        ]
+        self._parent_axis = any(n.kind in _STATEFUL_KINDS and n.depth == self.level - 1 for n in nodes)
         self._validated = True
 
     def reset(self):
@@ -273,11 +311,7 @@ class Circuit:
         return [self.step(t) for t in ticks]
 
     def _eval_tick(self, inputs, ctx):
-        vector_stubs = [
-            n.id
-            for n in self.nodes
-            if n.kind == "delay" and n.meta.get("feedback") and n.depth - self.level == 1
-        ]
+        vector_stubs = self._vector_stubs
         if not vector_stubs:
             vals, latches = self._pass(inputs, ctx, None)
         else:
@@ -328,12 +362,17 @@ class Circuit:
             m = self.metrics
             if m is not None:
                 # Probed arguments (indexed state looked up per element of the
-                # other side) are not scanned, so they do not count as work.
-                probed = getattr(node.fn, "probe_args", ())
-                n = 0
-                for i, x in enumerate(ins):
-                    if isinstance(x, ZSet) and i not in probed:
-                        n += len(x)
+                # other side) are not scanned, so they do not count as work;
+                # an operator over traces counts the rows it scans itself.
+                rows_in = getattr(node.fn, "rows_in", None)
+                if rows_in is not None:
+                    n = rows_in(*ins)
+                else:
+                    probed = getattr(node.fn, "probe_args", ())
+                    n = 0
+                    for i, x in enumerate(ins):
+                        if isinstance(x, ZSet) and i not in probed:
+                            n += len(x)
                 if isinstance(v, ZSet):
                     n += len(v)
                 m.tuples += n
@@ -373,7 +412,12 @@ class Circuit:
             if eff == -1:
                 if ctx is None:
                     raise CircuitError(f"node {node} needs a parent clock")
-                old, new, key = ctx.prev, ctx.cur, (node.id, ctx.u)
+                if kind == "trace":
+                    return self._eval_trace(node, ins[0], ctx, latches)
+                old = new = ctx.outer
+                key = (node.id, ctx.u)
+                if key not in ctx.journal:
+                    ctx.journal[key] = old.get(key, ZERO)
         if kind == "window" or kind == "window_fold":
             out, state = node.fn(old.get(key), ins[0], ins[1])
             latches.append((new, key, None, state))
@@ -392,6 +436,18 @@ class Circuit:
         out = self._integrate_value(state, ins[0], node.meta.get("index_key"))
         latches.append((new, key, None, out))
         return out
+
+    def _eval_trace(self, node, x, ctx, latches):
+        """Group the iteration's change once: the view hands the groups to
+        the probes, the latch adds them to the trace in place."""
+        tr = ctx.outer.get(node.id)
+        if tr is None:
+            tr = ctx.outer[node.id] = Trace(node.meta.get("index_key"))
+        change = as_zset(x)
+        rows = tr.group(change)
+        latches.append((tr, ctx.u, None, rows))
+        self.metrics.tuples += len(change)
+        return TraceView(tr, ctx.u, rows, len(change))
 
     def _eval_vector_op(self, node, vals, vector_stub_vals):
         if node.meta.get("feedback"):
@@ -417,6 +473,7 @@ class Circuit:
 
     def _run_block(self, node, entry_val):
         inner = node.meta["inner"]
+        inner.validate()
         sum_id = inner.sum_id
         sum_node = inner.nodes[sum_id]
         cap = sum_node.meta.get("cap")
@@ -425,37 +482,57 @@ class Circuit:
         term = sum_node.meta.get("termination") or gv_is_zero
         bstate = self._state.get(node.id)
         if bstate is None:
-            bstate = self._state[node.id] = {"max_len": 0, "prev": {}}
+            bstate = self._state[node.id] = {"max_len": 0, "outer": {}}
         inner._state.clear()
-        prev, cur = bstate["prev"], {}
-        incremental = inner.has_parent_axis()
+        outer = bstate["outer"]
+        ctx = _InnerCtx(entry_val, outer)
         # A domain with parent-clock state emits cross-tick corrections: run at
-        # least as long as any earlier tick did, and test convergence on the
+        # least as long as any earlier tick did, so every inner tick u of
+        # earlier ticks is visited again, and test convergence on the
         # accumulated per-iteration change (the current tick's underlying
-        # fixpoint progress, kept at (sum_id, u) beside the nodes' state), not
+        # fixpoint progress, a trace at sum_id beside the nodes' state), not
         # on this tick's correction alone.
-        floor = bstate["max_len"] if incremental else 0
+        incremental = inner._parent_axis
+        if incremental:
+            floor = bstate["max_len"]
+            progress_trace = outer.get(sum_id)
+            if progress_trace is None:
+                progress_trace = outer[sum_id] = Trace()
+        else:
+            floor = 0
         change_src = sum_node.inputs[0]
         probe = node.meta.get("probe")
         if probe is not None:
             probes = bstate["probe_values"] = []
         u = 0
-        while True:
-            vals = inner._eval_tick(None, _InnerCtx(u, entry_val, prev, cur))
-            if probe is not None:
-                probes.append(vals[probe])
-            progress = vals[change_src]
-            if incremental:
-                key = (sum_id, u)
-                progress = cur[key] = gv_add(prev.get(key, ZERO), progress)
-            u += 1
-            if u >= max(floor, 1) and term(progress):
-                break
-            if u >= cap:
-                raise NonTerminationError(f"nested domain exceeded {cap} iterations")
+        try:
+            while True:
+                ctx.u = u
+                vals = inner._eval_tick(None, ctx)
+                if probe is not None:
+                    probes.append(vals[probe])
+                progress = vals[change_src]
+                if incremental:
+                    progress_trace[u] = as_zset(progress)._entries
+                    progress = ZSet._wrap(progress_trace.slots.get(u, {}))
+                u += 1
+                if u >= max(floor, 1) and term(progress):
+                    break
+                if u >= cap:
+                    raise NonTerminationError(f"nested domain exceeded {cap} iterations")
+        except BaseException:
+            # Leave the parent-clock state as it was before this parent tick.
+            for key, old in ctx.journal.items():
+                outer[key] = old
+            for v in outer.values():
+                if isinstance(v, Trace):
+                    v.rollback()
+            raise
+        for v in outer.values():
+            if isinstance(v, Trace):
+                v.commit()
         self.metrics.iterations += u
         bstate["max_len"] = max(floor, u)
-        bstate["prev"] = cur
         return vals[sum_id]
 
     def probe_nested(self, block, inner_node):

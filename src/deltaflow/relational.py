@@ -248,6 +248,157 @@ class DistinctDeltaFn:
         return ZSet._wrap(out)
 
 
+class NestedJoinFn:
+    """One term of a join inside a fixpoint, incrementalized on both clocks.
+
+    x[t][u] is the change on an edge at parent tick t and iteration u; A and
+    B are the two-axis traces (zset.Trace) of the join's inputs a and b, and
+    L_a, L_b their changes of this parent tick summed over iterations (the
+    traces' `tick` logs).  The change of the join at (t, u) is
+
+        j1 = a * B(<=t, <u)        j2 = L_a(<=u) * B(<t, =u)
+        j3 = A(<=t, <=u) * b       j4 = A(<t, =u) * L_b(<u)
+
+    and each term reads both inputs as probes of TraceViews taken before the
+    latch at (t, u): slots below u already hold tick t, slot u holds t-1.
+    Work follows the tick's change and the groups it probes.
+    """
+
+    arity = 2
+    klass = BILINEAR
+    probe_args = (0, 1)
+
+    def __init__(self, join, term):
+        self.label = join.label
+        self.semi = join.mode != "join"
+        self.term = term
+        self._run = _NESTED_JOIN_TERMS[term - 1]
+
+    def rows_in(self, va, vb):
+        """The change rows the term scans; the trace it probes is looked up."""
+        return (va.size, va.trace.tick_rows + va.size, vb.size, vb.trace.tick_rows)[self.term - 1]
+
+    def __call__(self, va, vb):
+        d = {}
+        self._run(d, va, vb, self.semi)
+        return ZSet._wrap(d)
+
+
+def _term_a_bprev(d, va, vb, semi):
+    # j1 = a * B(<=t, <u)
+    u, arows = va.u, va.rows
+    for j, bslot in vb.trace.slots.items():
+        if j < u:
+            _probe_slot(d, arows, bslot, True, semi)
+
+
+def _term_la_bslot(d, va, vb, semi):
+    # j2 = L_a(<=u) * B(<t, =u): this tick's a below u, then a itself
+    bslot = vb.trace.slots.get(va.u)
+    if bslot:
+        for arows in va.trace.tick.values():
+            _probe_slot(d, arows, bslot, True, semi)
+        _probe_slot(d, va.rows, bslot, True, semi)
+
+
+def _term_acum_b(d, va, vb, semi):
+    # j3 = A(<=t, <=u) * b: slot u of A lacks tick t's a, which va.rows holds
+    u, brows = va.u, vb.rows
+    for j, aslot in va.trace.slots.items():
+        if j <= u:
+            _probe_slot(d, brows, aslot, False, semi)
+    _probe_slot(d, brows, va.rows, False, semi)
+
+
+def _term_aslot_lb(d, va, vb, semi):
+    # j4 = A(<t, =u) * L_b(<u)
+    aslot = va.trace.slots.get(va.u)
+    if aslot:
+        for brows in vb.trace.tick.values():
+            _probe_slot(d, brows, aslot, False, semi)
+
+
+def _probe_slot(d, rows, slot, rows_left, semi):
+    """Join the grouped rows with the groups of the same key in slot."""
+    get = slot.get
+    for k, g in rows.items():
+        h = get(k)
+        if h is not None:
+            if rows_left:
+                _cross(d, g, h, semi)
+            else:
+                _cross(d, h, g, semi)
+
+
+_NESTED_JOIN_TERMS = (_term_a_bprev, _term_la_bslot, _term_acum_b, _term_aslot_lb)
+
+
+def _cross(d, left, right, semi):
+    """Add to d every pair of the rows left and right, weights multiplied:
+    the flat concatenation left + right, or the left row for a semijoin."""
+    get = d.get
+    for p, wp in left.items():
+        pt = p if type(p) is tuple else (p,)
+        for q, wq in right.items():
+            out = p if semi else pt + (q if type(q) is tuple else (q,))
+            w = wp * wq
+            if not WEIGHT_MIN <= w <= WEIGHT_MAX:
+                check_weight(w)
+            nw = get(out)
+            if nw is None:
+                d[out] = w
+            else:
+                _add_weight(d, out, nw + w)
+
+
+class NestedDistinctDeltaFn:
+    """Distinct inside a fixpoint, incrementalized on both clocks.
+
+    Takes a TraceView of the two-axis trace R of the input d (flat, no key)
+    and d itself, the change at (t, u).  Per element, with old_t the sum of
+    R below slot u, new_t = old_t + R[u] + d, and the tick-(t-1) values
+    old_p = old_t - (this tick's changes below u) and new_p = old_p + R[u],
+    the output is H(old_t, new_t) - H(old_p, new_p), H the sign transition
+    of DistinctDeltaFn.  An element this tick did not touch at any j <= u has
+    the same R at t and t-1 there, so its two terms cancel; one touched only
+    below u cancels too unless it has weight in R[u].  So only the elements
+    of d and those of R's tick log found in R[u] are visited.
+    """
+
+    arity = 2
+    klass = GENERAL
+    probe_args = (0,)
+
+    def rows_in(self, view, d):
+        """The rows of this tick's log and of d; the slots are looked up."""
+        return view.trace.tick_rows + len(as_zset(d))
+
+    def __call__(self, view, d):
+        u, tr = view.u, view.trace
+        d = as_zset(d)._entries
+        done = {}  # element -> this tick's change below u
+        for rows in tr.tick.values():
+            for x, w in rows.items():
+                done[x] = done.get(x, 0) + w
+        at = tr.slots.get(u, {})
+        touched = [(x, done.get(x, 0), w) for x, w in d.items()]
+        touched += [(x, dn, 0) for x, dn in done.items() if x in at and x not in d]
+        below = [slot for j, slot in tr.slots.items() if j < u]
+        out = {}
+        for x, dn, w in touched:
+            old = 0
+            for slot in below:
+                old += slot.get(x, 0)
+            cur = at.get(x, 0)
+            new = old + cur + w
+            old_p = old - dn
+            new_p = old_p + cur
+            o = (new > 0) - (old > 0) - (new_p > 0) + (old_p > 0)
+            if o:
+                out[x] = o
+        return ZSet._wrap(out)
+
+
 class AggregateFn:
     """SQL-style aggregate emitting rows; grouped when group_cols is given."""
 
@@ -361,7 +512,6 @@ def build_inc_distinct(c: Circuit, d, depth=None):
     z = c.add_delay(i, depth=depth)
     h = c.add_lifted(DistinctDeltaFn(), [z, d], klass=GENERAL, label="distinct_delta")
     c.nodes[h].meta["inc_distinct_input"] = d
-    c.nodes[h].meta["depth"] = depth
     for m in (i, z):
         c.nodes[m].meta["in_group"] = True
     return h
@@ -383,7 +533,7 @@ def build_inc_join(c: Circuit, a, b, key_a, key_b, depth=None, fn=None):
     j1 = c.add_lifted(fn, [za, b], klass=BILINEAR, label=fn.label)
     j2 = c.add_lifted(fn, [a, zb], klass=BILINEAR, label=fn.label)
     out = c.add_plus([j0, j1, j2])
-    c.nodes[out].meta["inc_join"] = {"a": a, "b": b, "fn": fn, "depth": depth}
+    c.nodes[out].meta["inc_join"] = {"a": a, "b": b, "fn": fn}
     for m in (ia, za, ib, zb, j0, j1, j2):
         c.nodes[m].meta["in_group"] = True
     return out

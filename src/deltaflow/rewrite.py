@@ -12,13 +12,16 @@ every edge carries changes instead of snapshots:
 * anything else keeps explicit integrate/differentiate brackets;
 * feedback loops keep their shape with the incremental body (cycle rule);
 * nested fixpoint domains are rebuilt with the same rules one clock level
-  down, which is where the four-way join expansion and the two-level
-  distinct block come from.
+  down.  There an already-incremental join becomes four join terms over
+  one two-axis trace per side (NestedJoinFn), and an incremental distinct
+  becomes one trace probed only at the elements the parent tick touched
+  (NestedDistinctDeltaFn), so a fixpoint update works in proportion to its
+  change.
 """
 
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit, _STATEFUL_KINDS
 from .errors import CircuitError
-from .relational import DistinctDeltaFn, build_inc_distinct, build_inc_join, build_window
+from .relational import NestedDistinctDeltaFn, NestedJoinFn, build_inc_distinct, build_inc_join, build_window
 
 _RULE_COMMUTE = {"filter", "join", "cartesian", "intersect", "semijoin"}
 _RULE_ABSORB = _RULE_COMMUTE | {"project", "map", "plus"}
@@ -202,15 +205,11 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
     ins = [dmap[i] for i in n.inputs]
 
     if n.label == "distinct_delta":
-        # Incremental distinct seen one clock level up: integrate the delta on
-        # this axis, re-derive the inner running sums, diff the H output back.
+        # Incremental distinct seen one clock level up: a two-axis trace of
+        # the change, probed only at the elements this tick touched.
         d = dmap[n.meta["inc_distinct_input"]]
-        loop_depth = n.meta.get("depth", n.depth)
-        cur = out.add_integrate(d, depth=bracket_depth)
-        li = out.add_integrate(cur, depth=loop_depth)
-        lz = out.add_delay(li, depth=loop_depth)
-        h = out.add_lifted(DistinctDeltaFn(), [lz, cur], klass=GENERAL, label="distinct_delta")
-        return out.add_differentiate(h, depth=bracket_depth)
+        r = out.add_trace(d, depth=bracket_depth)
+        return out.add_lifted(NestedDistinctDeltaFn(), [r, d], klass=GENERAL, label="distinct_delta")
 
     if n.label == "stream_join":
         keys = fn.index_keys()
@@ -244,35 +243,17 @@ def _nested_inc_join(out, plus_node, group, dmap, bracket_depth):
     """Dedicated rewrite for an already-incremental join one clock level up.
 
     The three-term expansion is bilinear as a whole, so incrementalizing it
-    again would give nine join terms; they telescope into four.
+    again would give nine join terms; they telescope into four, which read
+    one two-axis trace per side (see NestedJoinFn).
     """
     fn = group["fn"]
-    a = dmap[group["a"]]
-    b = dmap[group["b"]]
-    loop_depth = group.get("depth", bracket_depth + 1)
-    ka, kb = fn.index_keys() if hasattr(fn, "index_keys") else (None, None)
-
-    # Parent-clock state must only integrate change-typed edges (zero beyond
-    # each tick's run length); running loop integrals are not.  The two axes
-    # commute, so integrate on the parent clock first and rebuild the loop
-    # integral inside the tick.
-    lia = out.add_integrate(a, depth=loop_depth)
-    ia = out.add_integrate(a, depth=bracket_depth, index_key=ka)
-    zia = out.add_delay(ia, depth=bracket_depth)
-    iia = out.add_integrate(ia, depth=loop_depth)
-
-    ib = out.add_integrate(b, depth=bracket_depth, index_key=kb)
-    zb = out.add_delay(ib, depth=bracket_depth)
-    lib = out.add_integrate(b, depth=loop_depth)
-    iib = out.add_integrate(ib, depth=loop_depth)
-    ziib = out.add_delay(iib, depth=loop_depth)
-    zib = out.add_delay(lib, depth=loop_depth)
-
-    j1 = out.add_lifted(fn, [a, ziib], klass=BILINEAR, label=fn.label)
-    j2 = out.add_lifted(fn, [lia, zb], klass=BILINEAR, label=fn.label)
-    j3 = out.add_lifted(fn, [iia, b], klass=BILINEAR, label=fn.label)
-    j4 = out.add_lifted(fn, [zia, zib], klass=BILINEAR, label=fn.label)
-    return out.add_plus([j1, j2, j3, j4])
+    if not hasattr(fn, "index_keys"):
+        raise CircuitError(f"{getattr(fn, 'label', 'bilinear operator')} inside a fixpoint needs join keys")
+    ka, kb = fn.index_keys()
+    ta = out.add_trace(dmap[group["a"]], depth=bracket_depth, index_key=ka)
+    tb = out.add_trace(dmap[group["b"]], depth=bracket_depth, index_key=kb)
+    terms = [out.add_lifted(NestedJoinFn(fn, t), [ta, tb], klass=BILINEAR, label=fn.label) for t in (1, 2, 3, 4)]
+    return out.add_plus(terms)
 
 
 def _delta_nested(out, n, dmap, bracket_depth):

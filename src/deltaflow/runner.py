@@ -228,8 +228,9 @@ def random_graph(n_nodes, n_edges, rng):
 
 
 def bench_closure(n_nodes, delta_edges, seed):
-    """Transitive closure under a small edge delta: inner-loop tuple counts,
-    incremental versus reference recompute."""
+    """Transitive closure under a small edge delta: wall time, inner-loop
+    tuple counts and iterations of the delta tick, incremental versus
+    reference recompute."""
     from .trace import Transaction
 
     rng = random.Random(seed)
@@ -245,6 +246,8 @@ def bench_closure(n_nodes, delta_edges, seed):
         "workload": "closure",
         "nodes": n_nodes,
         "delta_edges": delta_edges,
+        "incremental_ns_per_tick": m["wall_ns"],
+        "reference_ns_per_tick": m["reference_wall_ns"],
         "incremental_tuples": m["tuples"],
         "reference_tuples": m["reference_tuples"],
         "incremental_iterations": m["iterations"],

@@ -303,14 +303,124 @@ class IndexedZSet:
 
 def group_by(key_fn, m):
     """Partition m by key_fn; linear, weight-preserving."""
+    return IndexedZSet._wrap({k: ZSet._wrap(g) for k, g in _group_rows(key_fn, m._entries).items()})
+
+
+def _group_rows(key_fn, entries):
+    """key -> {element: weight} for an element -> weight map."""
     groups = {}
-    entries = m._entries
     for k, (x, w) in zip(map(key_fn, entries), entries.items()):
         g = groups.get(k)
         if g is None:
             g = groups[k] = {}
         g[x] = w
-    return IndexedZSet._wrap({k: ZSet._wrap(g) for k, g in groups.items()})
+    return groups
+
+
+class Trace:
+    """Two-axis trace: the state of a change stream x[t][u] inside a nested
+    clock domain, t the parent tick and u the inner tick (the iteration),
+    updated in place.
+
+    `slots[u]` is X[u], the sum over t' <= t of x[t'][u]; `tick[u]` is
+    x[t][u] for the iterations of the current parent tick latched so far.
+    So while iteration u of tick t runs, the slots below u already include
+    tick t and the others still hold tick t-1, and `tick` is both what this
+    tick touched and the log a failed tick is rolled back from.  An element
+    sits only in the slots where its weight is nonzero, so memory follows
+    the relation, not the iteration count.
+
+    With a key function a slot is key -> {element: weight}, the layout join
+    probes read; without one it is element -> weight.
+    """
+
+    __slots__ = ("key", "slots", "tick", "tick_rows")
+
+    def __init__(self, key=None):
+        self.key = key
+        self.slots = {}
+        self.tick = {}
+        self.tick_rows = 0  # rows latched by the current parent tick
+
+    def group(self, change):
+        """A Z-set change's rows in the layout of one slot."""
+        if self.key is None:
+            return change._entries
+        return _group_rows(self.key, change._entries)
+
+    def __setitem__(self, u, rows):
+        """Latch the current parent tick's change at iteration u, given as
+        group(change); each iteration latches once per parent tick."""
+        if not rows:
+            return
+        if self._add(u, rows, 1):
+            self._add(u, rows, -1)
+            raise WeightOverflowError("trace weight outside signed 64-bit range")
+        self.tick[u] = rows
+        self.tick_rows += len(rows) if self.key is None else sum(map(len, rows.values()))
+
+    def commit(self):
+        """End the parent tick: its changes stay in the slots."""
+        self.tick = {}
+        self.tick_rows = 0
+
+    def rollback(self):
+        """Take the current parent tick's changes back out of the slots."""
+        for u, rows in self.tick.items():
+            self._add(u, rows, -1)
+        self.commit()
+
+    def _add(self, u, rows, sign):
+        """slots[u] += sign * rows; True when a weight overflowed."""
+        slot = self.slots.get(u)
+        if slot is None:
+            slot = self.slots[u] = {}
+        overflow = False
+        if self.key is None:
+            overflow = _add_weights(slot, rows, sign)
+        else:
+            for k, g in rows.items():
+                cur = slot.get(k)
+                if cur is None:
+                    slot[k] = dict(g) if sign > 0 else {x: -w for x, w in g.items()}
+                    continue
+                overflow |= _add_weights(cur, g, sign)
+                if not cur:
+                    del slot[k]
+        if not slot:
+            del self.slots[u]
+        return overflow
+
+
+def _add_weights(d, rows, sign):
+    """d += sign * rows in place, dropping zero weights.  Returns True when
+    a weight left the signed 64-bit range; d is updated all the same, so the
+    caller can take rows back out exactly before it raises."""
+    get = d.get
+    overflow = False
+    for x, w in rows.items():
+        nw = get(x, 0) + sign * w
+        if nw:
+            d[x] = nw
+            if not WEIGHT_MIN <= nw <= WEIGHT_MAX:
+                overflow = True
+        else:
+            del d[x]
+    return overflow
+
+
+class TraceView:
+    """What a trace node passes its probing consumers at iteration u: the
+    trace as it stands before the latch, and the iteration's change as
+    `rows` (grouped by the trace's key) of `size` rows."""
+
+    __slots__ = ("trace", "u", "rows", "size")
+
+    def __init__(self, trace, u, rows, size):
+        self.trace = trace
+        self.u = u
+        self.rows = rows
+        self.size = size
 
 
 def flatmap(i):

@@ -292,6 +292,7 @@ class TestBench:
         assert rc == 0
         r = json.loads(out.read_text())
         assert r["incremental_tuples"] < r["reference_tuples"]
+        assert r["incremental_ns_per_tick"] > 0 and r["reference_ns_per_tick"] > 0
 
 
 class TestOperatorCoverage:
