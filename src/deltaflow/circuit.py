@@ -28,6 +28,18 @@ value is a TraceView that only probing operators may read, never a sink.
 A parent tick that fails (a cap hit, an overflow) is rolled back, so the
 store is as it was before the tick.
 
+validate() compiles the circuit, nested bodies included, to a step program:
+one callable per node that binds the node's inputs, fn, label, metrics and
+state location once, so a tick runs the list without dispatching on node
+kinds.  The program calls the fn each node holds when it is built (at the
+first step) and is rebuilt after a node is added or a feedback stub
+connected.  A step skips an operator whose change is zero, as linearity
+allows (f(0) = 0): a LINEAR node (a LINEAR lifted fn, plus, negate) whose
+inputs are all zero, and an operator with `rows_in` whose `rows_in` is 0,
+yield ZERO without calling fn.  Every other operator runs, so an empty
+COUNT still emits (0,).  A skipped node scans and emits no rows, so the
+`tuples` metric is the same as if it had run.
+
 Nested clock domains are bracketed by a single delta0 entry and a single
 stream-sum exit.  Each parent tick runs the inner clock until the sum node's
 input hits the termination predicate (default: the group zero), with a floor
@@ -110,10 +122,14 @@ class Circuit:
         self.sum_id = None
         self._state = {}
         self._validated = False
-        # Set by validate(): feedback stubs on the vector clock, and whether
-        # any state runs on the parent clock.
+        # Set by validate(): feedback stubs on the vector clock, whether any
+        # state runs on the parent clock, and the step program, one callable
+        # per node (see _compile_step).
         self._vector_stubs = ()
         self._parent_axis = False
+        self._program = ()
+        # The vector feedback stubs' values during a column-axis fixpoint pass.
+        self._stub_vals = None
 
     # -- construction --------------------------------------------------------
 
@@ -283,6 +299,7 @@ class Circuit:
             n.id for n in nodes if n.kind == "delay" and n.meta.get("feedback") and n.depth - self.level == 1
         ]
         self._parent_axis = any(n.kind in _STATEFUL_KINDS and n.depth == self.level - 1 for n in nodes)
+        self._program = [self._compile_step(n) for n in nodes]
         self._validated = True
 
     def reset(self):
@@ -313,163 +330,185 @@ class Circuit:
     def _eval_tick(self, inputs, ctx):
         vector_stubs = self._vector_stubs
         if not vector_stubs:
-            vals, latches = self._pass(inputs, ctx, None)
+            vals, latches = self._pass(inputs, ctx)
         else:
             # Lifted feedback: solve the column-axis fixpoint by iteration.
-            stub_vals = {sid: ZERO for sid in vector_stubs}
+            stub_vals = self._stub_vals = {sid: ZERO for sid in vector_stubs}
             for _ in range(DEFAULT_ITERATION_CAP):
-                vals, latches = self._pass(inputs, ctx, stub_vals)
+                vals, latches = self._pass(inputs, ctx)
                 new_vals = {sid: as_vector(vals[self.nodes[sid].inputs[0]]).shift() for sid in vector_stubs}
                 if all(gv_eq(new_vals[s], stub_vals[s]) for s in vector_stubs):
                     break
-                stub_vals = new_vals
+                stub_vals = self._stub_vals = new_vals
             else:
                 raise NonTerminationError("lifted feedback did not stabilize")
-        self._apply_latches(latches, vals)
-        return vals
-
-    def _pass(self, inputs, ctx, vector_stub_vals):
-        vals = [None] * len(self.nodes)
-        latches = []
-        for node in self.nodes:
-            vals[node.id] = self._eval_node(node, vals, inputs, ctx, vector_stub_vals, latches)
-        return vals, latches
-
-    @staticmethod
-    def _apply_latches(latches, vals):
         # State changes are deferred to the end of the tick: delays must not
         # see their own new input, and the lifted-feedback fixpoint re-runs
         # the pass without committing anything.  A latch stores the value of
         # node src at the end of the tick, or the given value when src is None.
         for store, key, src, value in latches:
             store[key] = value if src is None else vals[src]
+        return vals
 
-    def _eval_node(self, node, vals, inputs, ctx, vector_stub_vals, latches):
-        kind = node.kind
-        ins = [vals[i] for i in node.inputs]
+    def _pass(self, inputs, ctx):
+        """Run the step program once: each node's value, and the latches."""
+        vals = []
+        latches = []
+        put = vals.append
+        for step in self._program:
+            put(step(vals, inputs, ctx, latches))
+        return vals, latches
 
-        if kind == "source":
-            v = inputs[node.name]
-            if node.meta.get("sort") == "zset" and not (isinstance(v, ZSet) or v is ZERO):
-                raise ValidationError(f"source {node.name!r} expects a Z-set, got {type(v).__name__}")
-            return v
+    # -- the step program ----------------------------------------------------------
+    #
+    # A node's step(vals, inputs, ctx, latches) returns its value for the
+    # tick from the values of the nodes before it.
 
+    def _compile_step(self, node):
+        kind, ids = node.kind, node.inputs
         if kind == "lifted":
-            try:
-                v = node.fn(*ins)
-            except TypeMismatchError as e:
-                raise TypeMismatchError(f"operator {node.label or 'lifted'!r}: {e}") from e
-            m = self.metrics
-            if m is not None:
-                # Probed arguments (indexed state looked up per element of the
-                # other side) are not scanned, so they do not count as work;
-                # an operator over traces counts the rows it scans itself.
-                rows_in = getattr(node.fn, "rows_in", None)
-                if rows_in is not None:
-                    n = rows_in(*ins)
-                else:
-                    probed = getattr(node.fn, "probe_args", ())
-                    n = 0
-                    for i, x in enumerate(ins):
-                        if isinstance(x, ZSet) and i not in probed:
-                            n += len(x)
-                if isinstance(v, ZSet):
-                    n += len(v)
-                m.tuples += n
-            return v
-
+            return self._lifted_step(node)
         if kind == "plus":
-            acc = ZERO
-            for x in ins:
-                acc = gv_add(acc, x)
-            return acc
-
+            return lambda vals, *_: _plus([vals[i] for i in ids])
         if kind == "negate":
-            return gv_neg(ins[0])
-
-        if kind in _STATE_KINDS:
-            return self._eval_state(node, ins, ctx, vals, vector_stub_vals, latches)
-
+            return lambda vals, *_: _negate(vals[ids[0]])
+        if kind == "source":
+            return _source_step(node.name, node.meta.get("sort") == "zset")
         if kind == "delta0":
-            if ctx is None:
-                raise CircuitError("delta0 evaluated outside a nested domain")
-            return ctx.entry if ctx.u == 0 else ZERO
-
+            return _delta0_step
         if kind == "nested":
-            return self._run_block(node, ins[0])
-
+            return lambda vals, *_: self._run_block(node, vals[ids[0]])
+        if kind in _STATE_KINDS:
+            return self._state_step(node)
         raise CircuitError(f"unknown node kind {kind!r}")
 
-    def _eval_state(self, node, ins, ctx, vals, vector_stub_vals, latches):
+    def _lifted_step(self, node):
+        """Call fn, or skip it (see the module docstring), and add its work
+        to `tuples`: the rows it emits and those it scans, which are its
+        `rows_in` or else its Z-set arguments that it does not probe."""
+        fn, ids, metrics = node.fn, node.inputs, self.metrics
+        name = node.label or "lifted"
+        rows_in = getattr(fn, "rows_in", None)
+        probed = getattr(fn, "probe_args", ())
+        scanned = tuple(i for slot, i in enumerate(ids) if slot not in probed)
+        linear = node.klass == LINEAR
+
+        def step(vals, inputs, ctx, latches):
+            ins = [vals[i] for i in ids]
+            if rows_in is not None:
+                n = rows_in(*ins)
+                if not n:
+                    return ZERO
+            elif linear and all(map(gv_is_zero, ins)):
+                return ZERO
+            else:
+                n = 0
+                for i in scanned:
+                    x = vals[i]
+                    if isinstance(x, ZSet):
+                        n += len(x)
+            try:
+                v = fn(*ins)
+            except TypeMismatchError as e:
+                raise TypeMismatchError(f"operator {name!r}: {e}") from e
+            if isinstance(v, ZSet):
+                n += len(v)
+            metrics.tuples += n
+            return v
+
+        return step
+
+    def _state_step(self, node):
         """The one state rule: read the node's state, latch the next one."""
-        kind = node.kind
-        old = new = self._state
-        key = node.id
-        if kind in _STATEFUL_KINDS:
-            eff = node.depth - self.level
-            if eff == 1:
-                return self._eval_vector_op(node, vals, vector_stub_vals)
-            if eff == -1:
-                if ctx is None:
-                    raise CircuitError(f"node {node} needs a parent clock")
-                if kind == "trace":
-                    return self._eval_trace(node, ins[0], ctx, latches)
-                old = new = ctx.outer
-                key = (node.id, ctx.u)
-                if key not in ctx.journal:
-                    ctx.journal[key] = old.get(key, ZERO)
+        kind, nid, src = node.kind, node.id, node.inputs[0]
         if kind == "window" or kind == "window_fold":
-            out, state = node.fn(old.get(key), ins[0], ins[1])
-            latches.append((new, key, None, state))
-            self.metrics.tuples += len(as_zset(ins[0])) + len(out)
-            return out
-        state = old.get(key, ZERO)
+            return self._window_step(node)
+        eff = node.depth - self.level if kind in _STATEFUL_KINDS else 0
+        if eff == 1:
+            return self._vector_step(node)
+        if kind == "trace":
+            return self._trace_step(node)
+
         if kind == "delay":
             # Emits last tick's input; the new input latches after the full
             # tick so feedback consumers see the strict previous value.
-            latches.append((new, key, node.inputs[0], None))
-            return state
-        if kind == "differentiate":
-            latches.append((new, key, None, ins[0]))
-            return gv_sub(ins[0], state)
-        # integrate, stream_sum
-        out = self._integrate_value(state, ins[0], node.meta.get("index_key"))
-        latches.append((new, key, None, out))
-        return out
+            def update(store, key, state, vals, latches):
+                latches.append((store, key, src, None))
+                return state
 
-    def _eval_trace(self, node, x, ctx, latches):
+        elif kind == "differentiate":
+
+            def update(store, key, state, vals, latches):
+                x = vals[src]
+                latches.append((store, key, None, x))
+                return gv_sub(x, state)
+
+        else:  # integrate, stream_sum
+            index_key = node.meta.get("index_key")
+
+            def update(store, key, state, vals, latches):
+                out = _integrate_value(state, vals[src], index_key)
+                latches.append((store, key, None, out))
+                return out
+
+        if eff == 0:
+            store = self._state
+            return lambda vals, inputs, ctx, latches: update(store, nid, store.get(nid, ZERO), vals, latches)
+
+        def step(vals, inputs, ctx, latches):
+            # At (nid, u) in the parent-clock store, journaled so that a
+            # failed parent tick can restore it.
+            if ctx is None:
+                raise CircuitError(f"node {node} needs a parent clock")
+            store, key = ctx.outer, (nid, ctx.u)
+            state = store.get(key, ZERO)
+            if key not in ctx.journal:
+                ctx.journal[key] = state
+            return update(store, key, state, vals, latches)
+
+        return step
+
+    def _window_step(self, node):
+        fn, nid, store, metrics = node.fn, node.id, self._state, self.metrics
+        src, clock = node.inputs
+
+        def step(vals, inputs, ctx, latches):
+            x = vals[src]
+            out, state = fn(store.get(nid), x, vals[clock])
+            latches.append((store, nid, None, state))
+            metrics.tuples += len(as_zset(x)) + len(out)
+            return out
+
+        return step
+
+    def _trace_step(self, node):
         """Group the iteration's change once: the view hands the groups to
         the probes, the latch adds them to the trace in place."""
-        tr = ctx.outer.get(node.id)
-        if tr is None:
-            tr = ctx.outer[node.id] = Trace(node.meta.get("index_key"))
-        change = as_zset(x)
-        rows = tr.group(change)
-        latches.append((tr, ctx.u, None, rows))
-        self.metrics.tuples += len(change)
-        return TraceView(tr, ctx.u, rows, len(change))
+        nid, src, metrics = node.id, node.inputs[0], self.metrics
+        index_key = node.meta.get("index_key")
 
-    def _eval_vector_op(self, node, vals, vector_stub_vals):
+        def step(vals, inputs, ctx, latches):
+            if ctx is None:
+                raise CircuitError(f"node {node} needs a parent clock")
+            tr = ctx.outer.get(nid)
+            if tr is None:
+                tr = ctx.outer[nid] = Trace(index_key)
+            change = as_zset(vals[src])
+            rows = tr.group(change)
+            latches.append((tr, ctx.u, None, rows))
+            metrics.tuples += len(change)
+            return TraceView(tr, ctx.u, rows, len(change))
+
+        return step
+
+    def _vector_step(self, node):
+        """A state node lifted past the clock acts along the vector axis,
+        statelessly; a feedback stub there reads the fixpoint driver's value."""
+        nid, ids = node.id, node.inputs
         if node.meta.get("feedback"):
-            if vector_stub_vals is None or node.id not in vector_stub_vals:
-                raise CircuitError("lifted feedback stub outside the fixpoint driver")
-            return vector_stub_vals[node.id]
-        v = as_vector(vals[node.inputs[0]])
-        if node.kind == "delay":
-            return v.shift()
-        if node.kind == "integrate":
-            return v.prefix_sum()
-        return v.diff()
-
-    @staticmethod
-    def _integrate_value(acc, delta, index_key):
-        if index_key is None:
-            return gv_add(acc, delta)
-        if delta is ZERO or (isinstance(delta, ZSet) and delta.is_zero()):
-            return acc if acc is not ZERO else IndexedZSet()
-        if not isinstance(delta, ZSet):
-            raise ValidationError("indexed integration expects Z-set deltas")
-        return gv_add(acc, group_by(index_key, delta))
+            return lambda *_: self._stub_vals[nid]
+        op = _VECTOR_OPS[node.kind]
+        return lambda vals, *_: op(as_vector(vals[ids[0]]))
 
     def _run_block(self, node, entry_val):
         inner = node.meta["inner"]
@@ -597,6 +636,48 @@ class Circuit:
         """Declare every sink of circuit c on the node mapping gives for it."""
         for name, nid in c.sinks.items():
             self.add_sink(mapping[nid], name, event=name in c.event_sinks)
+
+
+def _plus(ins):
+    if all(map(gv_is_zero, ins)):
+        return ZERO
+    acc = ZERO
+    for x in ins:
+        acc = gv_add(acc, x)
+    return acc
+
+
+def _negate(x):
+    return ZERO if gv_is_zero(x) else gv_neg(x)
+
+
+def _source_step(name, zset_sort):
+    def step(vals, inputs, ctx, latches):
+        v = inputs[name]
+        if zset_sort and not (isinstance(v, ZSet) or v is ZERO):
+            raise ValidationError(f"source {name!r} expects a Z-set, got {type(v).__name__}")
+        return v
+
+    return step
+
+
+def _delta0_step(vals, inputs, ctx, latches):
+    if ctx is None:
+        raise CircuitError("delta0 evaluated outside a nested domain")
+    return ctx.entry if ctx.u == 0 else ZERO
+
+
+def _integrate_value(acc, delta, index_key):
+    if index_key is None:
+        return gv_add(acc, delta)
+    if delta is ZERO or (isinstance(delta, ZSet) and delta.is_zero()):
+        return acc if acc is not ZERO else IndexedZSet()
+    if not isinstance(delta, ZSet):
+        raise ValidationError("indexed integration expects Z-set deltas")
+    return gv_add(acc, group_by(index_key, delta))
+
+
+_VECTOR_OPS = {"delay": StreamVector.shift, "integrate": StreamVector.prefix_sum, "differentiate": StreamVector.diff}
 
 
 class LiftedVectorFn:

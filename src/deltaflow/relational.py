@@ -4,6 +4,12 @@ Each build_* function appends a fragment to a Circuit and returns the output
 node id.  The function objects carry class labels (linear / bilinear /
 general) and, for joins, their key functions, so the incrementalizer can pick
 the right rewrite without inspecting Python code.
+
+Two optional attributes tell the circuit what an operator reads.
+`probe_args` lists the argument slots it looks up per element of another
+argument instead of scanning them.  `rows_in(*args)` counts every row the
+operator scans; an operator that scans none emits nothing, so the circuit
+skips it when `rows_in` is 0 (and counts `rows_in` as its work otherwise).
 """
 
 from dataclasses import dataclass
@@ -275,7 +281,9 @@ class NestedJoinFn:
         self._run = _NESTED_JOIN_TERMS[term - 1]
 
     def rows_in(self, va, vb):
-        """The change rows the term scans; the trace it probes is looked up."""
+        """The change rows the term scans; the trace it probes is looked up.
+        The tick logs count too: j2 and j4 scan them at iterations whose
+        own change is empty, so a zero here means the term emits nothing."""
         return (va.size, va.trace.tick_rows + va.size, vb.size, vb.trace.tick_rows)[self.term - 1]
 
     def __call__(self, va, vb):
@@ -370,7 +378,9 @@ class NestedDistinctDeltaFn:
     probe_args = (0,)
 
     def rows_in(self, view, d):
-        """The rows of this tick's log and of d; the slots are looked up."""
+        """The rows of this tick's log and of d; the slots are looked up.
+        Only elements of the two are visited, so with neither it emits
+        nothing."""
         return view.trace.tick_rows + len(as_zset(d))
 
     def __call__(self, view, d):

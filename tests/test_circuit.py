@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from conftest import zsets
 from deltaflow import Circuit, CircuitError, NonTerminationError, ValidationError, ZSet
 from deltaflow.circuit import LINEAR
-from deltaflow.groupval import ZERO, gv_eq
+from deltaflow.groupval import ZERO, gv_eq, gv_is_zero
+from deltaflow.relational import DistinctDeltaFn, FilterFn, MapFn, NestedDistinctDeltaFn, NestedJoinFn
+from deltaflow.runner import _closure_spec, compile_circuits
 from oracles import as_z, list_differentiate, list_integrate
 
 
@@ -329,3 +331,129 @@ class TestStreamProperties:
         got = run_unary(lambda c, s: c.add_differentiate(s), xs)
         want = list_differentiate(xs)
         assert got == want
+
+
+# A closure trace of inserts, deletions and a weight-2 edge, and the per-tick
+# work the engine did on it before the step program existed: skipping
+# operators that have no work must not change `tuples` or `iterations`.
+CLOSURE_TICKS = [
+    {(0, 1): 1, (1, 2): 1, (2, 3): 1},
+    {(3, 4): 1},
+    {(4, 5): 2},
+    {(5, 6): 1},
+    {(2, 3): -1},
+    {(2, 3): 1},
+    {(6, 0): 1},
+    {(7, 8): 1},
+    {(6, 7): 1},
+    {(4, 5): -1},
+    {(4, 5): -1},
+    {(4, 5): 1},
+    {(1, 2): -1},
+    {},
+    {(8, 1): 1},
+    {(0, 1): -1},
+    {(0, 1): 2},
+    {(3, 4): -1},
+    {(3, 4): 1, (5, 6): -1},
+    {(6, 0): -1},
+]
+CLOSURE_TUPLES = [282, 142, 174, 208, 334, 334, 550, 111, 429, 1, 907, 907, 751, 0, 129, 296, 296, 434, 538, 128]
+CLOSURE_ITERATIONS = [4, 5, 6, 7, 7, 7, 7, 7, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9]
+
+
+def _closure():
+    return compile_circuits(_closure_spec(), "incremental").incremental
+
+
+def _run_counted(c, ticks):
+    """Outputs and per-tick (tuples, iterations) of c over the ticks."""
+    m = c.metrics
+    outs, work = [], []
+    for t in ticks:
+        t0, i0 = m.tuples, m.iterations
+        outs.append(as_z(c.step({"E": ZSet(t)})["R"]))
+        work.append((m.tuples - t0, m.iterations - i0))
+    return outs, work
+
+
+class _PassThrough:
+    """Operator wrapper as a tracer installs it: attributes read through to
+    fn, and each call records whether the skip rules allowed skipping it."""
+
+    def __init__(self, fn, node, calls):
+        self._fn, self._node, self._calls = fn, node, calls
+
+    def __getattr__(self, attr):
+        return getattr(self._fn, attr)
+
+    def __call__(self, *args):
+        rows_in = getattr(self._fn, "rows_in", None)
+        if rows_in is not None:
+            skippable = rows_in(*args) == 0
+        else:
+            skippable = self._node.klass == LINEAR and all(gv_is_zero(x) for x in args)
+        self._calls.append(skippable)
+        return self._fn(*args)
+
+
+def _wrap_fns(c, calls):
+    for node in c.nodes:
+        if node.kind == "lifted":
+            node.fn = _PassThrough(node.fn, node, calls)
+        elif node.kind == "nested":
+            _wrap_fns(node.meta["inner"], calls)
+
+
+class TestStepProgram:
+    def test_closure_work_matches_the_dispatching_engine(self):
+        outs, work = _run_counted(_closure(), CLOSURE_TICKS)
+        assert [t for t, _ in work] == CLOSURE_TUPLES
+        assert [i for _, i in work] == CLOSURE_ITERATIONS
+        reference = compile_circuits(_closure_spec(), "reference").reference
+        for t, out in zip(CLOSURE_TICKS, outs):
+            assert as_z(reference.step({"E": ZSet(t)})["R"]) == out
+
+    def test_wrapper_installed_before_the_first_step_sees_every_call(self, monkeypatch):
+        made = []
+        for cls in (FilterFn, MapFn, DistinctDeltaFn, NestedJoinFn, NestedDistinctDeltaFn):
+            call = cls.__call__
+            monkeypatch.setattr(cls, "__call__", lambda self, *a, _call=call: (made.append(self), _call(self, *a))[1])
+        plain = _run_counted(_closure(), CLOSURE_TICKS)
+        made.clear()
+        calls = []
+        wrapped = _closure()
+        _wrap_fns(wrapped, calls)
+        assert _run_counted(wrapped, CLOSURE_TICKS) == plain
+        assert len(calls) == len(made) > 0
+        assert not any(calls)
+
+    def test_clone_of_a_stepped_circuit_steps_on_its_own(self):
+        expected = _run_counted(_closure(), CLOSURE_TICKS)
+        c = _closure()
+        first = _run_counted(c, CLOSURE_TICKS[:10])
+        d = c.clone()
+        assert _run_counted(d, CLOSURE_TICKS) == expected
+        rest = _run_counted(c, CLOSURE_TICKS[10:])
+        assert (first[0] + rest[0], first[1] + rest[1]) == expected
+
+    def test_adding_a_node_after_a_step_rebuilds_the_program(self):
+        c = Circuit()
+        s = c.add_source("s", sort="any")
+        c.add_sink(s, "o")
+        assert c.step({"s": 1}) == {"o": 1}
+        c.add_sink(c.add_lifted(Doubler(), [s], klass=LINEAR), "d")
+        assert c.step({"s": 3}) == {"o": 3, "d": 6}
+
+    def test_connecting_a_feedback_stub_after_a_step_rebuilds_the_program(self):
+        c = Circuit()
+        s = c.add_source("s", sort="any")
+        c.add_sink(s, "o")
+        assert c.step({"s": 1}) == {"o": 1}
+        fb = c.add_feedback()
+        p = c.add_plus([s, fb])
+        c.add_sink(p, "sum")
+        with pytest.raises(CircuitError, match="unconnected"):
+            c.step({"s": 1})
+        c.connect_feedback(p, fb)
+        assert [c.step({"s": t})["sum"] for t in id_stream()] == [0, 1, 3, 6, 10]

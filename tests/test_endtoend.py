@@ -96,7 +96,8 @@ class TestCompareFuzz:
 # -- random views over the spec grammar --------------------------------------------
 
 # Tables a and b, and two derived relations: hop is the transitive closure of
-# a by a non-linear rule (both join sides change along the fixpoint loop), cut
+# a, by a non-linear rule (both join sides change along the fixpoint loop) and
+# a right-linear one (its a side changes at the first iteration only), and cut
 # is b minus hop (stratified negation over the recursive block).
 SPEC_RELATIONS = {"a": 2, "b": 2, "hop": 2, "cut": 2}
 SPEC_RECURSIVE = {
@@ -106,6 +107,10 @@ SPEC_RECURSIVE = {
         {
             "head": {"rel": "hop", "terms": ["x", "y"]},
             "body": [{"rel": "hop", "terms": ["x", "z"]}, {"rel": "hop", "terms": ["z", "y"]}],
+        },
+        {
+            "head": {"rel": "hop", "terms": ["x", "y"]},
+            "body": [{"rel": "hop", "terms": ["x", "z"]}, {"rel": "a", "terms": ["z", "y"]}],
         },
         {
             "head": {"rel": "cut", "terms": ["x", "y"]},
@@ -189,9 +194,40 @@ table_changes = st.fixed_dictionaries(
 )
 
 
+@st.composite
+def chain_changes(draw):
+    """Changes to a that keep it a path of at least 6 edges plus chords, so
+    the recursive block runs long enough for every nested join term and for
+    corrections across iterations: tx 0 inserts the path and later txs
+    insert chords and delete or re-weight edges, with weights up to 3."""
+    n = draw(st.integers(6, 8))
+    node = st.integers(0, n)
+    heavy = st.sampled_from([1, 2, 3])
+    live = {(i, i + 1): draw(heavy) for i in range(n)}
+    txs = [{"a": dict(live), "b": draw(st.dictionaries(rows, signed_weights, max_size=4))}]
+    for _ in range(draw(st.integers(1, 4))):
+        change = {}
+        for _ in range(draw(st.integers(1, 3))):
+            if live and draw(st.booleans()):
+                e = draw(st.sampled_from(sorted(live)))
+                w = -live[e] if draw(st.booleans()) else draw(heavy) - live[e]
+            else:
+                e, w = (draw(node), draw(node)), draw(heavy)
+            if w and e not in change:
+                change[e] = w
+                live[e] = live.get(e, 0) + w
+                if not live[e]:
+                    del live[e]
+        txs.append({"a": change, "b": draw(st.dictionaries(rows, signed_weights, max_size=2))})
+    return txs
+
+
 class TestSpecFuzz:
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(view_queries(), min_size=1, max_size=2), st.lists(table_changes, min_size=1, max_size=5))
+    @given(
+        st.lists(view_queries(), min_size=1, max_size=2),
+        st.lists(table_changes, min_size=1, max_size=5) | chain_changes(),
+    )
     def test_random_views_compare_equal(self, views, txs):
         doc = {
             "relations": [{"name": rel, "columns": ["x", "y"]} for rel in ("a", "b")],

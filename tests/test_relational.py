@@ -10,12 +10,19 @@ from hypothesis import strategies as st
 from conftest import row_zsets
 from deltaflow import Circuit, ValidationError, ZSet, to_set, to_zset
 from deltaflow.expr import Col, KeyFunc, MapFunc, parse_expr
+from deltaflow.groupval import ZERO
+from deltaflow.runner import compile_circuits, run_trace
+from deltaflow.specfile import compile_spec
+from deltaflow.trace import Transaction
+from deltaflow.zset import Trace, TraceView
 from deltaflow.relational import (
     AggregateFn,
     FilterFn,
     DistinctDeltaFn,
     JoinFn,
     MapFn,
+    NestedDistinctDeltaFn,
+    NestedJoinFn,
     WindowSpec,
     build_antijoin,
     build_cartesian,
@@ -419,6 +426,127 @@ class TestAggregateFn:
     def test_avg(self):
         m = ZSet({(4,): 1, (6,): 1})
         assert AggregateFn("avg", column=0)(m) == ZSet({(5,): 1})
+
+
+def _random_change(rng, empty_share=0.4):
+    if rng.random() < empty_share:
+        return ZSet()
+    return ZSet({(rng.randrange(3), rng.randrange(4)): rng.choice((1, 2, -1)) for _ in range(rng.randint(1, 3))})
+
+
+def _random_views(rng, keyed):
+    """Two traces at iteration u of a parent tick, as a circuit's trace nodes
+    hand them over: earlier ticks committed, this tick latched below u, and
+    each view holding the change at u, often empty.  Returns the views and
+    the two changes."""
+    key = (lambda x: x[0]) if keyed else None
+    traces = (Trace(key), Trace(key))
+    u = rng.randrange(4)
+    for _ in range(rng.randrange(3)):
+        for tr in traces:
+            for j in range(rng.randint(0, 4)):
+                tr[j] = tr.group(_random_change(rng))
+            tr.commit()
+    for tr in traces:
+        for j in range(u):
+            tr[j] = tr.group(_random_change(rng))
+    changes = [_random_change(rng) for _ in traces]
+    views = [TraceView(tr, u, tr.group(d), len(d)) for tr, d in zip(traces, changes)]
+    return views, changes
+
+
+class TestSkipContract:
+    """The step program skips a LINEAR node whose inputs are all zero, and an
+    operator whose rows_in is 0, without calling it: each must emit nothing
+    on exactly those inputs."""
+
+    @pytest.mark.parametrize(
+        "fn", [FilterFn(lambda x: True), MapFn(lambda x: (x, x)), project_fn([0])], ids=["filter", "map", "project"]
+    )
+    @pytest.mark.parametrize("zero", [ZSet(), ZERO], ids=["empty", "ZERO"])
+    def test_linear_operators_map_zero_to_empty(self, fn, zero):
+        out = fn(zero)
+        assert isinstance(out, ZSet) and out.is_zero()
+
+    @pytest.mark.parametrize("mode", ["join", "semi"])
+    def test_nested_join_terms_emit_nothing_when_they_scan_nothing(self, mode):
+        rng = random.Random(7)
+        join = JoinFn(lambda x: x[0], lambda x: x[0], mode=mode)
+        terms = [NestedJoinFn(join, t) for t in (1, 2, 3, 4)]
+        skipped = [0] * 4
+        for _ in range(400):
+            (va, vb), _ = _random_views(rng, keyed=True)
+            for t, fn in enumerate(terms):
+                if fn.rows_in(va, vb) == 0:
+                    skipped[t] += 1
+                    assert fn(va, vb).is_zero(), (t + 1, va.u, va.rows, vb.rows)
+        assert min(skipped) > 50
+
+    def test_nested_distinct_emits_nothing_when_it_scans_nothing(self):
+        rng = random.Random(8)
+        fn = NestedDistinctDeltaFn()
+        skipped = 0
+        for _ in range(400):
+            (view, _), (d, _) = _random_views(rng, keyed=False)
+            for change in (d, ZERO) if d.is_zero() else (d,):
+                if fn.rows_in(view, change) == 0:
+                    skipped += 1
+                    assert fn(view, change).is_zero()
+        assert skipped > 50
+
+    def test_empty_iteration_change_still_corrects(self):
+        """With both views' own change empty (TraceView.size == 0), j2, j4
+        and the nested distinct still emit cross-tick corrections from the
+        tick logs, so a size-based skip would drop them."""
+        key = lambda x: x[0]
+        ta, tb = Trace(key), Trace(key)
+        tb[1] = tb.group(ZSet({(1, "b"): 1}))
+        ta[1] = ta.group(ZSet({(2, "a"): 1}))
+        ta.commit()
+        tb.commit()
+        ta[0] = ta.group(ZSet({(1, "a"): 1}))
+        tb[0] = tb.group(ZSet({(2, "b"): 1}))
+        va, vb = TraceView(ta, 1, {}, 0), TraceView(tb, 1, {}, 0)
+        join = JoinFn(key, key)
+        assert NestedJoinFn(join, 2)(va, vb) == ZSet({(1, "a", 1, "b"): 1})
+        assert NestedJoinFn(join, 4)(va, vb) == ZSet({(2, "a", 2, "b"): 1})
+
+        r = Trace()
+        r[1] = r.group(ZSet({"x": 1}))
+        r.commit()
+        r[0] = r.group(ZSet({"x": 1}))
+        # x reached iteration 1 on the last tick and iteration 0 on this one
+        assert NestedDistinctDeltaFn()(TraceView(r, 1, {}, 0), ZERO) == ZSet({"x": -1})
+
+    @pytest.mark.parametrize("mode", ["incremental", "compare"])
+    def test_ungrouped_count_and_sum_of_nothing_emit_zero_row(self, mode):
+        """GENERAL operators always run: over a relation that is empty at
+        tx 0, COUNT and SUM emit (0,)."""
+        spec = compile_spec(
+            {
+                "relations": [{"name": "a", "columns": ["k", "v"]}],
+                "views": [
+                    {"name": "n", "query": {"op": "aggregate", "agg": "count", "input": {"op": "rel", "name": "a"}}},
+                    {
+                        "name": "s",
+                        "query": {"op": "aggregate", "agg": "sum", "column": 1, "input": {"op": "rel", "name": "a"}},
+                    },
+                ],
+            }
+        )
+        trace = [
+            Transaction(tx=0, changes={}),
+            Transaction(tx=1, changes={"a": ZSet({(1, 5): 1})}),
+            Transaction(tx=2, changes={"a": ZSet({(1, 5): -1})}),
+        ]
+        report = run_trace(compile_circuits(spec, mode), trace, mode)
+        assert [t["changes"] for t in report.ticks] == [
+            {"n": ZSet({(0,): 1}), "s": ZSet({(0,): 1})},
+            {"n": ZSet({(0,): -1, (1,): 1}), "s": ZSet({(0,): -1, (5,): 1})},
+            {"n": ZSet({(0,): 1, (1,): -1}), "s": ZSet({(0,): 1, (5,): -1})},
+        ]
+        if mode == "compare":
+            assert report.verdict == {"equal": True}
 
 
 class TestExpressions:
