@@ -21,12 +21,13 @@ evaluated and latches the next state at the end of the tick, never in
 between.  On its own clock the state sits at key `nid` in the circuit's
 `_state`.  On the parent clock it sits in the nested domain's parent-clock
 store, which lives in the parent's `_state` and is updated in place: at key
-`(nid, u)`, u the inner tick, or, for a trace node, at key `nid` as one
-two-axis trace (zset.Trace) over all inner ticks; the domain's accumulated
-per-iteration change is a trace at the stream-sum's id.  A trace node's
-value is a TraceView that only probing operators may read, never a sink.
-A parent tick that fails (a cap hit, an overflow) is rolled back, so the
-store is as it was before the tick.
+`(nid, u)`, u the inner tick.  A trace node keeps one trace (zset.Trace)
+updated in place at key `nid`: in slot 0 on its own clock, in slot u on
+the parent clock; the domain's accumulated per-iteration change is a trace
+at the stream-sum's id.  A trace node's value is a TraceView that only
+probing operators may read, never a sink, and a trace is never lifted past
+its clock.  A tick that fails leaves all state as it was: traces latch
+first, and a parent tick that fails (a cap hit, an overflow) is rolled back.
 
 validate() compiles the circuit, nested bodies included, to a step program:
 one callable per node that binds the node's inputs, fn, label, metrics and
@@ -50,7 +51,7 @@ that holds state is visited again.
 
 from .errors import CircuitError, NonTerminationError, TypeMismatchError, ValidationError
 from .groupval import ZERO, StreamVector, as_vector, as_zset, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
-from .zset import IndexedZSet, Trace, TraceView, ZSet, group_by
+from .zset import Trace, TraceView, ZSet
 
 DEFAULT_ITERATION_CAP = 1_000_000
 
@@ -61,7 +62,7 @@ DELAY_CLASS = "delay"
 BOUNDARY = "boundary"
 
 # State kinds with a nesting depth: own, parent or vector (column) clock;
-# a trace runs on the parent clock only.
+# a trace runs on its own or the parent clock only.
 _STATEFUL_KINDS = frozenset({"delay", "integrate", "differentiate", "trace"})
 # Every kind that keeps state; stream-sums and windows run on their own clock.
 # A window node's fn(state, content, clock) returns (output, next_state).
@@ -127,6 +128,7 @@ class Circuit:
         # per node (see _compile_step).
         self._vector_stubs = ()
         self._parent_axis = False
+        self._traces = self._own_traces = ()
         self._program = ()
         # The vector feedback stubs' values during a column-axis fixpoint pass.
         self._stub_vals = None
@@ -176,18 +178,16 @@ class Circuit:
     def add_delay(self, x, depth=None):
         return self._add("delay", (x,), depth=self.level if depth is None else depth, klass=DELAY_CLASS)
 
-    def add_integrate(self, x, depth=None, index_key=None):
-        meta = {"index_key": index_key} if index_key is not None else {}
-        return self._add(
-            "integrate", (x,), depth=self.level if depth is None else depth, klass=DELAY_CLASS, meta=meta
-        )
+    def add_integrate(self, x, depth=None):
+        return self._add("integrate", (x,), depth=self.level if depth is None else depth, klass=DELAY_CLASS)
 
     def add_differentiate(self, x, depth=None):
         return self._add("differentiate", (x,), depth=self.level if depth is None else depth, klass=DELAY_CLASS)
 
     def add_trace(self, x, depth=None, index_key=None):
-        """A two-axis trace of change stream x, grouped by index_key, on the
-        parent clock of this nested domain (see zset.Trace)."""
+        """A trace of change stream x, grouped by index_key (see
+        zset.Trace), on the given clock: by default the parent clock of this
+        nested domain."""
         return self._add(
             "trace",
             (x,),
@@ -278,8 +278,8 @@ class Circuit:
                     raise CircuitError(f"node {n} nesting depth {n.depth} unusable at level {self.level}")
                 if eff == -1 and not self.is_inner:
                     raise CircuitError(f"node {n} references a parent clock but has none")
-                if n.kind == "trace" and eff != -1:
-                    raise CircuitError(f"trace {n} must run on the parent clock of a nested domain")
+                if n.kind == "trace" and eff == 1:
+                    raise CircuitError(f"trace {n} cannot be lifted past its clock")
             if n.kind == "nested":
                 inner = n.meta["inner"]
                 if inner.entry_id is None or inner.sum_id is None:
@@ -299,6 +299,8 @@ class Circuit:
             n.id for n in nodes if n.kind == "delay" and n.meta.get("feedback") and n.depth - self.level == 1
         ]
         self._parent_axis = any(n.kind in _STATEFUL_KINDS and n.depth == self.level - 1 for n in nodes)
+        self._traces = [n.id for n in nodes if n.kind == "trace"]
+        self._own_traces = [nid for nid in self._traces if nodes[nid].depth == self.level]
         self._program = [self._compile_step(n) for n in nodes]
         self._validated = True
 
@@ -344,8 +346,22 @@ class Circuit:
                 raise NonTerminationError("lifted feedback did not stabilize")
         # State changes are deferred to the end of the tick: delays must not
         # see their own new input, and the lifted-feedback fixpoint re-runs
-        # the pass without committing anything.  A latch stores the value of
-        # node src at the end of the tick, or the given value when src is None.
+        # the pass without committing anything.  Traces latch first: one that
+        # overflows takes its rows back and raises, and the own-clock ones
+        # latched before it are rolled back here (parent-clock ones with the
+        # parent tick).  A latch, which cannot fail, stores the value of node
+        # src at the end of the tick, or the given value when src is None.
+        if self._traces:
+            try:
+                for nid in self._traces:
+                    view = vals[nid]
+                    view.trace[view.u] = view.rows
+            except BaseException:
+                for nid in self._own_traces:
+                    vals[nid].trace.rollback()
+                raise
+            for nid in self._own_traces:
+                vals[nid].trace.commit()
         for store, key, src, value in latches:
             store[key] = value if src is None else vals[src]
         return vals
@@ -427,7 +443,7 @@ class Circuit:
         if eff == 1:
             return self._vector_step(node)
         if kind == "trace":
-            return self._trace_step(node)
+            return self._trace_step(node, own=eff == 0)
 
         if kind == "delay":
             # Emits last tick's input; the new input latches after the full
@@ -444,10 +460,9 @@ class Circuit:
                 return gv_sub(x, state)
 
         else:  # integrate, stream_sum
-            index_key = node.meta.get("index_key")
 
             def update(store, key, state, vals, latches):
-                out = _integrate_value(state, vals[src], index_key)
+                out = gv_add(state, vals[src])
                 latches.append((store, key, None, out))
                 return out
 
@@ -481,23 +496,25 @@ class Circuit:
 
         return step
 
-    def _trace_step(self, node):
-        """Group the iteration's change once: the view hands the groups to
-        the probes, the latch adds them to the trace in place."""
-        nid, src, metrics = node.id, node.inputs[0], self.metrics
+    def _trace_step(self, node, own):
+        """Group the tick's change once: the view hands the groups to the
+        probes, and _eval_tick latches them into the trace in place."""
+        nid, src, metrics, state = node.id, node.inputs[0], self.metrics, self._state
         index_key = node.meta.get("index_key")
 
         def step(vals, inputs, ctx, latches):
-            if ctx is None:
+            if own:
+                store, u = state, 0
+            elif ctx is None:
                 raise CircuitError(f"node {node} needs a parent clock")
-            tr = ctx.outer.get(nid)
+            else:
+                store, u = ctx.outer, ctx.u
+            tr = store.get(nid)
             if tr is None:
-                tr = ctx.outer[nid] = Trace(index_key)
+                tr = store[nid] = Trace(index_key)
             change = as_zset(vals[src])
-            rows = tr.group(change)
-            latches.append((tr, ctx.u, None, rows))
             metrics.tuples += len(change)
-            return TraceView(tr, ctx.u, rows, len(change))
+            return TraceView(tr, u, tr.group(change), len(change))
 
         return step
 
@@ -665,16 +682,6 @@ def _delta0_step(vals, inputs, ctx, latches):
     if ctx is None:
         raise CircuitError("delta0 evaluated outside a nested domain")
     return ctx.entry if ctx.u == 0 else ZERO
-
-
-def _integrate_value(acc, delta, index_key):
-    if index_key is None:
-        return gv_add(acc, delta)
-    if delta is ZERO or (isinstance(delta, ZSet) and delta.is_zero()):
-        return acc if acc is not ZERO else IndexedZSet()
-    if not isinstance(delta, ZSet):
-        raise ValidationError("indexed integration expects Z-set deltas")
-    return gv_add(acc, group_by(index_key, delta))
 
 
 _VECTOR_OPS = {"delay": StreamVector.shift, "integrate": StreamVector.prefix_sum, "differentiate": StreamVector.diff}

@@ -3,7 +3,9 @@
 Each build_* function appends a fragment to a Circuit and returns the output
 node id.  The function objects carry class labels (linear / bilinear /
 general) and, for joins, their key functions, so the incrementalizer can pick
-the right rewrite without inspecting Python code.
+the right rewrite without inspecting Python code.  An incremental join is one
+in-place trace per side, keyed by the join's keys, and one probing join; the
+traces run on the join's own clock, or on the parent clock inside a fixpoint.
 
 Two optional attributes tell the circuit what an operator reads.
 `probe_args` lists the argument slots it looks up per element of another
@@ -13,10 +15,9 @@ skips it when `rows_in` is 0 (and counts `rows_in` as its work otherwise).
 """
 
 from dataclasses import dataclass
-from itertools import repeat
 
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
-from .errors import ValidationError
+from .errors import CircuitError, ValidationError
 from .expr import KeyFunc, MapFunc, kernel
 from .groupval import ZERO, as_zset
 from .zset import (
@@ -33,6 +34,7 @@ from .zset import (
     column_reader,
     distinct,
     group_by,
+    group_rows,
     makeset,
 )
 
@@ -138,17 +140,18 @@ def _identity_key(x):
 class JoinFn:
     """Equi-join / cartesian product / semijoin / intersection.
 
-    Either side may arrive pre-indexed by its own key function (the indexed
-    integrals the incremental rewrites produce); lookups then cost only the
-    probe side.  Output weights multiply.
+    Both sides are grouped by their keys (an IndexedZSet side comes grouped
+    by its own key function) and the side with fewer keys probes the other.
+    Output weights multiply.
     """
 
     arity = 2
     klass = BILINEAR
 
     def __init__(self, key_left, key_right, mode="join", label=None):
-        self.key_left = kernel(key_left)
-        self.key_right = kernel(key_right)
+        # a key is a callable or a list of columns
+        self.key_left = kernel(key_left if callable(key_left) else KeyFunc(key_left))
+        self.key_right = kernel(key_right if callable(key_right) else KeyFunc(key_right))
         self.mode = mode
         self.label = label or mode
 
@@ -156,66 +159,20 @@ class JoinFn:
         return (self.key_left, self.key_right)
 
     def __call__(self, a, b):
-        a, b = _join_operand(a), _join_operand(b)
-        kl, kr = self.key_left, self.key_right
-        semi = self.mode != "join"
         d = {}
-        if isinstance(a, IndexedZSet) and isinstance(b, IndexedZSet):
-            small, big, small_left = (a, b, True) if len(a) <= len(b) else (b, a, False)
-            groups = big._groups
-            for k, g in small._groups.items():
-                if k in groups:
-                    _probe(d, zip(repeat(k), g._entries.items()), groups, small_left, semi)
-            return ZSet._wrap(d)
-        if isinstance(a, ZSet) and isinstance(b, ZSet):
-            if len(a) <= len(b):
-                a = group_by(kl, a)
-            else:
-                b = group_by(kr, b)
-        if isinstance(a, IndexedZSet):
-            rows = b._entries
-            _probe(d, zip(map(kr, rows), rows.items()), a._groups, False, semi)
-        else:
-            rows = a._entries
-            _probe(d, zip(map(kl, rows), rows.items()), b._groups, True, semi)
+        _join_groups(d, _grouped(a, self.key_left), _grouped(b, self.key_right), self.mode != "join")
         return ZSet._wrap(d)
 
 
-def _join_operand(v):
-    if isinstance(v, (ZSet, IndexedZSet)):
-        return v
+def _grouped(v, key):
+    """A join operand's rows grouped by key: key -> {row: weight}."""
+    if isinstance(v, ZSet):
+        return group_rows(key, v._entries)
+    if isinstance(v, IndexedZSet):
+        return {k: z._entries for k, z in v._groups.items()}
     if v is ZERO:
-        return ZSet()
+        return {}
     raise ValidationError(f"join expects Z-set operands, got {type(v).__name__}")
-
-
-def _probe(d, keyed_rows, groups, rows_left, semi):
-    """Add to d the pairs of each (key, (row, weight)) with the rows of its
-    key's group in groups; a pair's weight is the product of their weights.
-
-    A join pair is the flat concatenation left + right (scalars count as
-    1-tuples); a semijoin pair is the left row alone.
-    """
-    get = d.get
-    for k, (p, wp) in keyed_rows:
-        g = groups.get(k)
-        if g is None:
-            continue
-        pt = p if type(p) is tuple else (p,)
-        for q, wq in g._entries.items():
-            if semi:
-                out = p if rows_left else q
-            else:
-                qt = q if type(q) is tuple else (q,)
-                out = pt + qt if rows_left else qt + pt
-            w = wp * wq
-            if not WEIGHT_MIN <= w <= WEIGHT_MAX:
-                check_weight(w)
-            nw = get(out)
-            if nw is None:
-                d[out] = w
-            else:
-                _add_weight(d, out, nw + w)
 
 
 def cartesian_fn():
@@ -224,6 +181,59 @@ def cartesian_fn():
 
 def intersect_fn():
     return JoinFn(_identity_key, _identity_key, mode="semi", label="intersect")
+
+
+class _TraceJoin:
+    """A form of the join fn `join` that reads its inputs as TraceViews of
+    traces keyed by the join's keys (see zset.Trace)."""
+
+    arity = 2
+    klass = BILINEAR
+    probe_args = (0, 1)
+
+    def __init__(self, join):
+        self.join = join
+        self.label = join.label
+        self.semi = join.mode != "join"
+
+
+class IncJoinFn(_TraceJoin):
+    """The incremental join Δa⋈Δb + A⋈Δb + Δa⋈B as one operator.
+
+    Reads the tick's changes of a and b grouped by key, and A and B, slot u
+    of their traces before the tick.  On the traces' own clock u is 0; on
+    the parent clock of a nested domain slot u sums iteration u over the
+    earlier parent ticks.
+    """
+
+    def rows_in(self, va, vb):
+        """The two changes; the traces are looked up."""
+        return va.size + vb.size
+
+    def __call__(self, va, vb):
+        da, db = va.rows, vb.rows
+        a, b = va.trace.slots.get(va.u, {}), vb.trace.slots.get(vb.u, {})
+        d = {}
+        for left, right in ((da, db), (a, db), (da, b)):
+            _join_groups(d, left, right, self.semi)
+        return ZSet._wrap(d)
+
+
+class StreamJoinFn(_TraceJoin):
+    """The accumulated relation s joined with the tick's events t: s is read
+    from its trace as slot u plus the tick's rows; the events are scanned."""
+
+    probe_args = (0,)
+
+    def rows_in(self, view, t):
+        return len(as_zset(t))
+
+    def __call__(self, view, t):
+        events = group_rows(self.join.key_right, as_zset(t)._entries)
+        d = {}
+        for rows in (view.trace.slots.get(view.u, {}), view.rows):
+            _join_groups(d, rows, events, self.semi)
+        return ZSet._wrap(d)
 
 
 class DistinctDeltaFn:
@@ -254,7 +264,7 @@ class DistinctDeltaFn:
         return ZSet._wrap(out)
 
 
-class NestedJoinFn:
+class NestedJoinFn(_TraceJoin):
     """One term of a join inside a fixpoint, incrementalized on both clocks.
 
     x[t][u] is the change on an edge at parent tick t and iteration u; A and
@@ -270,13 +280,8 @@ class NestedJoinFn:
     Work follows the tick's change and the groups it probes.
     """
 
-    arity = 2
-    klass = BILINEAR
-    probe_args = (0, 1)
-
     def __init__(self, join, term):
-        self.label = join.label
-        self.semi = join.mode != "join"
+        super().__init__(join)
         self.term = term
         self._run = _NESTED_JOIN_TERMS[term - 1]
 
@@ -297,7 +302,7 @@ def _term_a_bprev(d, va, vb, semi):
     u, arows = va.u, va.rows
     for j, bslot in vb.trace.slots.items():
         if j < u:
-            _probe_slot(d, arows, bslot, True, semi)
+            _join_groups(d, arows, bslot, semi)
 
 
 def _term_la_bslot(d, va, vb, semi):
@@ -305,8 +310,8 @@ def _term_la_bslot(d, va, vb, semi):
     bslot = vb.trace.slots.get(va.u)
     if bslot:
         for arows in va.trace.tick.values():
-            _probe_slot(d, arows, bslot, True, semi)
-        _probe_slot(d, va.rows, bslot, True, semi)
+            _join_groups(d, arows, bslot, semi)
+        _join_groups(d, va.rows, bslot, semi)
 
 
 def _term_acum_b(d, va, vb, semi):
@@ -314,8 +319,8 @@ def _term_acum_b(d, va, vb, semi):
     u, brows = va.u, vb.rows
     for j, aslot in va.trace.slots.items():
         if j <= u:
-            _probe_slot(d, brows, aslot, False, semi)
-    _probe_slot(d, brows, va.rows, False, semi)
+            _join_groups(d, aslot, brows, semi)
+    _join_groups(d, va.rows, brows, semi)
 
 
 def _term_aslot_lb(d, va, vb, semi):
@@ -323,19 +328,22 @@ def _term_aslot_lb(d, va, vb, semi):
     aslot = va.trace.slots.get(va.u)
     if aslot:
         for brows in vb.trace.tick.values():
-            _probe_slot(d, brows, aslot, False, semi)
+            _join_groups(d, aslot, brows, semi)
 
 
-def _probe_slot(d, rows, slot, rows_left, semi):
-    """Join the grouped rows with the groups of the same key in slot."""
-    get = slot.get
-    for k, g in rows.items():
-        h = get(k)
-        if h is not None:
-            if rows_left:
+def _join_groups(d, left, right, semi):
+    """Add to d the pairs of rows of one key in the groups left and right
+    (key -> {row: weight}), probing the side with fewer keys into the other."""
+    if len(left) <= len(right):
+        for k, g in left.items():
+            h = right.get(k)
+            if h is not None:
                 _cross(d, g, h, semi)
-            else:
-                _cross(d, h, g, semi)
+    else:
+        for k, h in right.items():
+            g = left.get(k)
+            if g is not None:
+                _cross(d, g, h, semi)
 
 
 _NESTED_JOIN_TERMS = (_term_a_bprev, _term_la_bslot, _term_acum_b, _term_aslot_lb)
@@ -488,8 +496,6 @@ def build_cartesian(c: Circuit, a, b):
 
 
 def build_equijoin(c: Circuit, a, b, key_a, key_b):
-    key_a = key_a if callable(key_a) else KeyFunc(key_a)
-    key_b = key_b if callable(key_b) else KeyFunc(key_b)
     return c.add_lifted(JoinFn(key_a, key_b), [a, b], klass=BILINEAR, label="join")
 
 
@@ -498,8 +504,6 @@ def build_intersect(c: Circuit, a, b):
 
 
 def build_semijoin(c: Circuit, a, b, key_a, key_b):
-    key_a = key_a if callable(key_a) else KeyFunc(key_a)
-    key_b = key_b if callable(key_b) else KeyFunc(key_b)
     fn = JoinFn(key_a, key_b, mode="semi", label="semijoin")
     return c.add_lifted(fn, [a, b], klass=BILINEAR, label="semijoin")
 
@@ -522,39 +526,29 @@ def build_inc_distinct(c: Circuit, d, depth=None):
     z = c.add_delay(i, depth=depth)
     h = c.add_lifted(DistinctDeltaFn(), [z, d], klass=GENERAL, label="distinct_delta")
     c.nodes[h].meta["inc_distinct_input"] = d
-    for m in (i, z):
-        c.nodes[m].meta["in_group"] = True
     return h
 
 
 def build_inc_join(c: Circuit, a, b, key_a, key_b, depth=None, fn=None):
-    """Incremental bilinear join: da*db + z(I(a))*db + da*z(I(b))."""
+    """Incremental bilinear join da*db + z(I(a))*db + da*z(I(b)): one
+    in-place trace per side, keyed by the join's keys, and one join node
+    that probes both (IncJoinFn)."""
     depth = c.level if depth is None else depth
-    if fn is None:
-        key_a = key_a if callable(key_a) else KeyFunc(key_a)
-        key_b = key_b if callable(key_b) else KeyFunc(key_b)
-        fn = JoinFn(key_a, key_b)
-    ka, kb = fn.index_keys() if hasattr(fn, "index_keys") else (None, None)
-    ia = c.add_integrate(a, depth=depth, index_key=ka)
-    za = c.add_delay(ia, depth=depth)
-    ib = c.add_integrate(b, depth=depth, index_key=kb)
-    zb = c.add_delay(ib, depth=depth)
-    j0 = c.add_lifted(fn, [a, b], klass=BILINEAR, label=fn.label)
-    j1 = c.add_lifted(fn, [za, b], klass=BILINEAR, label=fn.label)
-    j2 = c.add_lifted(fn, [a, zb], klass=BILINEAR, label=fn.label)
-    out = c.add_plus([j0, j1, j2])
-    c.nodes[out].meta["inc_join"] = {"a": a, "b": b, "fn": fn}
-    for m in (ia, za, ib, zb, j0, j1, j2):
-        c.nodes[m].meta["in_group"] = True
-    return out
+    fn = fn or JoinFn(key_a, key_b)
+    if not hasattr(fn, "index_keys"):
+        raise CircuitError(f"incremental {getattr(fn, 'label', 'bilinear operator')} needs join keys")
+    ka, kb = fn.index_keys()
+    ta = c.add_trace(a, depth=depth, index_key=ka)
+    tb = c.add_trace(b, depth=depth, index_key=kb)
+    return c.add_lifted(IncJoinFn(fn), [ta, tb], klass=BILINEAR, label=fn.label)
 
 
 def build_stream_join(c: Circuit, s, t, key_s, key_t):
-    """Join the accumulated relation s against the current tick of stream t."""
-    key_s = key_s if callable(key_s) else KeyFunc(key_s)
-    key_t = key_t if callable(key_t) else KeyFunc(key_t)
-    i = c.add_integrate(s, index_key=key_s)
-    return c.add_lifted(JoinFn(key_s, key_t), [i, t], klass=BILINEAR, label="join")
+    """Join the accumulated relation s against the current tick of stream t:
+    an in-place trace of s keyed by key_s, probed by the events."""
+    fn = JoinFn(key_s, key_t)
+    tr = c.add_trace(s, depth=c.level, index_key=fn.key_left)
+    return c.add_lifted(StreamJoinFn(fn), [tr, t], klass=BILINEAR, label="join")
 
 
 def build_window(c: Circuit, delta, theta, spec: WindowSpec):

@@ -6,8 +6,9 @@ every edge carries changes instead of snapshots:
 
 * linear and delay-class nodes are their own incremental versions and copy
   over unchanged;
-* bilinear nodes expand into three terms against delayed integrals of their
-  inputs;
+* bilinear nodes (joins) become one in-place trace per side and one probing
+  join, da*db + z(I(a))*db + da*z(I(b)) (IncJoinFn); a stream join reads
+  the trace of its relation side;
 * distinct becomes the sign-transition form (integrate, delay, H);
 * anything else keeps explicit integrate/differentiate brackets;
 * feedback loops keep their shape with the incremental body (cycle rule);
@@ -16,12 +17,20 @@ every edge carries changes instead of snapshots:
   one two-axis trace per side (NestedJoinFn), and an incremental distinct
   becomes one trace probed only at the elements the parent tick touched
   (NestedDistinctDeltaFn), so a fixpoint update works in proportion to its
-  change.
+  change.  The state the old body kept for them is left unread and dropped.
 """
 
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit, _STATEFUL_KINDS
 from .errors import CircuitError
-from .relational import NestedDistinctDeltaFn, NestedJoinFn, build_inc_distinct, build_inc_join, build_window
+from .relational import (
+    IncJoinFn,
+    NestedDistinctDeltaFn,
+    NestedJoinFn,
+    StreamJoinFn,
+    build_inc_distinct,
+    build_inc_join,
+    build_window,
+)
 
 _RULE_COMMUTE = {"filter", "join", "cartesian", "intersect", "semijoin"}
 _RULE_ABSORB = _RULE_COMMUTE | {"project", "map", "plus"}
@@ -141,9 +150,6 @@ def _delta_compile(src, out, dmap, bracket_depth):
     for n in src.nodes:
         if n.id in dmap:
             continue
-        if n.meta.get("in_group"):
-            dmap[n.id] = None  # folded into its fragment's dedicated rewrite
-            continue
         dmap[n.id] = _delta_node(src, out, n, dmap, bracket_depth, pending_feedback)
     for stub, old_from in pending_feedback:
         out.connect_feedback(dmap[old_from], stub)
@@ -170,9 +176,6 @@ def _delta_node(src, out, n, dmap, bracket_depth, pending_feedback):
         )
 
     if kind == "plus":
-        group = n.meta.get("inc_join")
-        if group is not None:
-            return _nested_inc_join(out, n, group, dmap, bracket_depth)
         return out.add_plus([dmap[i] for i in n.inputs])
 
     if kind == "negate":
@@ -184,7 +187,7 @@ def _delta_node(src, out, n, dmap, bracket_depth, pending_feedback):
             if n.inputs:
                 pending_feedback.append((nid, n.inputs[0]))
             return nid
-        meta = {"index_key": n.meta["index_key"]} if "index_key" in n.meta else {}
+        meta = {"index_key": n.meta["index_key"]} if n.kind == "trace" else {}
         return out._add(n.kind, (dmap[n.inputs[0]],), depth=n.depth, klass=n.klass, meta=meta)
 
     if kind == "nested":
@@ -211,10 +214,15 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
         r = out.add_trace(d, depth=bracket_depth)
         return out.add_lifted(NestedDistinctDeltaFn(), [r, d], klass=GENERAL, label="distinct_delta")
 
+    if isinstance(fn, IncJoinFn):
+        # Incremental join seen one clock level up: the traces it probes
+        # are read through to their inputs.
+        a, b = (src.nodes[i].inputs[0] for i in n.inputs)
+        return _nested_inc_join(out, fn.join, dmap[a], dmap[b], bracket_depth)
+
     if n.label == "stream_join":
-        keys = fn.index_keys()
-        acc = out.add_integrate(ins[0], depth=bracket_depth, index_key=keys[0])
-        return out.add_lifted(fn, [acc, ins[1]], klass=BILINEAR, label="stream_join")
+        tr = out.add_trace(ins[0], depth=bracket_depth, index_key=fn.key_left)
+        return out.add_lifted(StreamJoinFn(fn), [tr, ins[1]], klass=BILINEAR, label="stream_join")
 
     if n.klass == LINEAR:
         return out.add_lifted(fn, ins, klass=LINEAR, label=n.label)
@@ -239,19 +247,17 @@ def _event_nodes(c):
     return {n.id for n in c.nodes if n.kind == "source" and n.meta.get("event")}
 
 
-def _nested_inc_join(out, plus_node, group, dmap, bracket_depth):
-    """Dedicated rewrite for an already-incremental join one clock level up.
+def _nested_inc_join(out, fn, da, db, bracket_depth):
+    """Dedicated rewrite for an already-incremental join one clock level up,
+    given the join fn and the changes da, db of its inputs.
 
     The three-term expansion is bilinear as a whole, so incrementalizing it
     again would give nine join terms; they telescope into four, which read
     one two-axis trace per side (see NestedJoinFn).
     """
-    fn = group["fn"]
-    if not hasattr(fn, "index_keys"):
-        raise CircuitError(f"{getattr(fn, 'label', 'bilinear operator')} inside a fixpoint needs join keys")
     ka, kb = fn.index_keys()
-    ta = out.add_trace(dmap[group["a"]], depth=bracket_depth, index_key=ka)
-    tb = out.add_trace(dmap[group["b"]], depth=bracket_depth, index_key=kb)
+    ta = out.add_trace(da, depth=bracket_depth, index_key=ka)
+    tb = out.add_trace(db, depth=bracket_depth, index_key=kb)
     terms = [out.add_lifted(NestedJoinFn(fn, t), [ta, tb], klass=BILINEAR, label=fn.label) for t in (1, 2, 3, 4)]
     return out.add_plus(terms)
 
@@ -261,8 +267,12 @@ def _delta_nested(out, n, dmap, bracket_depth):
     if any(x.meta.get("bracket") == "i" for x in inner_old.nodes):
         inner_old = loop_incrementalize(inner_old)
     nid, inner_new = out.add_nested(dmap[n.inputs[0]])
-    seeds = {}
-    _delta_compile(inner_old, inner_new, seeds, bracket_depth=inner_new.level - 1)
+    _delta_compile(inner_old, inner_new, {}, bracket_depth=inner_new.level - 1)
+    # Drop the old body's state that the nested rewrites read through (an
+    # incremental join's traces, an incremental distinct's integral).
+    body = _rebuild_topological(inner_new)
+    body.metrics = out.metrics
+    out.nodes[nid].meta["inner"] = body
     return nid
 
 

@@ -303,10 +303,10 @@ class IndexedZSet:
 
 def group_by(key_fn, m):
     """Partition m by key_fn; linear, weight-preserving."""
-    return IndexedZSet._wrap({k: ZSet._wrap(g) for k, g in _group_rows(key_fn, m._entries).items()})
+    return IndexedZSet._wrap({k: ZSet._wrap(g) for k, g in group_rows(key_fn, m._entries).items()})
 
 
-def _group_rows(key_fn, entries):
+def group_rows(key_fn, entries):
     """key -> {element: weight} for an element -> weight map."""
     groups = {}
     for k, (x, w) in zip(map(key_fn, entries), entries.items()):
@@ -320,7 +320,8 @@ def _group_rows(key_fn, entries):
 class Trace:
     """Two-axis trace: the state of a change stream x[t][u] inside a nested
     clock domain, t the parent tick and u the inner tick (the iteration),
-    updated in place.
+    updated in place.  A stream on a trace's own clock is x[t][0]: slot 0
+    is its integral up to the last committed tick.
 
     `slots[u]` is X[u], the sum over t' <= t of x[t'][u]; `tick[u]` is
     x[t][u] for the iterations of the current parent tick latched so far.
@@ -346,7 +347,7 @@ class Trace:
         """A Z-set change's rows in the layout of one slot."""
         if self.key is None:
             return change._entries
-        return _group_rows(self.key, change._entries)
+        return group_rows(self.key, change._entries)
 
     def __setitem__(self, u, rows):
         """Latch the current parent tick's change at iteration u, given as

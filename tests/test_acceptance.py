@@ -274,9 +274,11 @@ def test_criterion_6_algorithm_end_to_end():
     inc = incrementalize_query(_fig_query())
     cen = inc.census()
     integrals = sum(v for (k, _), v in cen.items() if k == "integrate")
+    traces = sum(v for (k, _), v in cen.items() if k == "trace")
     joins = sum(v for (_, l), v in cen.items() if l == "join")
     hs = sum(v for (_, l), v in cen.items() if l == "distinct_delta")
-    assert (integrals, joins, hs) == (3, 3, 1)
+    # the distinct's integral, one trace per join side, one probing join
+    assert (integrals, traces, joins, hs) == (1, 2, 1, 1)
 
     from deltaflow import consolidate_distinct
 
@@ -288,7 +290,7 @@ def test_criterion_6_algorithm_end_to_end():
         ref.reset()
         for t in trace:
             assert as_z(inc.step(t)["V"]) == as_z(ref.step(t)["V"])
-    report(6, "node census (3 integrals, 3 joins, 1 distinct-delta) and 50-trace compare", t0)
+    report(6, "node census (1 integral, 2 traces, 1 join, 1 distinct-delta) and 50-trace compare", t0)
 
 
 def test_criterion_7_recursion():

@@ -294,6 +294,13 @@ class TestBench:
         assert r["incremental_tuples"] < r["reference_tuples"]
         assert r["incremental_ns_per_tick"] > 0 and r["reference_ns_per_tick"] > 0
 
+    def test_runs_as_a_module_from_a_checkout(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        cmd = [sys.executable, "-m", "deltaflow", "bench", "--workload", "join", "--base", "2000"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["workload"] == "join"
+
 
 class TestOperatorCoverage:
     def test_all_view_operators_compare_clean(self, tmp_path):

@@ -19,6 +19,7 @@ from deltaflow import (
     build_while,
     stratify,
 )
+from deltaflow.expr import KeyFunc
 from deltaflow.relational import build_filter
 from oracles import as_z, closure_with_self_loops, zset_of
 
@@ -374,6 +375,35 @@ class TestWhile:
             acc = acc + as_z(inc.step({"x": delta})["x"])
             w2 = build_while(self._growing_query())
             assert acc == as_z(w2.step({"x": snap})["x"])
+
+    def test_incremental_while_with_a_join(self):
+        """A join in a while-loop body keeps one two-axis trace per side on
+        the parent clock, read at slot u by the one probing join."""
+        from deltaflow import incrementalize_query
+        from deltaflow.relational import IncJoinFn, build_equijoin, build_projection, build_union
+
+        def closure_body():
+            q = Circuit()
+            s = q.add_source("x")
+            hops = build_projection(q, build_equijoin(q, s, s, KeyFunc([1]), KeyFunc([0])), [0, 3])
+            q.add_sink(build_union(q, s, hops), "x")
+            return q
+
+        inc = incrementalize_query(build_while(closure_body()))
+        inner = next(n.meta["inner"] for n in inc.nodes if n.kind == "nested")
+        joins = [n for n in inner.nodes if isinstance(n.fn, IncJoinFn)]
+        assert len(joins) == 1
+        assert all(inner.nodes[i].kind == "trace" and inner.nodes[i].depth == inner.level - 1 for i in joins[0].inputs)
+        rng = random.Random(23)
+        prev = ZSet()
+        for _ in range(12):
+            snap = zset_of(random_edges(rng, 5, rng.randrange(1, 8)))
+            got = as_z(inc.step({"x": snap - prev})["x"])
+            want = as_z(build_while(closure_body()).step({"x": snap})["x"]) - as_z(
+                build_while(closure_body()).step({"x": prev})["x"]
+            )
+            assert got == want
+            prev = snap
 
     def test_closure_step_body_matches_recursive_builder(self):
         # Q(x) = distinct(x + base + joins through a captured edge set):

@@ -5,10 +5,11 @@ import json
 import random
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaflow import ZSet
+from deltaflow import ValidationError, ZSet
 from deltaflow.runner import compile_circuits, run_trace
 from deltaflow.specfile import compile_spec
 from deltaflow.trace import Transaction
@@ -120,6 +121,10 @@ SPEC_RECURSIVE = {
 }
 UNARY_OPS = ["filter", "project", "map", "distinct", "aggregate"]
 BINARY_OPS = ["union", "union_all", "except", "intersect", "join", "antijoin", "cartesian"]
+# MIN, MAX and AVG need a positive input, so they are drawn only over
+# changes that keep every table weight positive.
+LINEAR_AGGS = ("count", "sum")
+ALL_AGGS = LINEAR_AGGS + ("min", "max", "avg")
 DOM = 4
 
 
@@ -131,15 +136,16 @@ def _reshape(q, arity, want):
 
 
 @st.composite
-def view_queries(draw, depth=3, unary=UNARY_OPS):
+def view_queries(draw, depth=3, unary=UNARY_OPS, aggs=LINEAR_AGGS):
     """A random view query over SPEC_RELATIONS; returns (query, arity).
 
-    A "window" among the unary ops reads the event-stream clock clk."""
+    A "window" among the unary ops reads the event-stream clock clk, and an
+    aggregate is one of aggs, grouped by a column or not."""
     if depth == 0 or draw(st.integers(0, 3)) == 0:
         name = draw(st.sampled_from(sorted(SPEC_RELATIONS)))
         return {"op": "rel", "name": name}, SPEC_RELATIONS[name]
     op = draw(st.sampled_from(unary + BINARY_OPS))
-    q, n = draw(view_queries(depth - 1, unary))
+    q, n = draw(view_queries(depth - 1, unary, aggs))
     col = st.integers(0, n - 1)
     if op == "filter":
         pred = [draw(st.sampled_from([">", "==", "!="])), ["col", draw(col)], ["const", draw(st.integers(0, DOM - 1))]]
@@ -154,11 +160,14 @@ def view_queries(draw, depth=3, unary=UNARY_OPS):
     if op == "distinct":
         return {"op": op, "input": q}, n
     if op == "aggregate":
-        agg = draw(st.sampled_from(["count", "sum"]))
-        return {"op": op, "agg": agg, "column": draw(col), "group_by": [draw(col)], "input": q}, 2
+        out = {"op": op, "agg": draw(st.sampled_from(aggs)), "column": draw(col), "input": q}
+        if draw(st.booleans()):
+            out["group_by"] = [draw(col)]
+            return out, 2
+        return out, 1
     if op == "window":
         return _window(q, draw(col), draw(st.integers(1, DOM - 1))), n
-    r, m = draw(view_queries(depth - 1, unary))
+    r, m = draw(view_queries(depth - 1, unary, aggs))
     if op in ("union", "union_all", "except", "intersect"):
         return {"op": op, "left": q, "right": _reshape(r, m, n)}, n
     out = {"op": op, "left": q, "right": r}
@@ -222,24 +231,76 @@ def chain_changes(draw):
     return txs
 
 
+@st.composite
+def positive_changes(draw):
+    """Changes to a and b that keep every accumulated weight positive:
+    inserts with weights up to 3, deletions, and re-weightings."""
+    live = {"a": {}, "b": {}}
+    txs = []
+    for _ in range(draw(st.integers(1, 5))):
+        changes = {}
+        for rel, rows_of in live.items():
+            change = {}
+            for _ in range(draw(st.integers(0, 3))):
+                if rows_of and draw(st.booleans()):
+                    e = draw(st.sampled_from(sorted(rows_of)))
+                    w = -rows_of[e] if draw(st.booleans()) else draw(st.integers(1, 3)) - rows_of[e]
+                else:
+                    e, w = draw(rows), draw(st.integers(1, 3))
+                if w and e not in change:
+                    change[e] = w
+                    rows_of[e] = rows_of.get(e, 0) + w
+                    if not rows_of[e]:
+                        del rows_of[e]
+            changes[rel] = change
+        txs.append(changes)
+    return txs
+
+
+def spec_doc(queries):
+    return {
+        "relations": [{"name": rel, "columns": ["x", "y"]} for rel in ("a", "b")],
+        "recursive": SPEC_RECURSIVE,
+        "views": [{"name": f"v{i}", "query": q} for i, q in enumerate(queries)],
+    }
+
+
+def table_trace(txs):
+    return [
+        Transaction(tx=t, changes={rel: ZSet(d) for rel, d in changes.items()}) for t, changes in enumerate(txs)
+    ]
+
+
 class TestSpecFuzz:
+    # A broken fixpoint fails within a thousand iterations instead of
+    # running to the default cap of a million.
+    CAP = 1000
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(view_queries(), min_size=1, max_size=2),
         st.lists(table_changes, min_size=1, max_size=5) | chain_changes(),
     )
     def test_random_views_compare_equal(self, views, txs):
-        doc = {
-            "relations": [{"name": rel, "columns": ["x", "y"]} for rel in ("a", "b")],
-            "recursive": SPEC_RECURSIVE,
-            "views": [{"name": f"v{i}", "query": q} for i, (q, _) in enumerate(views)],
-        }
-        cs = compile_circuits(compile_spec(doc), "compare")
-        trace = [
-            Transaction(tx=t, changes={rel: ZSet(d) for rel, d in changes.items()})
-            for t, changes in enumerate(txs)
-        ]
-        assert run_trace(cs, trace, "compare").verdict == {"equal": True}
+        cs = compile_circuits(compile_spec(spec_doc([q for q, _ in views])), "compare", max_iterations=self.CAP)
+        assert run_trace(cs, table_trace(txs), "compare").verdict == {"equal": True}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(view_queries(aggs=ALL_AGGS), min_size=1, max_size=2), positive_changes())
+    def test_random_aggregates_compare_equal(self, views, txs):
+        cs = compile_circuits(compile_spec(spec_doc([q for q, _ in views])), "compare", max_iterations=self.CAP)
+        assert run_trace(cs, table_trace(txs), "compare").verdict == {"equal": True}
+
+    def test_non_positive_group_raises_alike_in_both_modes(self):
+        query = {"op": "aggregate", "agg": "min", "column": 1, "group_by": [0], "input": {"op": "rel", "name": "a"}}
+        spec = compile_spec(spec_doc([query]))
+        trace = table_trace([{"a": {(1, 5): 1, (2, 3): 2}}, {"a": {(1, 5): -2}}])
+        messages = []
+        for mode in ("incremental", "reference"):
+            with pytest.raises(ValidationError) as info:
+                run_trace(compile_circuits(spec, mode), trace, mode)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] and messages[0].startswith("tx 1: ")
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -260,7 +321,7 @@ class TestSpecFuzz:
             "recursive": SPEC_RECURSIVE,
             "views": [{"name": f"v{i}", "query": q} for i, q in enumerate(views)],
         }
-        cs = compile_circuits(compile_spec(doc), "compare")
+        cs = compile_circuits(compile_spec(doc), "compare", max_iterations=self.CAP)
         trace = []
         now = 0
         for t, (changes, events, step) in enumerate(txs):

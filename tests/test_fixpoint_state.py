@@ -1,16 +1,30 @@
-"""Parent-clock state of incremental fixpoints: the two-axis traces behind
-nested joins and nested distinct, the run-length floor, and the rollback of
-a parent tick that fails."""
+"""Trace state: the two-axis traces behind nested joins and nested distinct,
+the run-length floor and the rollback of a parent tick that fails, and the
+own-clock traces behind incremental joins, kept in place and rolled back
+with a tick that fails."""
 
 import random
 
 import pytest
-from deltaflow import Circuit, CircuitError, NonTerminationError, ZSet
+from deltaflow import Circuit, CircuitError, NonTerminationError, TypeMismatchError, ZSet
 from deltaflow.datalog import build_while
 from deltaflow.errors import WeightOverflowError
-from deltaflow.expr import BinOp, Col, Const, MapFunc
+from deltaflow.expr import BinOp, Col, Const, KeyFunc, MapFunc
 from deltaflow.groupval import ZERO
-from deltaflow.relational import JoinFn, NestedJoinFn, build_filter, build_map, build_union
+from deltaflow.relational import (
+    JoinFn,
+    NestedJoinFn,
+    build_antijoin,
+    build_cartesian,
+    build_distinct,
+    build_equijoin,
+    build_filter,
+    build_inc_join,
+    build_intersect,
+    build_map,
+    build_semijoin,
+    build_union,
+)
 from deltaflow.rewrite import incrementalize_query
 from deltaflow.runner import _closure_spec, compile_circuits, run_trace
 from deltaflow.specfile import compile_spec
@@ -249,14 +263,127 @@ class TestTraceValidation:
         # A(<=t, <=0) * b at (0, 0) is the entry joined with itself
         assert as_z(c.step({"s": ZSet({1: 1})})["o"]) == ZSet({(1, 1): 1})
 
-    def test_trace_on_its_own_clock_is_rejected(self):
+    def test_trace_lifted_past_its_clock_is_rejected(self):
         c, blk, inner, e = self._domain()
-        tr = inner.add_trace(e, depth=inner.level)
+        tr = inner.add_trace(e, depth=inner.level + 1)
         inner.add_stream_sum(e)
         inner.add_lifted(_Probe(), [tr])
         c.add_sink(blk, "o")
-        with pytest.raises(CircuitError, match="parent clock"):
+        with pytest.raises(CircuitError, match="lifted past its clock"):
             c.step({"s": ZSet()})
+
+
+def _joined():
+    """distinct(filter(a join b)) incrementalized: a trace per join side,
+    the probing join, and the distinct's integral and delay."""
+    q = Circuit()
+    a, b = q.add_source("a"), q.add_source("b")
+    j = build_equijoin(q, a, b, KeyFunc([0]), KeyFunc([0]))
+    q.add_sink(build_distinct(q, build_filter(q, j, BinOp(">", Col(1), Const(0)))), "o")
+    return incrementalize_query(q)
+
+
+def _traces(c):
+    return [c._state[n.id] for n in c.nodes if n.kind == "trace"]
+
+
+JOIN_TICKS = [
+    {"a": ZSet({(1, 5): 1, (2, 6): 2}), "b": ZSet({(1, "x"): 1})},
+    {"a": ZSet({(3, 7): 1}), "b": ZSet({(2, "y"): 3, (3, "z"): 1})},
+    {"a": ZSet({(2, 6): -2}), "b": ZSet({(1, "w"): 1})},
+    {"a": ZSet({(1, 9): 2}), "b": ZSet({(3, "z"): -1})},
+]
+
+
+class TestOwnClockTraces:
+    def test_slots_are_updated_in_place(self):
+        c = _joined()
+        c.step(JOIN_TICKS[0])
+        slots = [tr.slots[0] for tr in _traces(c)]
+        groups = [slot[(1,)] for slot in slots]
+        for inputs in JOIN_TICKS[1:]:
+            c.step(inputs)
+            assert all(tr.slots[0] is slot for tr, slot in zip(_traces(c), slots))
+        assert all(slot[(1,)] is g for slot, g in zip(slots, groups))
+        assert all(tr.tick == {} for tr in _traces(c))
+
+    def _fail_then_match_fresh(self, c, ticks, bad, error):
+        fresh = c.clone()
+        for t, inputs in enumerate(ticks):
+            if t == bad:
+                before = _plain(c._state)
+                with pytest.raises(error):
+                    c.step(inputs)
+                assert _plain(c._state) == before
+                continue
+            got, want = c.step(inputs), fresh.step(inputs)
+            assert {k: as_z(v) for k, v in got.items()} == {k: as_z(v) for k, v in want.items()}, t
+
+    def test_operator_error_leaves_state_then_restep_matches(self):
+        # the filter compares a string with 0 in the joined row of key 4
+        ticks = JOIN_TICKS[:2] + [{"a": ZSet({(4, "s"): 1, (5, 1): 1}), "b": ZSet({(4, 1): 1})}] + JOIN_TICKS[2:]
+        self._fail_then_match_fresh(_joined(), ticks, 2, TypeMismatchError)
+
+    def test_overflow_while_latching_rolls_back_the_traces_latched_before(self):
+        # a's trace latches, then b's overflows: a's is rolled back and the
+        # integral beside them never latches
+        c = Circuit()
+        a, b = c.add_source("a"), c.add_source("b")
+        c.add_sink(build_inc_join(c, a, b, KeyFunc([0]), KeyFunc([0])), "o")
+        c.add_sink(c.add_integrate(a), "ia")
+        ticks = [
+            {"a": ZSet({(1, 1): 1}), "b": ZSet({(2, 2): 2**62})},
+            {"a": ZSet({(3, 3): 1}), "b": ZSet({(2, 2): 2**62})},
+            {"a": ZSet({(2, 4): 1}), "b": ZSet({(1, 5): 1})},
+        ]
+        self._fail_then_match_fresh(c, ticks, 1, WeightOverflowError)
+
+    def test_reset_and_clone_start_empty(self):
+        c = _joined()
+        want = [as_z(c.step(inputs)["o"]) for inputs in JOIN_TICKS]
+        copy = c.clone()
+        c.reset()
+        assert c._state == {}
+        for again in (c, copy):
+            assert [as_z(again.step(inputs)["o"]) for inputs in JOIN_TICKS] == want
+
+    @pytest.mark.parametrize("op", ["join", "semijoin", "antijoin", "intersect", "cartesian", "stream_join"])
+    def test_one_row_tick_work_does_not_grow_with_the_base(self, op):
+        assert _one_row_tuples(op, 10**3) == _one_row_tuples(op, 10**4)
+
+    def test_trace_read_by_a_sink_or_a_non_probe_is_rejected(self):
+        for read in ("sink", "plus"):
+            c = Circuit()
+            s = c.add_source("s")
+            tr = c.add_trace(s, depth=c.level)
+            c.add_sink(tr if read == "sink" else c.add_plus([tr]), "o")
+            with pytest.raises(CircuitError, match="reads trace" if read == "sink" else "does not probe it"):
+                c.step({"s": ZSet()})
+
+
+def _one_row_tuples(op, base):
+    """The `tuples` of a one-row tick after a tick that loads base rows into
+    a and, for the keyed joins and intersect, into b: one base row matches
+    the tick's row."""
+    q = Circuit()
+    a, b = q.add_source("a"), q.add_source("b", event=op == "stream_join")
+    if op in ("intersect", "cartesian"):
+        out = {"intersect": build_intersect, "cartesian": build_cartesian}[op](q, a, b)
+    else:
+        build = {"join": build_equijoin, "semijoin": build_semijoin, "antijoin": build_antijoin}.get(op)
+        out = (build or _stream_join)(q, a, b, KeyFunc([0]), KeyFunc([0]))
+    q.add_sink(out, "v", event=op == "stream_join")
+    c = incrementalize_query(q)
+    rows, none = ZSet({(i, i): 1 for i in range(base)}), ZSet()
+    c.step({"a": rows, "b": ZSet({(0, 0): 1}) if op in ("cartesian", "stream_join") else rows})
+    t0 = c.metrics.tuples
+    c.step({"a": ZSet({(base, 0): 1}), "b": none} if op == "cartesian" else {"a": none, "b": ZSet({(7, 7): 1})})
+    return c.metrics.tuples - t0
+
+
+def _stream_join(c, s, t, key_s, key_t):
+    """A stream join as a spec reads it, left to the stream_join rule."""
+    return c.add_lifted(JoinFn(key_s, key_t, label="stream_join"), [s, t], klass="bilinear", label="stream_join")
 
 
 class _Probe:

@@ -301,9 +301,11 @@ class TestAlgorithmPipeline:
         inc = incrementalize_query(_fig_query())
         cen = inc.census()
         integrals = sum(v for (k, _), v in cen.items() if k == "integrate")
+        traces = sum(v for (k, _), v in cen.items() if k == "trace")
         joins = sum(v for (_, l), v in cen.items() if l == "join")
         hs = sum(v for (_, l), v in cen.items() if l == "distinct_delta")
-        assert (integrals, joins, hs) == (3, 3, 1)
+        # the distinct's integral, one trace per join side, one probing join
+        assert (integrals, traces, joins, hs) == (1, 2, 1, 1)
 
     def test_identity_query(self):
         c = Circuit()
