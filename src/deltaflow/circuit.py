@@ -26,8 +26,10 @@ updated in place at key `nid`: in slot 0 on its own clock, in slot u on
 the parent clock; the domain's accumulated per-iteration change is a trace
 at the stream-sum's id.  A trace node's value is a TraceView that only
 probing operators may read, never a sink, and a trace is never lifted past
-its clock.  A tick that fails leaves all state as it was: traces latch
-first, and a parent tick that fails (a cap hit, an overflow) is rolled back.
+its clock.  Traces latch before the other state, and an overflow while
+latching rolls back the own-clock traces latched before it; a parent tick
+that fails (a cap hit, an overflow) is rolled back, so the parent-clock
+store is as it was before the tick.
 
 validate() compiles the circuit, nested bodies included, to a step program:
 one callable per node that binds the node's inputs, fn, label, metrics and
