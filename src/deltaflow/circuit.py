@@ -27,9 +27,11 @@ the parent clock; the domain's accumulated per-iteration change is a trace
 at the stream-sum's id.  A trace node's value is a TraceView that only
 probing operators may read, never a sink, and a trace is never lifted past
 its clock.  Traces latch before the other state, and an overflow while
-latching rolls back the own-clock traces latched before it; a parent tick
-that fails (a cap hit, an overflow) is rolled back, so the parent-clock
-store is as it was before the tick.
+latching rolls back the own-clock traces latched before it.  A nested
+domain's parent-clock store commits with the end-of-tick latch of the
+parent: a parent tick that fails anywhere (a cap hit, an overflow, an
+operator error after the block ran) is rolled back, so the store is as it
+was before the tick.
 
 validate() compiles the circuit, nested bodies included, to a step program:
 one callable per node that binds the node's inputs, fn, label, metrics and
@@ -100,16 +102,35 @@ class Node:
 
 class _InnerCtx:
     """Evaluation context of a nested domain's block run: the inner tick u,
-    the entry value, the parent-clock store and the journal of what the
-    store's `(nid, u)` keys held before this parent tick."""
+    the entry value, the domain's state (its parent-clock store `outer` and
+    run length), the journal of what the store's `(nid, u)` keys held before
+    this parent tick, and the run length to keep when the parent tick ends."""
 
-    __slots__ = ("u", "entry", "outer", "journal")
+    __slots__ = ("u", "entry", "bstate", "outer", "journal", "max_len")
 
-    def __init__(self, entry, outer):
+    def __init__(self, entry, bstate):
         self.u = 0
         self.entry = entry
-        self.outer = outer
+        self.bstate = bstate
+        self.outer = bstate["outer"]
         self.journal = {}
+        self.max_len = bstate["max_len"]
+
+    def commit(self):
+        """The parent tick ended: the block's changes to its state stay."""
+        for v in self.outer.values():
+            if isinstance(v, Trace):
+                v.commit()
+        self.bstate["max_len"] = self.max_len
+
+    def rollback(self):
+        """The parent tick failed: leave the domain's state as it was before."""
+        outer = self.outer
+        for key, old in self.journal.items():
+            outer[key] = old
+        for v in outer.values():
+            if isinstance(v, Trace):
+                v.rollback()
 
 
 class Circuit:
@@ -132,6 +153,9 @@ class Circuit:
         self._parent_axis = False
         self._traces = self._own_traces = ()
         self._program = ()
+        # The nested domains run in the current tick, committed or rolled
+        # back with it (see _InnerCtx).
+        self._blocks_run = []
         # The vector feedback stubs' values during a column-axis fixpoint pass.
         self._stub_vals = None
 
@@ -332,41 +356,50 @@ class Circuit:
         return [self.step(t) for t in ticks]
 
     def _eval_tick(self, inputs, ctx):
-        vector_stubs = self._vector_stubs
-        if not vector_stubs:
-            vals, latches = self._pass(inputs, ctx)
-        else:
-            # Lifted feedback: solve the column-axis fixpoint by iteration.
-            stub_vals = self._stub_vals = {sid: ZERO for sid in vector_stubs}
-            for _ in range(DEFAULT_ITERATION_CAP):
-                vals, latches = self._pass(inputs, ctx)
-                new_vals = {sid: as_vector(vals[self.nodes[sid].inputs[0]]).shift() for sid in vector_stubs}
-                if all(gv_eq(new_vals[s], stub_vals[s]) for s in vector_stubs):
-                    break
-                stub_vals = self._stub_vals = new_vals
-            else:
-                raise NonTerminationError("lifted feedback did not stabilize")
         # State changes are deferred to the end of the tick: delays must not
         # see their own new input, and the lifted-feedback fixpoint re-runs
         # the pass without committing anything.  Traces latch first: one that
-        # overflows takes its rows back and raises, and the own-clock ones
-        # latched before it are rolled back here (parent-clock ones with the
-        # parent tick).  A latch, which cannot fail, stores the value of node
+        # overflows takes its rows back and raises.  A tick that raises rolls
+        # back the own-clock traces latched before (parent-clock ones go with
+        # the parent tick) and the nested domains it ran; otherwise those
+        # commit.  A latch, which cannot fail, then stores the value of node
         # src at the end of the tick, or the given value when src is None.
-        if self._traces:
-            try:
-                for nid in self._traces:
-                    view = vals[nid]
-                    view.trace[view.u] = view.rows
-            except BaseException:
-                for nid in self._own_traces:
-                    vals[nid].trace.rollback()
-                raise
+        blocks = self._blocks_run = []
+        try:
+            vals, latches = self._solve(inputs, ctx)
+            for nid in self._traces:
+                view = vals[nid]
+                view.trace[view.u] = view.rows
+        except BaseException:
             for nid in self._own_traces:
-                vals[nid].trace.commit()
+                tr = self._state.get(nid)
+                if tr is not None:
+                    tr.rollback()
+            for block in blocks:
+                block.rollback()
+            raise
+        for nid in self._own_traces:
+            self._state[nid].commit()
+        for block in blocks:
+            block.commit()
         for store, key, src, value in latches:
             store[key] = value if src is None else vals[src]
         return vals
+
+    def _solve(self, inputs, ctx):
+        """The tick's values and latches: one pass, or with lifted feedback
+        the passes that solve the column-axis fixpoint."""
+        vector_stubs = self._vector_stubs
+        if not vector_stubs:
+            return self._pass(inputs, ctx)
+        stub_vals = self._stub_vals = {sid: ZERO for sid in vector_stubs}
+        for _ in range(DEFAULT_ITERATION_CAP):
+            vals, latches = self._pass(inputs, ctx)
+            new_vals = {sid: as_vector(vals[self.nodes[sid].inputs[0]]).shift() for sid in vector_stubs}
+            if all(gv_eq(new_vals[s], stub_vals[s]) for s in vector_stubs):
+                return vals, latches
+            stub_vals = self._stub_vals = new_vals
+        raise NonTerminationError("lifted feedback did not stabilize")
 
     def _pass(self, inputs, ctx):
         """Run the step program once: each node's value, and the latches."""
@@ -405,7 +438,7 @@ class Circuit:
         to `tuples`: the rows it emits and those it scans, which are its
         `rows_in` or else its Z-set arguments that it does not probe."""
         fn, ids, metrics = node.fn, node.inputs, self.metrics
-        name = node.label or "lifted"
+        name = getattr(fn, "op_name", None) or node.label or "lifted"
         rows_in = getattr(fn, "rows_in", None)
         probed = getattr(fn, "probe_args", ())
         scanned = tuple(i for slot, i in enumerate(ids) if slot not in probed)
@@ -542,8 +575,8 @@ class Circuit:
         if bstate is None:
             bstate = self._state[node.id] = {"max_len": 0, "outer": {}}
         inner._state.clear()
-        outer = bstate["outer"]
-        ctx = _InnerCtx(entry_val, outer)
+        ctx = _InnerCtx(entry_val, bstate)
+        outer = ctx.outer
         # A domain with parent-clock state emits cross-tick corrections: run at
         # least as long as any earlier tick did, so every inner tick u of
         # earlier ticks is visited again, and test convergence on the
@@ -552,7 +585,7 @@ class Circuit:
         # on this tick's correction alone.
         incremental = inner._parent_axis
         if incremental:
-            floor = bstate["max_len"]
+            floor = ctx.max_len
             progress_trace = outer.get(sum_id)
             if progress_trace is None:
                 progress_trace = outer[sum_id] = Trace()
@@ -579,18 +612,11 @@ class Circuit:
                 if u >= cap:
                     raise NonTerminationError(f"nested domain exceeded {cap} iterations")
         except BaseException:
-            # Leave the parent-clock state as it was before this parent tick.
-            for key, old in ctx.journal.items():
-                outer[key] = old
-            for v in outer.values():
-                if isinstance(v, Trace):
-                    v.rollback()
+            ctx.rollback()
             raise
-        for v in outer.values():
-            if isinstance(v, Trace):
-                v.commit()
         self.metrics.iterations += u
-        bstate["max_len"] = max(floor, u)
+        ctx.max_len = max(floor, u)
+        self._blocks_run.append(ctx)
         return vals[sum_id]
 
     def probe_nested(self, block, inner_node):

@@ -7,13 +7,17 @@ the right rewrite without inspecting Python code.  An incremental join is one
 in-place trace per side, keyed by the join's keys, and one probing join; the
 traces run on the join's own clock, or on the parent clock inside a fixpoint.
 
-Two optional attributes tell the circuit what an operator reads.
-`probe_args` lists the argument slots it looks up per element of another
-argument instead of scanning them.  `rows_in(*args)` counts every row the
-operator scans; an operator that scans none emits nothing, so the circuit
+Optional attributes tell the circuit what an operator reads and how to
+name it.  `probe_args` lists the argument slots it looks up per element of
+another argument instead of scanning them.  `rows_in(*args)` counts every row
+the operator scans; an operator that scans none emits nothing, so the circuit
 skips it when `rows_in` is 0 (and counts `rows_in` as its work otherwise).
+`op_name` names the operator in error messages where it differs from the
+node's label: a join with a linear map folded in (JoinFn.then) is labelled
+as the join and named for both, e.g. "join+project".
 """
 
+import copy
 from dataclasses import dataclass
 
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
@@ -142,26 +146,39 @@ class JoinFn:
 
     Both sides are grouped by their keys (an IndexedZSet side comes grouped
     by its own key function) and the side with fewer keys probes the other.
-    Output weights multiply.
+    Output weights multiply.  An equi-join or cartesian product may carry a
+    row map `out` (see then), applied to each concatenated row it emits.
     """
 
     arity = 2
     klass = BILINEAR
+    out = None
 
     def __init__(self, key_left, key_right, mode="join", label=None):
         # a key is a callable or a list of columns
         self.key_left = kernel(key_left if callable(key_left) else KeyFunc(key_left))
         self.key_right = kernel(key_right if callable(key_right) else KeyFunc(key_right))
         self.mode = mode
-        self.label = label or mode
+        self.semi = mode != "join"
+        self.label = self.op_name = label or mode
 
     def index_keys(self):
         return (self.key_left, self.key_right)
 
+    def then(self, fn, label):
+        """This join followed by the row map fn (a linear map named label),
+        as one join fn: a linear operator distributes over a bilinear one,
+        so fn is applied to each row the join emits, before rows merge.
+        Only for an equi-join or cartesian product without a map yet; the
+        result keeps this join as `unmapped`."""
+        j = copy.copy(self)
+        j.out = kernel(fn)
+        j.op_name = f"{self.op_name}+{label}"
+        j.unmapped = self
+        return j
+
     def __call__(self, a, b):
-        d = {}
-        _join_groups(d, _grouped(a, self.key_left), _grouped(b, self.key_right), self.mode != "join")
-        return ZSet._wrap(d)
+        return _emit(self, ((_grouped(a, self.key_left), _grouped(b, self.key_right)),))
 
 
 def _grouped(v, key):
@@ -194,7 +211,16 @@ class _TraceJoin:
     def __init__(self, join):
         self.join = join
         self.label = join.label
-        self.semi = join.mode != "join"
+
+    @property
+    def op_name(self):
+        return self.join.op_name
+
+    def then(self, fn, label):
+        """This probing join with the row map fn folded into its join fn."""
+        j = copy.copy(self)
+        j.join = self.join.then(fn, label)
+        return j
 
 
 class IncJoinFn(_TraceJoin):
@@ -213,10 +239,7 @@ class IncJoinFn(_TraceJoin):
     def __call__(self, va, vb):
         da, db = va.rows, vb.rows
         a, b = va.trace.slots.get(va.u, {}), vb.trace.slots.get(vb.u, {})
-        d = {}
-        for left, right in ((da, db), (a, db), (da, b)):
-            _join_groups(d, left, right, self.semi)
-        return ZSet._wrap(d)
+        return _emit(self.join, ((da, db), (a, db), (da, b)))
 
 
 class StreamJoinFn(_TraceJoin):
@@ -230,10 +253,7 @@ class StreamJoinFn(_TraceJoin):
 
     def __call__(self, view, t):
         events = group_rows(self.join.key_right, as_zset(t)._entries)
-        d = {}
-        for rows in (view.trace.slots.get(view.u, {}), view.rows):
-            _join_groups(d, rows, events, self.semi)
-        return ZSet._wrap(d)
+        return _emit(self.join, ((view.trace.slots.get(view.u, {}), events), (view.rows, events)))
 
 
 class DistinctDeltaFn:
@@ -283,7 +303,7 @@ class NestedJoinFn(_TraceJoin):
     def __init__(self, join, term):
         super().__init__(join)
         self.term = term
-        self._run = _NESTED_JOIN_TERMS[term - 1]
+        self._operands = _NESTED_JOIN_TERMS[term - 1]
 
     def rows_in(self, va, vb):
         """The change rows the term scans; the trace it probes is looked up.
@@ -292,71 +312,90 @@ class NestedJoinFn(_TraceJoin):
         return (va.size, va.trace.tick_rows + va.size, vb.size, vb.trace.tick_rows)[self.term - 1]
 
     def __call__(self, va, vb):
-        d = {}
-        self._run(d, va, vb, self.semi)
-        return ZSet._wrap(d)
+        return _emit(self.join, self._operands(va, vb))
 
 
-def _term_a_bprev(d, va, vb, semi):
+# Each nested join term as the pairs of grouped operands it joins.
+
+
+def _term_a_bprev(va, vb):
     # j1 = a * B(<=t, <u)
     u, arows = va.u, va.rows
-    for j, bslot in vb.trace.slots.items():
-        if j < u:
-            _join_groups(d, arows, bslot, semi)
+    return [(arows, bslot) for j, bslot in vb.trace.slots.items() if j < u]
 
 
-def _term_la_bslot(d, va, vb, semi):
+def _term_la_bslot(va, vb):
     # j2 = L_a(<=u) * B(<t, =u): this tick's a below u, then a itself
     bslot = vb.trace.slots.get(va.u)
-    if bslot:
-        for arows in va.trace.tick.values():
-            _join_groups(d, arows, bslot, semi)
-        _join_groups(d, va.rows, bslot, semi)
+    if not bslot:
+        return ()
+    return [(arows, bslot) for arows in va.trace.tick.values()] + [(va.rows, bslot)]
 
 
-def _term_acum_b(d, va, vb, semi):
+def _term_acum_b(va, vb):
     # j3 = A(<=t, <=u) * b: slot u of A lacks tick t's a, which va.rows holds
     u, brows = va.u, vb.rows
-    for j, aslot in va.trace.slots.items():
-        if j <= u:
-            _join_groups(d, aslot, brows, semi)
-    _join_groups(d, va.rows, brows, semi)
+    return [(aslot, brows) for j, aslot in va.trace.slots.items() if j <= u] + [(va.rows, brows)]
 
 
-def _term_aslot_lb(d, va, vb, semi):
+def _term_aslot_lb(va, vb):
     # j4 = A(<t, =u) * L_b(<u)
     aslot = va.trace.slots.get(va.u)
-    if aslot:
-        for brows in vb.trace.tick.values():
-            _join_groups(d, aslot, brows, semi)
-
-
-def _join_groups(d, left, right, semi):
-    """Add to d the pairs of rows of one key in the groups left and right
-    (key -> {row: weight}), probing the side with fewer keys into the other."""
-    if len(left) <= len(right):
-        for k, g in left.items():
-            h = right.get(k)
-            if h is not None:
-                _cross(d, g, h, semi)
-    else:
-        for k, h in right.items():
-            g = left.get(k)
-            if g is not None:
-                _cross(d, g, h, semi)
+    if not aslot:
+        return ()
+    return [(aslot, brows) for brows in vb.trace.tick.values()]
 
 
 _NESTED_JOIN_TERMS = (_term_a_bprev, _term_la_bslot, _term_acum_b, _term_aslot_lb)
 
 
-def _cross(d, left, right, semi):
+def _emit(join, operands):
+    """The Z-set the join fn `join` emits for the pairs of grouped operands
+    (key -> {row: weight} each), summed.
+
+    A row map folded into the join runs on every joined row, also on rows
+    whose weights cancel between the pairs.  When it raises, the rows are
+    joined again without it and mapped once merged, so that it raises only
+    on a row the join emits, as the map alone would."""
+    d = {}
+    try:
+        for left, right in operands:
+            _join_groups(d, left, right, join)
+    except ValidationError:
+        if join.out is None:
+            raise
+        return MapFn(join.out)(_emit(join.unmapped, operands))
+    return ZSet._wrap(d)
+
+
+def _join_groups(d, left, right, join):
+    """Add to d the rows the join fn `join` emits for the pairs of rows of
+    one key in the groups left and right (key -> {row: weight}), probing the
+    side with fewer keys into the other."""
+    semi, fn = join.semi, join.out
+    if len(left) <= len(right):
+        for k, g in left.items():
+            h = right.get(k)
+            if h is not None:
+                _cross(d, g, h, semi, fn)
+    else:
+        for k, h in right.items():
+            g = left.get(k)
+            if g is not None:
+                _cross(d, g, h, semi, fn)
+
+
+def _cross(d, left, right, semi, fn):
     """Add to d every pair of the rows left and right, weights multiplied:
-    the flat concatenation left + right, or the left row for a semijoin."""
+    the flat concatenation left + right mapped by fn when there is one, or
+    the left row for a semijoin.  Rows fn maps alike add their weights."""
     get = d.get
     for p, wp in left.items():
         pt = p if type(p) is tuple else (p,)
         for q, wq in right.items():
             out = p if semi else pt + (q if type(q) is tuple else (q,))
+            if fn is not None:
+                out = fn(out)
             w = wp * wq
             if not WEIGHT_MIN <= w <= WEIGHT_MAX:
                 check_weight(w)

@@ -6,6 +6,10 @@ every edge carries changes instead of snapshots:
 
 * linear and delay-class nodes are their own incremental versions and copy
   over unchanged;
+* a linear map (project or map) that is all that reads an equi-join or
+  cartesian product is folded into it first: a linear operator distributes
+  over a bilinear one, so the join emits mapped rows (JoinFn.then), here and
+  in nested bodies; the reference circuit keeps the two apart;
 * bilinear nodes (joins) become one in-place trace per side and one probing
   join, da*db + z(I(a))*db + da*z(I(b)) (IncJoinFn); a stream join reads
   the trace of its relation side;
@@ -24,6 +28,8 @@ from .circuit import BILINEAR, GENERAL, LINEAR, Circuit, _STATEFUL_KINDS
 from .errors import CircuitError
 from .relational import (
     IncJoinFn,
+    JoinFn,
+    MapFn,
     NestedDistinctDeltaFn,
     NestedJoinFn,
     StreamJoinFn,
@@ -135,10 +141,35 @@ def optimize(c):
         n.kind == "source" and not n.meta.get("event") for n in c.nodes
     ):
         raise CircuitError("optimize expects a naively incrementalized circuit (no brackets found)")
+    c = c.clone()
+    _fold_maps_into_joins(c)
     out = Circuit(level=c.level)
     seeds = out.copy_nodes([n for n in c.nodes if n.kind == "source"], {})
     out.copy_sinks(c, _delta_compile(c, out, seeds, bracket_depth=c.level))
     return _rebuild_topological(out)
+
+
+def _fold_maps_into_joins(c):
+    """Fold each linear map (project or map) whose input is an equi-join or
+    cartesian product that nothing else reads into that join, in place and
+    in nested bodies too: the join fn applies the map to each row it emits
+    (JoinFn.then) and the map node is left unread."""
+    cons = _consumers(c)
+    for n in c.nodes:
+        if n.kind == "nested":
+            _fold_maps_into_joins(n.meta["inner"])
+        if not (n.kind == "lifted" and isinstance(n.fn, MapFn)):
+            continue
+        j = c.nodes[n.inputs[0]]
+        join = getattr(j.fn, "join", j.fn)  # a probing join's join fn
+        if (
+            j.kind == "lifted"
+            and isinstance(join, JoinFn)
+            and not join.semi
+            and cons[j.id] == [n.id]
+        ):
+            j.fn = j.fn.then(n.fn.fn, n.label)
+            _redirect(c, n.id, j.id)
 
 
 def _delta_compile(src, out, dmap, bracket_depth):
@@ -384,14 +415,18 @@ def _insert_distinct_after(c, node):
     from .relational import DistinctFn
 
     nid = c._add("lifted", (node.id,), fn=DistinctFn(), klass=GENERAL, label="distinct")
+    _redirect(c, node.id, nid)
+
+
+def _redirect(c, old, new):
+    """Make every reader of node old but node new, and every sink on old,
+    read new instead."""
     for m in c.nodes:
-        if m.id in (nid, node.id):
-            continue
-        if node.id in m.inputs:
-            m.inputs = tuple(nid if i == node.id else i for i in m.inputs)
-    for name, sid in list(c.sinks.items()):
-        if sid == node.id:
-            c.sinks[name] = nid
+        if m.id != new and old in m.inputs:
+            m.inputs = tuple(new if i == old else i for i in m.inputs)
+    for name, sid in c.sinks.items():
+        if sid == old:
+            c.sinks[name] = new
 
 
 def _rebuild_topological(c):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .zset import ZSet, validate_element
+from .zset import WEIGHT_MAX, WEIGHT_MIN, ZSet, canonical_keys, check_weight, validate_element
 
 
 @dataclass
@@ -62,8 +62,9 @@ def parse_transaction(obj, relations, where):
     tx = obj["tx"]
     if not isinstance(tx, int):
         raise ValidationError(f"{where}: 'tx' must be an integer")
-    changes = {}
+    changes = {}  # relation -> {row: weight}, consolidated as the line is read
     declared = {}  # relation -> (column types, row checker)
+    overflow = None  # the first weight or partial sum outside 64 bits
     for i, entry in enumerate(obj["changes"]):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValidationError(f"{where}: change {i} must be [relation, [values...], weight]")
@@ -87,8 +88,21 @@ def parse_transaction(obj, relations, where):
         row = check(values) if check is not None and type(values) is list else None
         if row is None:
             row = tuple(_coerce_value(v, t, f"{where}: relation {rel!r}") for v, t in zip(values, types))
-        changes.setdefault(rel, []).append((row, weight))
-    return Transaction(tx=tx, changes={rel: ZSet(rows) for rel, rows in changes.items()})
+        rows = changes.get(rel)
+        if rows is None:
+            rows = changes[rel] = {}
+        w = rows.get(row)
+        if w is not None:
+            weight += w
+            if not weight:
+                del rows[row]
+                continue
+        rows[row] = weight
+        if overflow is None and not WEIGHT_MIN <= weight <= WEIGHT_MAX:
+            overflow = weight
+    if overflow is not None:
+        check_weight(overflow)  # raised once every change of the line is checked
+    return Transaction(tx=tx, changes={rel: ZSet._wrap(rows) for rel, rows in changes.items()})
 
 
 def load_trace(path, relations=None):
@@ -127,7 +141,8 @@ def dump_transaction(tx, changes):
     canonical order, weights as signed decimal integers."""
     out = []
     for rel in sorted(changes):
-        out += [[rel, row if type(row) is tuple else [row], w] for row, w in changes[rel].items()]
+        d = changes[rel]._entries
+        out += [[rel, row if type(row) is tuple else [row], d[row]] for row in canonical_keys(d)]
     line = json.dumps(
         {"tx": tx, "changes": out}, sort_keys=True, separators=(",", ":"), default=_json_value, check_circular=False
     )

@@ -336,6 +336,9 @@ class TestStreamProperties:
 # A closure trace of inserts, deletions and a weight-2 edge, and the per-tick
 # work the engine did on it before the step program existed: skipping
 # operators that have no work must not change `tuples` or `iterations`.
+# Folding the rule's head map into the nested join removes that map's rows,
+# and the join rows it merges, from `tuples`: these are the dispatching
+# engine's counts less exactly those rows, counted per tick.
 CLOSURE_TICKS = [
     {(0, 1): 1, (1, 2): 1, (2, 3): 1},
     {(3, 4): 1},
@@ -358,7 +361,7 @@ CLOSURE_TICKS = [
     {(3, 4): 1, (5, 6): -1},
     {(6, 0): -1},
 ]
-CLOSURE_TUPLES = [282, 142, 174, 208, 334, 334, 550, 111, 429, 1, 907, 907, 751, 0, 129, 296, 296, 434, 538, 128]
+CLOSURE_TUPLES = [270, 134, 164, 196, 310, 310, 494, 109, 397, 1, 827, 827, 683, 0, 123, 276, 276, 406, 510, 124]
 CLOSURE_ITERATIONS = [4, 5, 6, 7, 7, 7, 7, 7, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9]
 
 

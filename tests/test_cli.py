@@ -139,6 +139,18 @@ class TestGoldenRuns:
         assert rc == 0
         assert out.read_bytes() == (GOLDENS / f"{name}.expected.ndjson").read_bytes()
 
+    @pytest.mark.parametrize("mode", ["incremental", "compare"])
+    def test_large_changes(self, mode, tmp_path):
+        """The batch_join golden: multi-row changes with rows repeated and
+        cancelling within a line, deletions and weights above 1, strings JSON
+        escapes, an untyped relation, an AVG emitting fractions, and joins
+        read by a merging project and by an arithmetic map.  Compare mode
+        exits 0 only when both circuits agree on every tx."""
+        out = tmp_path / "out.ndjson"
+        args = ["--spec", str(GOLDENS / "batch_join.spec.json"), "--trace", str(GOLDENS / "batch_join.trace.ndjson")]
+        assert main(["run", *args, "--mode", mode, "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDENS / "batch_join.expected.ndjson").read_bytes()
+
     @pytest.mark.parametrize("mode", ["incremental", "reference"])
     def test_modes_agree_with_golden(self, mode, tmp_path):
         out = tmp_path / "o.ndjson"
@@ -393,6 +405,16 @@ class TestTypedErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "tx 5" in proc.stderr and "operator 'filter'" in proc.stderr
+
+    def test_map_folded_into_a_join(self, tmp_path):
+        # the incremental circuit runs the map inside the join's probe loop
+        joined = {"op": "join", "left": {"op": "rel", "name": "r"}, "right": {"op": "rel", "name": "r"},
+                  "left_key": [0], "right_key": [0]}
+        query = {"op": "map", "exprs": [["col", 0], ["+", ["col", 1], ["const", 1]]], "input": joined}
+        proc = self.run_cli(tmp_path, query, [(0, [1, 5]), (4, [2, "x"])])
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "tx 4" in proc.stderr and "operator 'join+map'" in proc.stderr
 
     def test_min_over_mixed_column(self, tmp_path):
         agg = {"op": "aggregate", "agg": "min", "column": 1, "input": {"op": "rel", "name": "r"}}

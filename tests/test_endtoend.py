@@ -176,9 +176,17 @@ def view_queries(draw, depth=3, unary=UNARY_OPS, aggs=LINEAR_AGGS):
         out["right_key"] = [draw(st.integers(0, m - 1))]
     if op == "antijoin":
         return out, n
-    # keep joined rows narrow: two of their columns, from either side
-    cols = draw(st.lists(st.integers(0, n + m - 1), min_size=2, max_size=2))
-    return {"op": "project", "columns": cols, "input": out}, 2
+    # Keep joined rows narrow, by a project or map read straight off the
+    # join (the rewrite folds it into the join): one or two columns from
+    # either side, so rows merge and their weights add, or arithmetic over
+    # columns of both.
+    joined = st.integers(0, n + m - 1)
+    if draw(st.booleans()):
+        cols = draw(st.lists(joined, min_size=1, max_size=2))
+        return {"op": "project", "columns": cols, "input": out}, len(cols)
+    i, j = draw(joined), draw(joined)
+    exprs = [["%", ["+", ["col", i], ["*", ["col", j], ["const", 2]]], ["const", DOM]], ["-", ["col", j], ["col", i]]]
+    return {"op": "map", "exprs": exprs, "input": out}, 2
 
 
 def _window(q, ts_column, width):

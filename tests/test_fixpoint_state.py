@@ -125,6 +125,42 @@ class TestStepAtomicity:
                 assert _plain(c._state) == before, t
             assert as_z(c.step(inputs)["x"]) == as_z(fresh.step(inputs)["x"]), t
 
+    def test_tick_failing_after_the_block_ran_leaves_its_state(self):
+        """The closure over E runs, then the view's filter fails on the
+        string it derived: the block's parent-clock store is rolled back
+        with the parent tick, and the next tick matches a fresh circuit."""
+        doc = {
+            "relations": [{"name": "E", "columns": ["h", "t"]}],
+            "recursive": {
+                "relations": [{"name": "R", "columns": ["s", "t"]}],
+                "rules": [
+                    {"head": {"rel": "R", "terms": ["x", "y"]}, "body": [{"rel": "E", "terms": ["x", "y"]}]},
+                    {
+                        "head": {"rel": "R", "terms": ["x", "y"]},
+                        "body": [{"rel": "E", "terms": ["x", "z"]}, {"rel": "R", "terms": ["z", "y"]}],
+                    },
+                ],
+            },
+            "views": [
+                {
+                    "name": "v",
+                    "query": {"op": "filter", "predicate": [">", ["col", 1], ["const", 1]], "input": {"op": "rel", "name": "R"}},
+                }
+            ],
+        }
+        spec = compile_spec(doc)
+        c, fresh = (compile_circuits(spec, "incremental").incremental for _ in range(2))
+        base = {"E": ZSet({(1, 2): 1, (2, 3): 1})}
+        c.step(base)
+        fresh.step(base)
+        before = _plain(c._state)
+        with pytest.raises(TypeMismatchError, match="operator 'filter'"):
+            c.step({"E": ZSet({(3, "x"): 1})})
+        assert _plain(c._state) == before
+        nxt = {"E": ZSet({(0, 1): 1})}
+        got = as_z(c.step(nxt)["v"])
+        assert got == as_z(fresh.step(nxt)["v"]) == ZSet({(0, 2): 1, (0, 3): 1})
+
 
 RUN_LENGTH_DOC = {
     "relations": [

@@ -310,6 +310,28 @@ class TestIncrementalJoin:
         got = [as_z(c.step({"a": x, "b": y})["o"]) for x, y in zip(das, dbs)]
         assert got == brute_incremental(fn, das, dbs)
 
+    def test_folded_map_raises_only_on_rows_the_join_emits(self):
+        """A map folded into the join sees the pair of the deleted (1, 5)
+        and the inserted (1, "x"), whose two terms cancel: 5 + "x" must not
+        raise, as neither the reference nor the map on its own evaluates
+        it.  The same pair kept by the join raises in both modes."""
+        joined = {"op": "join", "left": {"op": "rel", "name": "r"}, "right": {"op": "rel", "name": "s"},
+                  "left_key": [0], "right_key": [0]}
+        query = {"op": "map", "exprs": [["col", 0], ["+", ["col", 1], ["col", 3]]], "input": joined}
+        spec = compile_spec({
+            "relations": [{"name": "r", "columns": ["a", "b"]}, {"name": "s", "columns": ["a", "c"]}],
+            "views": [{"name": "v", "query": query}],
+        })
+        base = Transaction(tx=0, changes={"r": ZSet({(1, 5): 1}), "s": ZSet({(1, 7): 1})})
+        cancels = Transaction(tx=1, changes={"r": ZSet({(1, 5): -1}), "s": ZSet({(1, "x"): 1})})
+        report = run_trace(compile_circuits(spec, "compare"), [base, cancels], "compare")
+        assert report.verdict == {"equal": True}
+        assert report.ticks[1]["changes"]["v"] == ZSet({(1, 12): -1})
+        kept = Transaction(tx=1, changes={"s": ZSet({(1, "x"): 1})})
+        for mode in ("incremental", "reference"):
+            with pytest.raises(ValidationError, match="unsupported operand"):
+                run_trace(compile_circuits(spec, mode), [base, kept], mode)
+
 
 class TestWindow:
     def test_direct_filter(self):

@@ -9,6 +9,7 @@ from deltaflow import (
     Circuit,
     CircuitError,
     ZSet,
+    compile_query,
     consolidate_distinct,
     deincrementalize_naive,
     incrementalize_naive,
@@ -25,6 +26,8 @@ from deltaflow.relational import (
     build_projection,
     build_union,
 )
+from deltaflow.runner import _closure_spec
+from deltaflow.specfile import compile_spec
 from oracles import as_z, brute_incremental
 
 
@@ -307,6 +310,37 @@ class TestAlgorithmPipeline:
         # the distinct's integral, one trace per join side, one probing join
         assert (integrals, traces, joins, hs) == (1, 2, 1, 1)
 
+    def test_join_point_census(self):
+        """A project read only off a join is folded into the join: the
+        join-point view (filter, join, project, distinct) compiles to 9
+        incremental nodes and no project, while the reference keeps it."""
+        reference, inc = compile_query(compile_spec(JOIN_POINT_DOC).circuit)
+        assert len(inc.nodes) == 9
+        assert sorted(inc.census().items()) == [
+            (("delay", ""), 1),
+            (("integrate", ""), 1),
+            (("lifted", "distinct_delta"), 1),
+            (("lifted", "filter"), 1),
+            (("lifted", "join"), 1),
+            (("source", ""), 2),
+            (("trace", ""), 2),
+        ]
+        assert [n.fn.op_name for n in inc.nodes if n.label == "join"] == ["join+project"]
+        assert reference.census()[("lifted", "project")] == 1
+
+    def test_nested_join_terms_carry_the_rule_head(self):
+        """In a recursive block the rule head's map is folded into the four
+        nested join terms; the reference's loop body keeps the map."""
+        reference, inc = compile_query(_closure_spec().circuit)
+
+        def body_joins(c):
+            (block,) = [n for n in c.nodes if n.kind == "nested"]
+            inner = block.meta["inner"]
+            return [(type(n.fn).__name__, n.fn.op_name) for n in inner.nodes if n.label == "join"]
+
+        assert body_joins(inc) == [("NestedJoinFn", "join+map")] * 4
+        assert body_joins(reference) == [("IncJoinFn", "join")]
+
     def test_identity_query(self):
         c = Circuit()
         s = c.add_source("s")
@@ -336,6 +370,39 @@ def _set_delta(rng, cur):
     dels = {r for r in cur if rng.random() < 0.25}
     delta = ZSet([(r, 1) for r in ins] + [(r, -1) for r in dels])
     return delta, (cur | ins) - dels
+
+
+# perfbench's join-point view: orders with amount >= 10, joined with their
+# customer, projected to (cust, region, amount) and made distinct.
+JOIN_POINT_DOC = {
+    "relations": [
+        {"name": "orders", "columns": ["id", "cust", "amount"], "types": ["int", "int", "int"]},
+        {"name": "customers", "columns": ["id", "region"], "types": ["int", "str"]},
+    ],
+    "views": [
+        {
+            "name": "customer_amounts",
+            "query": {
+                "op": "distinct",
+                "input": {
+                    "op": "project",
+                    "columns": [1, 4, 2],
+                    "input": {
+                        "op": "join",
+                        "left": {
+                            "op": "filter",
+                            "predicate": [">=", ["col", 2], ["const", 10]],
+                            "input": {"op": "rel", "name": "orders"},
+                        },
+                        "right": {"op": "rel", "name": "customers"},
+                        "left_key": [1],
+                        "right_key": [0],
+                    },
+                },
+            },
+        }
+    ],
+}
 
 
 def _fig_query():
