@@ -58,7 +58,6 @@ from .zset import (
     makeset,
     to_set,
     to_zset,
-    zset_add,
     zset_size,
 )
 

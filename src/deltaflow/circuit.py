@@ -637,45 +637,54 @@ class Circuit:
         out.copy_sinks(self, out.copy_nodes(self.nodes, {}))
         return out
 
-    def copy_nodes(self, nodes, mapping):
+    def copy_nodes(self, nodes, mapping, rule=None):
         """Copy nodes of another circuit, given in topological order, into
         this one; returns mapping (old node id -> new node id).
 
         Nodes already in mapping are not copied: callers seed it with what
-        replaces them.  Sources are declared again, feedback stubs are
-        connected once every node is copied, nested bodies are cloned onto
-        this circuit's metrics, and the delta0 entry and stream-sum exit keep
-        their roles.
+        replaces them.  rule, if given, is asked first for each node: it
+        returns the id of a node of this circuit that replaces the node
+        (mapping already holds its inputs' replacements), or None to copy it.
+        Sources are declared again, feedback stubs are connected once every
+        node is copied, and the delta0 entry and stream-sum exit keep their
+        roles.  A copy never moves a nested body out of its circuit: the body
+        is cloned onto this circuit's metrics.  A transform that owns its
+        circuit and only drops or reorders nodes rebuilds it in place instead
+        (rewrite._rebuild_topological), and the bodies move with their nodes.
         """
         pending = []
         for n in nodes:
             if n.id in mapping:
                 continue
-            if n.kind == "source":
-                nid = self.add_source(n.name, sort=n.meta.get("sort", "zset"), event=n.meta.get("event", False))
-            elif n.meta.get("feedback"):
-                nid = self.add_feedback(depth=n.depth, delayed=n.meta.get("delayed", True))
-                if n.inputs:
-                    pending.append((nid, n.inputs[0]))
-            else:
-                meta = dict(n.meta)
-                if n.kind == "nested":
-                    meta["inner"] = meta["inner"].clone()
-                    meta["inner"].metrics = self.metrics
-                # mapping's values are nodes of this circuit already; _add's range
-                # check on them made compile_circuits ~40% slower on a closure spec
-                nid = len(self.nodes)
-                inputs = [mapping[i] for i in n.inputs]
-                self.nodes.append(Node(nid, n.kind, inputs, n.depth, n.fn, n.label, n.klass, meta=meta))
-                if n.kind == "delta0":
-                    self.entry_id = nid
-                elif n.kind == "stream_sum":
-                    self.sum_id = nid
-            mapping[n.id] = nid
+            nid = None if rule is None else rule(n)
+            mapping[n.id] = self._copy_node(n, mapping, pending) if nid is None else nid
         for stub, old_from in pending:
             self.connect_feedback(mapping[old_from], stub)
         self._validated = False
         return mapping
+
+    def _copy_node(self, n, mapping, pending):
+        if n.kind == "source":
+            return self.add_source(n.name, sort=n.meta.get("sort", "zset"), event=n.meta.get("event", False))
+        if n.meta.get("feedback"):
+            nid = self.add_feedback(depth=n.depth, delayed=n.meta.get("delayed", True))
+            if n.inputs:
+                pending.append((nid, n.inputs[0]))
+            return nid
+        meta = dict(n.meta)
+        if n.kind == "nested":
+            meta["inner"] = meta["inner"].clone()
+            meta["inner"].metrics = self.metrics
+        # mapping's values are nodes of this circuit already; _add's range
+        # check on them made compile_circuits ~40% slower on a closure spec
+        nid = len(self.nodes)
+        inputs = [mapping[i] for i in n.inputs]
+        self.nodes.append(Node(nid, n.kind, inputs, n.depth, n.fn, n.label, n.klass, meta=meta))
+        if n.kind == "delta0":
+            self.entry_id = nid
+        elif n.kind == "stream_sum":
+            self.sum_id = nid
+        return nid
 
     def copy_sinks(self, c, mapping):
         """Declare every sink of circuit c on the node mapping gives for it."""
@@ -749,18 +758,11 @@ def lift_circuit(c):
     the original circuit independently to each row of a nested stream.
     """
     c.validate()
-    out = Circuit(level=c.level, inner=c.is_inner)
-    for n in c.nodes:
+    out = c.clone()
+    for n in out.nodes:
         if n.kind == "nested":
             raise CircuitError("cannot vector-lift a circuit containing nested domains")
-        fn = LiftedVectorFn(n.fn) if n.kind == "lifted" else n.fn
-        meta = dict(n.meta)
+        n.depth += 1
         if n.kind == "lifted":
-            meta.setdefault("base_fn", n.fn)
-        out.nodes.append(
-            Node(n.id, n.kind, n.inputs, depth=n.depth + 1, fn=fn, label=n.label, klass=n.klass, name=n.name, meta=meta)
-        )
-    out.sources = dict(c.sources)
-    out.sinks = dict(c.sinks)
-    out.event_sinks = set(c.event_sinks)
+            n.fn = LiftedVectorFn(n.fn)
     return out

@@ -563,9 +563,7 @@ def build_inc_distinct(c: Circuit, d, depth=None):
     depth = c.level if depth is None else depth
     i = c.add_integrate(d, depth=depth)
     z = c.add_delay(i, depth=depth)
-    h = c.add_lifted(DistinctDeltaFn(), [z, d], klass=GENERAL, label="distinct_delta")
-    c.nodes[h].meta["inc_distinct_input"] = d
-    return h
+    return c.add_lifted(DistinctDeltaFn(), [z, d], klass=GENERAL, label="distinct_delta")
 
 
 def build_inc_join(c: Circuit, a, b, key_a, key_b, depth=None, fn=None):

@@ -1,11 +1,13 @@
 """Circuit-to-circuit transforms: distinct consolidation, naive
 incrementalization, and the chain-rule optimizer, chained by compile_query.
 
-The optimizer walks a naively incrementalized circuit and rebuilds it so that
+The optimizer copies a naively incrementalized circuit node by node
+(Circuit.copy_nodes) through a table of rewrite rules (_delta_node), so that
 every edge carries changes instead of snapshots:
 
-* linear and delay-class nodes are their own incremental versions and copy
-  over unchanged;
+* by default a node is copied unchanged: linear, delay-class and boundary
+  nodes (sources, delta0, stream-sum) are their own incremental versions;
+* an integrate/differentiate bracket is dropped, as its delta is its input;
 * a linear map (project or map) that is all that reads an equi-join or
   cartesian product is folded into it first: a linear operator distributes
   over a bilinear one, so the join emits mapped rows (JoinFn.then), here and
@@ -24,7 +26,7 @@ every edge carries changes instead of snapshots:
   change.  The state the old body kept for them is left unread and dropped.
 """
 
-from .circuit import BILINEAR, GENERAL, LINEAR, Circuit, _STATEFUL_KINDS
+from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
 from .errors import CircuitError
 from .relational import (
     IncJoinFn,
@@ -144,8 +146,7 @@ def optimize(c):
     c = c.clone()
     _fold_maps_into_joins(c)
     out = Circuit(level=c.level)
-    seeds = out.copy_nodes([n for n in c.nodes if n.kind == "source"], {})
-    out.copy_sinks(c, _delta_compile(c, out, seeds, bracket_depth=c.level))
+    out.copy_sinks(c, _delta_compile(c, out, bracket_depth=c.level))
     return _rebuild_topological(out)
 
 
@@ -172,76 +173,43 @@ def _fold_maps_into_joins(c):
             _redirect(c, n.id, j.id)
 
 
-def _delta_compile(src, out, dmap, bracket_depth):
-    """Map every node of src to a node of out computing its delta stream.
-
-    dmap is seeded with the circuit's inputs and mutated in place.
-    """
-    pending_feedback = []
-    for n in src.nodes:
-        if n.id in dmap:
-            continue
-        dmap[n.id] = _delta_node(src, out, n, dmap, bracket_depth, pending_feedback)
-    for stub, old_from in pending_feedback:
-        out.connect_feedback(dmap[old_from], stub)
-    return dmap
+def _delta_compile(src, out, bracket_depth):
+    """Copy src into out through the rewrite rules, so that every node of
+    out computes the delta stream of the node of src it stands for; returns
+    the mapping from src's node ids to out's."""
+    dmap = {}
+    return out.copy_nodes(src.nodes, dmap, lambda n: _delta_node(src, out, n, dmap, bracket_depth))
 
 
-def _delta_node(src, out, n, dmap, bracket_depth, pending_feedback):
-    kind = n.kind
-
+def _delta_node(src, out, n, dmap, bracket_depth):
+    """The rewrite rule for node n, or None: n is copied, as linear,
+    delay-class and boundary nodes are their own incremental versions."""
     if n.meta.get("bracket") in ("i", "d"):
         return dmap[n.inputs[0]]  # the delta of an integral/derivative bracket is its input
 
-    if kind == "source":
-        raise CircuitError("sources must be seeded before delta compilation")
-
-    if kind == "delta0":
-        return out.add_delta0(depth=n.depth)
-
-    if kind == "stream_sum":
-        return out.add_stream_sum(
-            dmap[n.inputs[0]],
-            termination=n.meta.get("termination"),
-            max_iterations=n.meta.get("cap"),
-        )
-
-    if kind == "plus":
-        return out.add_plus([dmap[i] for i in n.inputs])
-
-    if kind == "negate":
-        return out.add_negate(dmap[n.inputs[0]])
-
-    if kind in _STATEFUL_KINDS:
-        if n.meta.get("feedback"):
-            nid = out.add_feedback(depth=n.depth, delayed=n.meta.get("delayed", True))
-            if n.inputs:
-                pending_feedback.append((nid, n.inputs[0]))
-            return nid
-        meta = {"index_key": n.meta["index_key"]} if n.kind == "trace" else {}
-        return out._add(n.kind, (dmap[n.inputs[0]],), depth=n.depth, klass=n.klass, meta=meta)
-
-    if kind == "nested":
+    if n.kind == "nested":
         return _delta_nested(out, n, dmap, bracket_depth)
 
-    if kind == "window":
+    if n.kind == "window":
         wf = build_window(out, dmap[n.inputs[0]], dmap[n.inputs[1]], n.meta["window"])
         return out.add_differentiate(wf, depth=bracket_depth)
 
-    if kind == "lifted":
-        return _delta_lifted(src, out, n, dmap, bracket_depth)
+    if n.kind == "window_fold":
+        raise CircuitError(f"no incremental rewrite for node kind {n.kind!r}")
 
-    raise CircuitError(f"no incremental rewrite for node kind {kind!r}")
+    if n.kind == "lifted" and n.klass != LINEAR:
+        return _delta_lifted(src, out, n, dmap, bracket_depth)
+    return None
 
 
 def _delta_lifted(src, out, n, dmap, bracket_depth):
-    fn = n.meta.get("base_fn", n.fn)
+    fn = n.fn
     ins = [dmap[i] for i in n.inputs]
 
     if n.label == "distinct_delta":
         # Incremental distinct seen one clock level up: a two-axis trace of
         # the change, probed only at the elements this tick touched.
-        d = dmap[n.meta["inc_distinct_input"]]
+        d = ins[1]  # DistinctDeltaFn reads (delayed integral, change)
         r = out.add_trace(d, depth=bracket_depth)
         return out.add_lifted(NestedDistinctDeltaFn(), [r, d], klass=GENERAL, label="distinct_delta")
 
@@ -254,9 +222,6 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
     if n.label == "stream_join":
         tr = out.add_trace(ins[0], depth=bracket_depth, index_key=fn.key_left)
         return out.add_lifted(StreamJoinFn(fn), [tr, ins[1]], klass=BILINEAR, label="stream_join")
-
-    if n.klass == LINEAR:
-        return out.add_lifted(fn, ins, klass=LINEAR, label=n.label)
 
     if n.klass == BILINEAR:
         return build_inc_join(out, ins[0], ins[1], None, None, depth=bracket_depth, fn=fn)
@@ -298,12 +263,10 @@ def _delta_nested(out, n, dmap, bracket_depth):
     if any(x.meta.get("bracket") == "i" for x in inner_old.nodes):
         inner_old = loop_incrementalize(inner_old)
     nid, inner_new = out.add_nested(dmap[n.inputs[0]])
-    _delta_compile(inner_old, inner_new, {}, bracket_depth=inner_new.level - 1)
+    _delta_compile(inner_old, inner_new, bracket_depth=inner_new.level - 1)
     # Drop the old body's state that the nested rewrites read through (an
     # incremental join's traces, an incremental distinct's integral).
-    body = _rebuild_topological(inner_new)
-    body.metrics = out.metrics
-    out.nodes[nid].meta["inner"] = body
+    _rebuild_topological(inner_new)
     return nid
 
 
@@ -314,8 +277,7 @@ def loop_incrementalize(inner):
     carries per-iteration changes instead of growing snapshots.
     """
     out = Circuit(level=inner.level, inner=True)
-    seeds = {}
-    _delta_compile(inner, out, seeds, bracket_depth=inner.level)
+    _delta_compile(inner, out, bracket_depth=inner.level)
     return out
 
 
@@ -430,10 +392,12 @@ def _redirect(c, old, new):
 
 
 def _rebuild_topological(c):
-    """Re-emit nodes so ids are again a topological order, dropping dead ones.
+    """Renumber c's nodes in place so ids are again a topological order,
+    dropping the ones nothing reads (sources included); returns c.
 
-    Feedback stubs impose no ordering constraint on their own input edge (it
-    resolves at end of tick), which is exactly why legal cycles sort.
+    Nested bodies move with their nodes.  Feedback stubs impose no ordering
+    constraint on their own input edge (it resolves at end of tick), which
+    is exactly why legal cycles sort.
     """
     import heapq
 
@@ -471,6 +435,13 @@ def _rebuild_topological(c):
     if len(order) != len(reach):
         raise CircuitError("cycle without a strict (delay) operator")
 
-    out = Circuit(level=c.level, inner=c.is_inner)
-    out.copy_sinks(c, out.copy_nodes([c.nodes[nid] for nid in order], {}))
-    return out
+    new = {old: i for i, old in enumerate(order)}
+    c.nodes = [c.nodes[old] for old in order]
+    for n in c.nodes:
+        n.id = new[n.id]
+        n.inputs = tuple(new[i] for i in n.inputs)
+    c.sources = {name: new[nid] for name, nid in c.sources.items() if nid in new}
+    c.sinks = {name: new[nid] for name, nid in c.sinks.items()}
+    c.entry_id, c.sum_id = (None if x is None else new[x] for x in (c.entry_id, c.sum_id))
+    c._validated = False
+    return c

@@ -62,6 +62,8 @@ def parse_transaction(obj, relations, where):
     tx = obj["tx"]
     if not isinstance(tx, int):
         raise ValidationError(f"{where}: 'tx' must be an integer")
+    if type(obj["changes"]) is not list:
+        raise ValidationError(f"{where}: 'changes' must be a list")
     changes = {}  # relation -> {row: weight}, consolidated as the line is read
     declared = {}  # relation -> (column types, row checker)
     overflow = None  # the first weight or partial sum outside 64 bits
@@ -69,6 +71,8 @@ def parse_transaction(obj, relations, where):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValidationError(f"{where}: change {i} must be [relation, [values...], weight]")
         rel, values, weight = entry
+        if type(values) is not list or type(rel) is not str:
+            raise ValidationError(f"{where}: change {i} needs a relation name and a list of values")
         if relations is None:
             types = (None,) * len(values)
             check = None
@@ -85,7 +89,7 @@ def parse_transaction(obj, relations, where):
                 raise ValidationError(f"{where}: relation {rel!r} expects {len(types)} values, got {len(values)}")
         if not isinstance(weight, int) or isinstance(weight, bool) or weight == 0:
             raise ValidationError(f"{where}: weight must be a nonzero integer")
-        row = check(values) if check is not None and type(values) is list else None
+        row = check(values) if check is not None else None
         if row is None:
             row = tuple(_coerce_value(v, t, f"{where}: relation {rel!r}") for v, t in zip(values, types))
         rows = changes.get(rel)

@@ -168,10 +168,6 @@ class ZSet:
         return f"ZSet({{{inner}}})"
 
 
-def zset_add(a, b):
-    return a + b
-
-
 def zset_size(m):
     """Number of elements with nonzero weight."""
     return len(m)

@@ -249,6 +249,22 @@ class TestExitCodes:
         )
         assert main(["run", "--spec", sp, "--trace", tp, "--mode", "reference"]) == 5
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            {"tx": 0, "changes": 5},
+            {"tx": 0, "changes": [["t1", 5, 1]]},
+            {"tx": 0, "changes": [["t1", "abc", 1]]},
+            {"tx": 0, "changes": [[["t1"], [1, 2, 3], 1]]},
+        ],
+    )
+    def test_malformed_change_is_2(self, line, tmp_path, capsys):
+        tp = write(tmp_path, "t.ndjson", jline(line))
+        assert main(["run", "--spec", str(FIG_SPEC), "--trace", tp, "--out", str(tmp_path / "o")]) == 2
+        assert f"{tp}:1:" in capsys.readouterr().err
+        with pytest.raises(ValidationError):
+            load_trace(tp)  # no declared relations
+
     def test_validate_ok(self, capsys):
         assert main(["validate", "--spec", str(FIG_SPEC), "--trace", str(FIG_TRACE)]) == 0
         out = capsys.readouterr().out

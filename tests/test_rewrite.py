@@ -8,6 +8,7 @@ import pytest
 from deltaflow import (
     Circuit,
     CircuitError,
+    NonTerminationError,
     ZSet,
     compile_query,
     consolidate_distinct,
@@ -23,6 +24,7 @@ from deltaflow.relational import (
     build_filter,
     build_inc_distinct,
     build_inc_join,
+    build_map,
     build_projection,
     build_union,
 )
@@ -340,6 +342,53 @@ class TestAlgorithmPipeline:
 
         assert body_joins(inc) == [("NestedJoinFn", "join+map")] * 4
         assert body_joins(reference) == [("IncJoinFn", "join")]
+
+    def test_compile_clones_each_nested_body_at_most_three_times(self, monkeypatch):
+        """consolidate_distinct's copy, the reference's brackets and
+        optimize's copy; every rebuild moves the body it owns."""
+        circuit = _closure_spec().circuit
+        clones = []
+        clone = Circuit.clone
+
+        def counted(c):
+            if c.is_inner:
+                clones.append(c)
+            return clone(c)
+
+        monkeypatch.setattr(Circuit, "clone", counted)
+        compile_query(circuit)
+        assert len(clones) <= 3
+
+    def test_stream_sum_termination_and_cap_survive(self):
+        """A custom termination predicate stops the incremental loop at the
+        reference's iteration, and the iteration cap still holds."""
+
+        def counting_loop(termination, cap):
+            # each iteration adds 1 to the fed-back rows: no fixpoint
+            c = Circuit()
+            s = c.add_source("s")
+            block, inner = c.add_nested(s)
+            fb = inner.add_feedback()
+            step = build_map(inner, inner.add_plus([inner.add_delta0(), fb]), lambda row: (row[0] + 1,))
+            inner.connect_feedback(step, fb)
+            inner.add_stream_sum(step, termination=termination, max_iterations=cap)
+            c.add_sink(block, "o")
+            return compile_query(c)
+
+        reference, inc = counting_loop(lambda v: (3,) in as_z(v), 100)
+        tick = {"s": ZSet([((0,), 1)])}
+        assert as_z(inc.step(tick)["o"]) == as_z(reference.step(tick)["o"]) == ZSet([((1,), 1), ((2,), 1), ((3,), 1)])
+        assert inc.metrics.iterations == reference.metrics.iterations == 3
+        asked = []
+
+        def never(v):
+            asked.append(v)
+            assert len(asked) <= 5, "the loop ran past its cap"
+            return False
+
+        _, inc = counting_loop(never, 5)
+        with pytest.raises(NonTerminationError, match="exceeded 5 iterations"):
+            inc.step(tick)
 
     def test_identity_query(self):
         c = Circuit()
