@@ -37,8 +37,9 @@ from .rewrite import (
     incrementalize_query,
     optimize,
 )
+from .runner import RunReport
 from .specfile import CircuitSpec, compile_spec, load_spec
-from .trace import RunReport, Transaction, load_trace
+from .trace import Transaction, load_trace
 from .zset import (
     IndexedZSet,
     ZSet,

@@ -1,17 +1,20 @@
 """Batch command line: run / compare / validate / bench.
 
 Exit codes: 0 success, 2 validation error, 3 divergence, 4 iteration cap,
-5 weight overflow.
+5 weight overflow.  `run` and `compare` read the trace line by line and write
+each transaction's output and metrics lines as it is stepped, so a failure
+keeps every line of the transactions before it.
 """
 
 import argparse
+import contextlib
 import json
 import sys
 
 from .errors import DeltaflowError
-from .runner import bench_closure, bench_join, check_verdict, compile_circuits, run_trace
+from .runner import RunReport, bench_closure, bench_join, check_verdict, compile_circuits
 from .specfile import load_spec
-from .trace import dump_metrics, load_trace
+from .trace import dump_metrics, dump_transaction, load_trace
 
 
 def _build_parser():
@@ -54,14 +57,23 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
+def _open(path, default=None):
+    return open(path, "w") if path else contextlib.nullcontext(default)
+
+
 def _cmd_run(args, mode):
     spec = load_spec(args.spec)
-    trace = load_trace(args.trace, spec.relations)
     cs = compile_circuits(spec, mode=mode, max_iterations=args.max_iterations)
-    report = run_trace(cs, trace, mode)
-    _emit(report.to_jsonl(), args.out)
-    if args.metrics_out:
-        _emit(dump_metrics(report), args.metrics_out)
+    report = RunReport(cs, load_trace(args.trace, spec.relations), mode)
+    with _open(args.out, sys.stdout) as out, _open(args.metrics_out) as met:
+        for tx, changes, metrics in report:
+            out.write(dump_transaction(tx, changes))
+            out.flush()
+            if met:
+                met.write(dump_metrics(metrics))
+                met.flush()
+        if met:
+            met.write(dump_metrics(report.summary()))
     check_verdict(report)
     return 0
 
@@ -69,7 +81,8 @@ def _cmd_run(args, mode):
 def _cmd_validate(args):
     spec = load_spec(args.spec)
     if args.trace:
-        load_trace(args.trace, spec.relations)
+        for _ in load_trace(args.trace, spec.relations):
+            pass
     sys.stdout.write(
         json.dumps(
             {

@@ -60,12 +60,6 @@ class Schema:
     def arity(self):
         return len(self.columns)
 
-    def column_index(self, name):
-        try:
-            return self.columns.index(name)
-        except ValueError:
-            raise ValidationError(f"unknown column {name!r}")
-
 
 @dataclass(frozen=True)
 class WindowSpec:

@@ -277,6 +277,7 @@ def loop_incrementalize(inner):
     carries per-iteration changes instead of growing snapshots.
     """
     out = Circuit(level=inner.level, inner=True)
+    out.metrics = inner.metrics  # the body counts on its parent's counter
     _delta_compile(inner, out, bracket_depth=inner.level)
     return out
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from .errors import DivergenceError, NonTerminationError, ValidationError, WeightOverflowError
 from .groupval import ZERO
 from .rewrite import compile_query
-from .trace import RunReport
 from .zset import ZSet
 
 MODES = ("incremental", "reference", "compare")
@@ -69,51 +68,54 @@ def _step_circuit(circuit, inputs, tx):
     return out, {"tuples": m.tuples - t0, "iterations": m.iterations - i0, "wall_ns": wall}
 
 
-def run_trace(cs, trace, mode):
-    """Run a trace in one of the three modes, producing per-tick view deltas.
+class RunReport:
+    """A run of a trace in one of the three modes, stepped as it is iterated.
 
-    Compare mode runs both pipelines and records the first divergence.
+    Each iteration steps one transaction and yields (tx, {view: ZSet},
+    metrics).  The report keeps only the running totals and, in compare
+    mode, the verdict on the first divergence, so a run holds operator
+    state and one transaction's output whatever the trace's length.
     """
-    if mode not in MODES:
-        raise ValidationError(f"unknown mode {mode!r}")
-    spec = cs.spec
-    report = RunReport(mode=mode)
-    verdict = {"equal": True} if mode == "compare" else None
-    for t in trace:
-        inputs = _tick_inputs(spec, t)
-        tick = {"tx": t.tx, "changes": {}}
-        metrics = {"tx": t.tx}
-        if mode in ("incremental", "compare"):
-            out_inc, m = _step_circuit(cs.incremental, inputs, t.tx)
-            metrics.update(m)
-        if mode in ("reference", "compare"):
-            out_ref, m = _step_circuit(cs.reference, inputs, t.tx)
-            if mode == "reference":
+
+    def __init__(self, cs, trace, mode):
+        if mode not in MODES:
+            raise ValidationError(f"unknown mode {mode!r}")
+        self.cs, self.trace, self.mode = cs, trace, mode
+        self.totals = {"total_tuples": 0, "total_iterations": 0, "total_wall_ns": 0}
+        self.verdict = {"equal": True} if mode == "compare" else None
+
+    def summary(self):
+        """The totals line: running sums, plus the verdict in compare mode."""
+        return self.totals if self.verdict is None else {**self.totals, "compare": self.verdict}
+
+    def __iter__(self):
+        cs, mode, totals, views = self.cs, self.mode, self.totals, self.cs.spec.view_names
+        for t in self.trace:
+            inputs = _tick_inputs(cs.spec, t)
+            metrics = {"tx": t.tx}
+            if mode != "reference":
+                out_inc, m = _step_circuit(cs.incremental, inputs, t.tx)
                 metrics.update(m)
-            else:
-                metrics["reference_tuples"] = m["tuples"]
-                metrics["reference_iterations"] = m["iterations"]
-                metrics["reference_wall_ns"] = m["wall_ns"]
-        primary = out_inc if mode in ("incremental", "compare") else out_ref
-        for view in spec.view_names:
-            tick["changes"][view] = _as_zset_out(primary[view])
-        if mode == "compare" and verdict["equal"]:
-            for view in spec.view_names:
-                a = _as_zset_out(out_inc[view])
-                b = _as_zset_out(out_ref[view])
-                if a != b:
-                    verdict = {
-                        "equal": False,
-                        "tx": t.tx,
-                        "view": view,
-                        "incremental": [[list(r) if type(r) is tuple else [r], w] for r, w in a.items()],
-                        "reference": [[list(r) if type(r) is tuple else [r], w] for r, w in b.items()],
-                    }
-                    break
-        report.ticks.append(tick)
-        report.metrics.append(metrics)
-    report.verdict = verdict
-    return report
+            if mode != "incremental":
+                out_ref, m = _step_circuit(cs.reference, inputs, t.tx)
+                metrics.update(m if mode == "reference" else {f"reference_{k}": v for k, v in m.items()})
+            primary = out_ref if mode == "reference" else out_inc
+            changes = {view: _as_zset_out(primary[view]) for view in views}
+            if mode == "compare" and self.verdict["equal"]:
+                for view in views:
+                    a, b = changes[view], _as_zset_out(out_ref[view])
+                    if a != b:
+                        self.verdict = {
+                            "equal": False,
+                            "tx": t.tx,
+                            "view": view,
+                            "incremental": [[list(r) if type(r) is tuple else [r], w] for r, w in a.items()],
+                            "reference": [[list(r) if type(r) is tuple else [r], w] for r, w in b.items()],
+                        }
+                        break
+            for k in ("tuples", "iterations", "wall_ns"):
+                totals[f"total_{k}"] += metrics[k]
+            yield t.tx, changes, metrics
 
 
 def check_verdict(report):
@@ -180,10 +182,11 @@ def bench_join(base_size, delta_size, seed, ticks=8):
         rows = ZSet([((next_id + j, rng.randrange(base_size // 2 + 1)), 1) for j in range(delta_size)])
         next_id += delta_size
         txs.append(Transaction(tx=k, changes={"orders": rows}))
-    report = run_trace(cs, txs, "compare")
+    report = RunReport(cs, txs, "compare")
+    metrics = [m for _, _, m in report][1:]
     check_verdict(report)
-    inc = sum(m["wall_ns"] for m in report.metrics[1:]) / ticks
-    ref = sum(m["reference_wall_ns"] for m in report.metrics[1:]) / ticks
+    inc = sum(m["wall_ns"] for m in metrics) / ticks
+    ref = sum(m["reference_wall_ns"] for m in metrics) / ticks
     return {
         "workload": "join",
         "base_size": base_size,
@@ -239,9 +242,9 @@ def bench_closure(n_nodes, delta_edges, seed):
     edges = random_graph(n_nodes, n_nodes, rng)
     base = Transaction(tx=0, changes={"E": ZSet([(e, 1) for e in edges])})
     fresh = [e for e in random_graph(n_nodes, n_nodes + delta_edges, rng) if e not in edges][:delta_edges]
-    report = run_trace(cs, [base, Transaction(tx=1, changes={"E": ZSet([(e, 1) for e in fresh])})], "compare")
+    report = RunReport(cs, [base, Transaction(tx=1, changes={"E": ZSet([(e, 1) for e in fresh])})], "compare")
+    m = [m for _, _, m in report][1]
     check_verdict(report)
-    m = report.metrics[1]
     return {
         "workload": "closure",
         "nodes": n_nodes,

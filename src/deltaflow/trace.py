@@ -1,9 +1,9 @@
-"""Change traces and run reports: newline-delimited JSON, one transaction per
+"""Change traces and run outputs: newline-delimited JSON, one transaction per
 line, canonical ordering so outputs are byte-stable."""
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
@@ -14,20 +14,6 @@ from .zset import WEIGHT_MAX, WEIGHT_MIN, ZSet, canonical_keys, check_weight, va
 class Transaction:
     tx: int
     changes: dict  # relation name -> ZSet
-
-
-@dataclass
-class RunReport:
-    mode: str
-    ticks: list = field(default_factory=list)  # [{"tx": id, "changes": {view: ZSet}}]
-    metrics: list = field(default_factory=list)
-    verdict: dict = None  # compare mode only
-
-    def to_jsonl(self):
-        lines = []
-        for t in self.ticks:
-            lines.append(dump_transaction(t["tx"], t["changes"]))
-        return "".join(lines)
 
 
 def _coerce_value(v, decl_type, where):
@@ -110,7 +96,7 @@ def parse_transaction(obj, relations, where):
 
 
 def load_trace(path, relations=None):
-    txs = []
+    """Yield the trace's transactions one line at a time."""
     last_tx = None
     try:
         f = open(path)
@@ -129,8 +115,7 @@ def load_trace(path, relations=None):
             if last_tx is not None and t.tx <= last_tx:
                 raise ValidationError(f"{path}:{lineno}: transaction ids must be strictly increasing")
             last_tx = t.tx
-            txs.append(t)
-    return txs
+            yield t
 
 
 def _json_value(v):
@@ -140,29 +125,24 @@ def _json_value(v):
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_json_value, check_circular=False)
+DUMP_BATCH_ROWS = 256  # rows encoded per call: the encoder's chunks stay bounded
+
+
 def dump_transaction(tx, changes):
     """One canonical NDJSON line: relations sorted by name, tuples in
-    canonical order, weights as signed decimal integers."""
-    out = []
+    canonical order, weights as signed decimal integers.  Rows are encoded
+    DUMP_BATCH_ROWS at a time and the pieces joined."""
+    parts = []
     for rel in sorted(changes):
         d = changes[rel]._entries
-        out += [[rel, row if type(row) is tuple else [row], d[row]] for row in canonical_keys(d)]
-    line = json.dumps(
-        {"tx": tx, "changes": out}, sort_keys=True, separators=(",", ":"), default=_json_value, check_circular=False
-    )
-    return line + "\n"
+        keys = canonical_keys(d)
+        for i in range(0, len(keys), DUMP_BATCH_ROWS):
+            batch = [[rel, row if type(row) is tuple else [row], d[row]] for row in keys[i : i + DUMP_BATCH_ROWS]]
+            parts.append(_ENCODER.encode(batch)[1:-1])
+    return f'{{"changes":[{",".join(parts)}],"tx":{_ENCODER.encode(tx)}}}\n'
 
 
-def dump_metrics(report):
-    lines = []
-    for m in report.metrics:
-        lines.append(json.dumps(m, sort_keys=True, separators=(",", ":")) + "\n")
-    total = {
-        "total_tuples": sum(m["tuples"] for m in report.metrics),
-        "total_iterations": sum(m["iterations"] for m in report.metrics),
-        "total_wall_ns": sum(m["wall_ns"] for m in report.metrics),
-    }
-    if report.verdict is not None:
-        total["compare"] = report.verdict
-    lines.append(json.dumps(total, sort_keys=True, separators=(",", ":")) + "\n")
-    return "".join(lines)
+def dump_metrics(record):
+    """One metrics line: a transaction's counters or the run's totals."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from deltaflow import ZSet
+from deltaflow import RunReport, ZSet
+
+
+def run_all(cs, trace, mode):
+    """Step a whole trace: the report (totals, verdict) and the list of
+    (tx, {view: ZSet}, metrics) it yielded."""
+    report = RunReport(cs, trace, mode)
+    return report, list(report)
 
 scalars = st.one_of(
     st.integers(min_value=-50, max_value=50),

@@ -4,14 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from deltaflow import DivergenceError, ValidationError, ZSet, load_spec, load_trace
 from deltaflow.cli import main
-from deltaflow.runner import check_verdict, compile_circuits, run_trace
+from conftest import run_all
+from deltaflow.runner import check_verdict, compile_circuits
 from deltaflow.specfile import compile_spec
-from deltaflow.trace import dump_transaction
+from deltaflow.trace import DUMP_BATCH_ROWS, _json_value, dump_transaction
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -73,13 +76,13 @@ class TestLoadTrace:
     def test_empty_trace(self, tmp_path):
         spec = load_spec(str(FIG_SPEC))
         p = write(tmp_path, "t.ndjson", "\n")
-        assert load_trace(p, spec.relations) == []
+        assert list(load_trace(p, spec.relations)) == []
 
     def test_arity_mismatch_names_relation_and_line(self, tmp_path):
         spec = load_spec(str(FIG_SPEC))
         p = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": [["t1", [1, 2], 1]]}))
         with pytest.raises(ValidationError) as e:
-            load_trace(p, spec.relations)
+            list(load_trace(p, spec.relations))
         msg = str(e.value)
         assert "t1" in msg and ":1" in msg
 
@@ -93,13 +96,13 @@ class TestLoadTrace:
         for case in cases:
             p = write(tmp_path, "t.ndjson", json.dumps(case) + "\n")
             with pytest.raises(ValidationError):
-                load_trace(p, spec.relations)
+                list(load_trace(p, spec.relations))
 
     def test_type_checking(self, tmp_path):
         spec = load_spec(str(FIG_SPEC))
         p = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": [["t1", [1, "x", 3], 1]]}))
         with pytest.raises(ValidationError):
-            load_trace(p, spec.relations)
+            list(load_trace(p, spec.relations))
 
     def test_tx_must_increase(self, tmp_path):
         spec = load_spec(str(FIG_SPEC))
@@ -109,13 +112,13 @@ class TestLoadTrace:
             jline({"tx": 1, "changes": []}) + jline({"tx": 1, "changes": []}),
         )
         with pytest.raises(ValidationError):
-            load_trace(p, spec.relations)
+            list(load_trace(p, spec.relations))
 
     def test_parse_error_line_number(self, tmp_path):
         spec = load_spec(str(FIG_SPEC))
         p = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": []}) + "{oops\n")
         with pytest.raises(ValidationError) as e:
-            load_trace(p, spec.relations)
+            list(load_trace(p, spec.relations))
         assert ":2" in str(e.value)
 
 
@@ -179,26 +182,136 @@ class TestRoundTrip:
         spec = load_spec(str(FIG_SPEC))
         trace = load_trace(str(FIG_TRACE), spec.relations)
         cs = compile_circuits(spec, mode="incremental")
-        report = run_trace(cs, trace, "incremental")
-        text = report.to_jsonl()
+        _, ticks = run_all(cs, trace, "incremental")
+        text = "".join(dump_transaction(tx, changes) for tx, changes, _ in ticks)
         p = write(tmp_path, "replay.ndjson", text)
-        replayed = load_trace(p)  # view deltas re-read as a change trace
-        assert len(replayed) == len(report.ticks)
-        for got, want in zip(replayed, report.ticks):
-            assert got.changes.get("v", ZSet()) == want["changes"]["v"]
+        replayed = list(load_trace(p))  # view deltas re-read as a change trace
+        assert len(replayed) == len(ticks)
+        for got, (_, want, _) in zip(replayed, ticks):
+            assert got.changes.get("v", ZSet()) == want["v"]
         # serializing again is byte-identical
         again = "".join(dump_transaction(t.tx, t.changes) for t in replayed)
         assert again == text
+
+
+def one_shot_dump(tx, changes):
+    """The transaction line encoded by a single json.dumps call."""
+    out = [[rel, list(row) if type(row) is tuple else [row], w] for rel in sorted(changes) for row, w in changes[rel].items()]
+    return json.dumps({"tx": tx, "changes": out}, sort_keys=True, separators=(",", ":"), default=_json_value) + "\n"
+
+
+class TestBatchedDump:
+    """dump_transaction encodes DUMP_BATCH_ROWS rows at a time; its line is
+    byte for byte the one a single json.dumps of every row gives."""
+
+    @pytest.mark.parametrize("n", [1, DUMP_BATCH_ROWS - 1, DUMP_BATCH_ROWS, DUMP_BATCH_ROWS + 1, 3 * DUMP_BATCH_ROWS + 7])
+    def test_rows_spanning_batches(self, n):
+        changes = {"r": ZSet({(i, f"s{i % 17}"): (-1) ** i * (1 + i % 3) for i in range(n)})}
+        assert dump_transaction(n, changes) == one_shot_dump(n, changes)
+
+    def test_values_and_relations(self):
+        names = ["Zoë", "日本語", "𝄞 clef", 'say "hi"', "back\\slash", "tab\there", "new\nline", "\x00\x1f", "", "a/b"]
+        changes = {
+            "text": ZSet({(i, s): 1 + i for i, s in enumerate(names * 60)}),
+            "exact": ZSet({(Fraction(4, 2),): 1, (Fraction(1, 3),): -2, (Fraction(-7, 1), Fraction(5, 4)): 3}),
+            "floats": ZSet({(1.5,): 1, (-0.0, 2): -1, (1e300, -2.5e-300): 4, (0.1,): -9}),
+            "scalars": ZSet({5: 1, "x": -3, 2.5: 2, Fraction(9, 3): -1}),
+            "empty": ZSet(),
+            "big": ZSet({(i,): 2**62 if i % 2 else -(2**62) for i in range(2 * DUMP_BATCH_ROWS + 3)}),
+        }
+        for tx in (0, 7, 2**40):
+            assert dump_transaction(tx, changes) == one_shot_dump(tx, changes)
+        assert dump_transaction(3, {"empty": ZSet()}) == one_shot_dump(3, {"empty": ZSet()}) == '{"changes":[],"tx":3}\n'
+        assert dump_transaction(4, {}) == '{"changes":[],"tx":4}\n'
+
+    def test_memory_is_bounded_by_the_line(self):
+        changes = {"r": ZSet({(i, f"name-{i}", i % 13): (-1) ** i for i in range(10**4)})}
+        dump_transaction(0, changes)  # warm the encoder
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            line = dump_transaction(1, changes)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * len(line), (peak, len(line))
+
+
+def run_lines(tmp_path, lines, *extra):
+    """Run deltaflow on the batch_join spec over the given trace lines."""
+    tp = write(tmp_path, "t.ndjson", "".join(lines))
+    return main(["run", "--spec", str(GOLDENS / "batch_join.spec.json"), "--trace", tp, *extra])
+
+
+class TestStreamingRun:
+    """run and compare write each transaction's lines as it is stepped: a
+    failure at line k keeps exactly the lines of the transactions before it."""
+
+    TRACE = (GOLDENS / "batch_join.trace.ndjson").read_text().splitlines(keepends=True)
+    EXPECTED = (GOLDENS / "batch_join.expected.ndjson").read_text().splitlines(keepends=True)
+    K = 20  # 1-based number of the failing line
+
+    def bad_lines(self, kind):
+        bad = {"malformed": "{oops\n", "overflow": jline({"tx": 100, "changes": [["c", [1, "a", "b"], 2**63]]})}[kind]
+        return self.TRACE[: self.K - 1] + [bad] + self.TRACE[self.K :]
+
+    @pytest.mark.parametrize("kind, code", [("malformed", 2), ("overflow", 5)])
+    def test_failure_keeps_the_lines_before_it(self, kind, code, tmp_path):
+        out, met = tmp_path / "o", tmp_path / "m"
+        assert run_lines(tmp_path, self.bad_lines(kind), "--out", str(out), "--metrics-out", str(met)) == code
+        assert out.read_text() == "".join(self.EXPECTED[: self.K - 1])
+        metrics = [json.loads(line) for line in met.read_text().splitlines()]
+        assert [m["tx"] for m in metrics] == [json.loads(line)["tx"] for line in self.TRACE[: self.K - 1]]
+
+    @pytest.mark.parametrize("kind, code", [("malformed", 2), ("overflow", 5)])
+    def test_failure_keeps_the_lines_before_it_on_stdout(self, kind, code, tmp_path, capsys):
+        met = tmp_path / "m"
+        assert run_lines(tmp_path, self.bad_lines(kind), "--metrics-out", str(met)) == code
+        assert capsys.readouterr().out == "".join(self.EXPECTED[: self.K - 1])
+        assert len(met.read_text().splitlines()) == self.K - 1
+
+    def test_totals_line_ends_a_finished_run(self, tmp_path):
+        out, met = tmp_path / "o", tmp_path / "m"
+        assert run_lines(tmp_path, self.TRACE, "--mode", "compare", "--out", str(out), "--metrics-out", str(met)) == 0
+        assert out.read_text() == "".join(self.EXPECTED)
+        metrics = [json.loads(line) for line in met.read_text().splitlines()]
+        assert len(metrics) == len(self.TRACE) + 1
+        total = metrics[-1]
+        assert total["compare"] == {"equal": True}
+        assert total["total_tuples"] == sum(m["tuples"] for m in metrics[:-1])
+
+    def test_divergent_compare_writes_every_line_then_exits_3(self, monkeypatch, tmp_path, capsys):
+        sabotage_incremental(monkeypatch)
+        trace = FIG_TRACE.read_text().splitlines(keepends=True)
+        out, met = tmp_path / "o", tmp_path / "m"
+        rc = main(["compare", "--spec", str(FIG_SPEC), "--trace", str(FIG_TRACE), "--out", str(out), "--metrics-out", str(met)])
+        assert rc == 3
+        assert "first divergence at tx 0" in capsys.readouterr().err
+        assert len(out.read_text().splitlines()) == len(trace)
+        metrics = [json.loads(line) for line in met.read_text().splitlines()]
+        assert len(metrics) == len(trace) + 1
+        assert metrics[-1]["compare"]["equal"] is False
 
 
 class TestEmptyTrace:
     def test_empty_trace_empty_report(self):
         spec = load_spec(str(FIG_SPEC))
         cs = compile_circuits(spec, mode="compare")
-        report = run_trace(cs, [], "compare")
-        assert report.ticks == [] and report.metrics == []
-        assert report.to_jsonl() == ""
-        assert report.verdict == {"equal": True}
+        report, ticks = run_all(cs, [], "compare")
+        assert ticks == []
+        assert report.summary() == {"total_tuples": 0, "total_iterations": 0, "total_wall_ns": 0, "compare": {"equal": True}}
+
+
+def sabotage_incremental(monkeypatch):
+    """Make the CLI's incremental circuit route view v to a wrong node."""
+    import deltaflow.cli as cli_mod
+
+    def compile_wrong(spec, mode, max_iterations=None):
+        cs = compile_circuits(spec, mode, max_iterations)
+        cs.incremental.sinks["v"] = next(n.id for n in cs.incremental.nodes if n.label == "filter")
+        return cs
+
+    monkeypatch.setattr(cli_mod, "compile_circuits", compile_wrong)
 
 
 class TestCompareVerdict:
@@ -209,7 +322,7 @@ class TestCompareVerdict:
         # sabotage the incremental pipeline: route the view to a wrong node
         filt = next(n.id for n in cs.incremental.nodes if n.label == "filter")
         cs.incremental.sinks["v"] = filt
-        report = run_trace(cs, trace, "compare")
+        report, _ = run_all(cs, trace, "compare")
         assert report.verdict["equal"] is False
         assert report.verdict["tx"] == 0 and report.verdict["view"] == "v"
         with pytest.raises(DivergenceError):
@@ -219,7 +332,7 @@ class TestCompareVerdict:
         spec = load_spec(str(FIG_SPEC))
         trace = load_trace(str(FIG_TRACE), spec.relations)
         cs = compile_circuits(spec, mode="compare")
-        report = run_trace(cs, trace, "compare")
+        report, _ = run_all(cs, trace, "compare")
         assert report.verdict == {"equal": True}
 
 
@@ -263,7 +376,7 @@ class TestExitCodes:
         assert main(["run", "--spec", str(FIG_SPEC), "--trace", tp, "--out", str(tmp_path / "o")]) == 2
         assert f"{tp}:1:" in capsys.readouterr().err
         with pytest.raises(ValidationError):
-            load_trace(tp)  # no declared relations
+            list(load_trace(tp))  # no declared relations
 
     def test_validate_ok(self, capsys):
         assert main(["validate", "--spec", str(FIG_SPEC), "--trace", str(FIG_TRACE)]) == 0
@@ -271,16 +384,7 @@ class TestExitCodes:
         assert json.loads(out)["ok"] is True
 
     def test_divergence_is_3(self, monkeypatch, tmp_path):
-        import deltaflow.cli as cli_mod
-        from deltaflow.trace import RunReport
-
-        def fake_run_trace(cs, trace, mode):
-            return RunReport(
-                mode=mode,
-                verdict={"equal": False, "tx": 0, "view": "v", "incremental": [], "reference": []},
-            )
-
-        monkeypatch.setattr(cli_mod, "run_trace", fake_run_trace)
+        sabotage_incremental(monkeypatch)
         rc = main(["compare", "--spec", str(FIG_SPEC), "--trace", str(FIG_TRACE), "--out", str(tmp_path / "o")])
         assert rc == 3
 
@@ -400,7 +504,7 @@ class TestOperatorCoverage:
         spec = load_spec(str(FIG_SPEC))
         p = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": [["ghost", [1], 1]]}))
         with pytest.raises(ValidationError):
-            load_trace(p, spec.relations)
+            list(load_trace(p, spec.relations))
 
 
 class TestTypedErrors:

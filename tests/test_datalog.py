@@ -119,6 +119,21 @@ class TestFixpointCircuits:
             c.step({"E": zset_of(edges)})
             assert c.metrics.iterations <= 6
 
+    def test_nested_bodies_count_on_the_parents_metrics(self):
+        def bodies(c):
+            for n in c.nodes:
+                if n.kind == "nested":
+                    yield n.meta["inner"]
+                    yield from bodies(n.meta["inner"])
+
+        edges = {(i, i + 1) for i in range(5)}
+        for build in (build_naive, build_seminaive):
+            c = build(tc_program())
+            assert list(bodies(c)) and all(b.metrics is c.metrics for b in bodies(c))
+            c.step({"E": zset_of(edges)})
+            # semi-naive: the parent's own 104 tuples plus its loop body's 320
+            assert c.metrics.tuples == {build_naive: 1478, build_seminaive: 424}[build]
+
     def test_random_graphs_match_oracle(self):
         rng = random.Random(100)
         naive = build_naive(tc_program())

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltaflow import ValidationError, ZSet
-from deltaflow.runner import compile_circuits, run_trace
+from deltaflow.runner import compile_circuits
 from deltaflow.specfile import compile_spec
-from deltaflow.trace import Transaction
+from deltaflow.trace import Transaction, dump_transaction
+from conftest import run_all
 from oracles import as_z
 
 FUZZ_DOC = {
@@ -90,7 +91,7 @@ class TestCompareFuzz:
         for seed in range(50):
             cs.incremental.reset()
             cs.reference.reset()
-            report = run_trace(cs, fuzz_trace(seed, ticks=12, dom=5), "compare")
+            report, _ = run_all(cs, fuzz_trace(seed, ticks=12, dom=5), "compare")
             assert report.verdict == {"equal": True}, (seed, report.verdict)
 
 
@@ -291,13 +292,13 @@ class TestSpecFuzz:
     )
     def test_random_views_compare_equal(self, views, txs):
         cs = compile_circuits(compile_spec(spec_doc([q for q, _ in views])), "compare", max_iterations=self.CAP)
-        assert run_trace(cs, table_trace(txs), "compare").verdict == {"equal": True}
+        assert run_all(cs, table_trace(txs), "compare")[0].verdict == {"equal": True}
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(view_queries(aggs=ALL_AGGS), min_size=1, max_size=2), positive_changes())
     def test_random_aggregates_compare_equal(self, views, txs):
         cs = compile_circuits(compile_spec(spec_doc([q for q, _ in views])), "compare", max_iterations=self.CAP)
-        assert run_trace(cs, table_trace(txs), "compare").verdict == {"equal": True}
+        assert run_all(cs, table_trace(txs), "compare")[0].verdict == {"equal": True}
 
     def test_non_positive_group_raises_alike_in_both_modes(self):
         query = {"op": "aggregate", "agg": "min", "column": 1, "group_by": [0], "input": {"op": "rel", "name": "a"}}
@@ -306,7 +307,7 @@ class TestSpecFuzz:
         messages = []
         for mode in ("incremental", "reference"):
             with pytest.raises(ValidationError) as info:
-                run_trace(compile_circuits(spec, mode), trace, mode)
+                run_all(compile_circuits(spec, mode), trace, mode)
             messages.append(str(info.value))
         assert messages[0] == messages[1] and messages[0].startswith("tx 1: ")
 
@@ -339,7 +340,7 @@ class TestSpecFuzz:
                 now += step
                 changes["clk"] = ZSet({(now,): 1})
             trace.append(Transaction(tx=t, changes=changes))
-        assert run_trace(cs, trace, "compare").verdict == {"equal": True}
+        assert run_all(cs, trace, "compare")[0].verdict == {"equal": True}
 
 
 class TestReset:
@@ -350,10 +351,10 @@ class TestReset:
         trace = fuzz_trace(11, ticks=10)
         runs = []
         for _ in range(2):
-            report = run_trace(cs, trace, "compare")
+            report, ticks = run_all(cs, trace, "compare")
             assert report.verdict == {"equal": True}
-            counts = [{k: v for k, v in m.items() if not k.endswith("wall_ns")} for m in report.metrics]
-            runs.append((report.to_jsonl(), counts))
+            counts = [{k: v for k, v in m.items() if not k.endswith("wall_ns")} for _, _, m in ticks]
+            runs.append(("".join(dump_transaction(tx, changes) for tx, changes, _ in ticks), counts))
             cs.incremental.reset()
             cs.reference.reset()
         assert runs[0] == runs[1]
@@ -369,8 +370,8 @@ class TestEventOnlySpec:
         spec = compile_spec(doc)
         trace = [Transaction(tx=0, changes={"ev": ZSet({(1,): 1})}), Transaction(tx=1, changes={})]
         for mode in ("incremental", "reference", "compare"):
-            report = run_trace(compile_circuits(spec, mode), trace, mode)
-            assert [t["changes"]["v"] for t in report.ticks] == [ZSet({(1,): 1}), ZSet()]
+            _, ticks = run_all(compile_circuits(spec, mode), trace, mode)
+            assert [changes["v"] for _, changes, _ in ticks] == [ZSet({(1,): 1}), ZSet()]
 
 
 class TestThreading:
@@ -380,10 +381,8 @@ class TestThreading:
 
         def worker(results, idx):
             cs = compile_circuits(spec, mode="incremental")
-            report = run_trace(cs, trace, "incremental")
-            results[idx] = [
-                {view: tick["changes"][view] for view in spec.view_names} for tick in report.ticks
-            ]
+            _, ticks = run_all(cs, trace, "incremental")
+            results[idx] = [{view: changes[view] for view in spec.view_names} for _, changes, _ in ticks]
 
         results = [None] * 4
         threads = [threading.Thread(target=worker, args=(results, i)) for i in range(4)]

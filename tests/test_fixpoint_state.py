@@ -26,10 +26,11 @@ from deltaflow.relational import (
     build_union,
 )
 from deltaflow.rewrite import incrementalize_query
-from deltaflow.runner import _closure_spec, compile_circuits, run_trace
+from deltaflow.runner import _closure_spec, compile_circuits
 from deltaflow.specfile import compile_spec
 from deltaflow.trace import Transaction
 from deltaflow.zset import Trace
+from conftest import run_all
 from oracles import as_z
 
 
@@ -217,14 +218,14 @@ RUN_LENGTH_TRACE = [
 class TestRunLength:
     def test_runs_longer_then_shorter_compare_equal(self):
         cs = compile_circuits(compile_spec(RUN_LENGTH_DOC), "compare")
-        report = run_trace(cs, RUN_LENGTH_TRACE, "compare")
+        report, ticks = run_all(cs, RUN_LENGTH_TRACE, "compare")
         assert report.verdict == {"equal": True}
-        runs = [m["reference_iterations"] for m in report.metrics]
+        runs = [m["reference_iterations"] for _, _, m in ticks]
         # the trace keeps its shape: tick 1 runs longest, later ticks shorter
         assert runs[1] > max(runs[0], *runs[2:]), runs
         assert min(runs[2:]) < runs[1], runs
         # the incremental circuit never runs shorter than its longest run
-        inc = [m["iterations"] for m in report.metrics]
+        inc = [m["iterations"] for _, _, m in ticks]
         assert all(n >= runs[1] for n in inc[1:]), inc
 
     def test_nested_state_is_traces_only(self):

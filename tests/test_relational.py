@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import row_zsets
+from conftest import row_zsets, run_all
 from deltaflow import Circuit, ValidationError, ZSet, to_set, to_zset
 from deltaflow.expr import Col, KeyFunc, MapFunc, parse_expr
 from deltaflow.groupval import ZERO
-from deltaflow.runner import compile_circuits, run_trace
+from deltaflow.runner import compile_circuits
 from deltaflow.specfile import compile_spec
 from deltaflow.trace import Transaction
 from deltaflow.zset import Trace, TraceView
@@ -324,13 +324,13 @@ class TestIncrementalJoin:
         })
         base = Transaction(tx=0, changes={"r": ZSet({(1, 5): 1}), "s": ZSet({(1, 7): 1})})
         cancels = Transaction(tx=1, changes={"r": ZSet({(1, 5): -1}), "s": ZSet({(1, "x"): 1})})
-        report = run_trace(compile_circuits(spec, "compare"), [base, cancels], "compare")
+        report, ticks = run_all(compile_circuits(spec, "compare"), [base, cancels], "compare")
         assert report.verdict == {"equal": True}
-        assert report.ticks[1]["changes"]["v"] == ZSet({(1, 12): -1})
+        assert ticks[1][1]["v"] == ZSet({(1, 12): -1})
         kept = Transaction(tx=1, changes={"s": ZSet({(1, "x"): 1})})
         for mode in ("incremental", "reference"):
             with pytest.raises(ValidationError, match="unsupported operand"):
-                run_trace(compile_circuits(spec, mode), [base, kept], mode)
+                run_all(compile_circuits(spec, mode), [base, kept], mode)
 
 
 class TestWindow:
@@ -561,8 +561,8 @@ class TestSkipContract:
             Transaction(tx=1, changes={"a": ZSet({(1, 5): 1})}),
             Transaction(tx=2, changes={"a": ZSet({(1, 5): -1})}),
         ]
-        report = run_trace(compile_circuits(spec, mode), trace, mode)
-        assert [t["changes"] for t in report.ticks] == [
+        report, ticks = run_all(compile_circuits(spec, mode), trace, mode)
+        assert [changes for _, changes, _ in ticks] == [
             {"n": ZSet({(0,): 1}), "s": ZSet({(0,): 1})},
             {"n": ZSet({(0,): -1, (1,): 1}), "s": ZSet({(0,): -1, (5,): 1})},
             {"n": ZSet({(0,): 1, (1,): -1}), "s": ZSet({(0,): 1, (5,): -1})},
