@@ -553,7 +553,8 @@ def build_aggregate(c: Circuit, x, kind, column=0, group_cols=None):
 
 
 def build_inc_distinct(c: Circuit, d, depth=None):
-    """Incremental distinct: delta in, delta out, work bounded by the delta."""
+    """Incremental distinct: delta in, delta out.  DistinctDeltaFn's work is
+    O(|delta|); its integral is rebuilt each tick, an O(relation) state update."""
     depth = c.level if depth is None else depth
     i = c.add_integrate(d, depth=depth)
     z = c.add_delay(i, depth=depth)

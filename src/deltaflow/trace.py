@@ -6,8 +6,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
-from .zset import WEIGHT_MAX, WEIGHT_MIN, ZSet, canonical_keys, check_weight, validate_element
+from .errors import ValidationError, WeightOverflowError
+from .zset import WEIGHT_MAX, WEIGHT_MIN, ZSet, canonical_keys, validate_element
 
 
 @dataclass
@@ -52,7 +52,7 @@ def parse_transaction(obj, relations, where):
         raise ValidationError(f"{where}: 'changes' must be a list")
     changes = {}  # relation -> {row: weight}, consolidated as the line is read
     declared = {}  # relation -> (column types, row checker)
-    overflow = None  # the first weight or partial sum outside 64 bits
+    overflow = None  # the first weight or partial sum outside 64 bits, raised after the line's checks
     for i, entry in enumerate(obj["changes"]):
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ValidationError(f"{where}: change {i} must be [relation, [values...], weight]")
@@ -91,7 +91,7 @@ def parse_transaction(obj, relations, where):
         if overflow is None and not WEIGHT_MIN <= weight <= WEIGHT_MAX:
             overflow = weight
     if overflow is not None:
-        check_weight(overflow)  # raised once every change of the line is checked
+        raise WeightOverflowError(f"{where}: weight {overflow} outside signed 64-bit range")
     return Transaction(tx=tx, changes={rel: ZSet._wrap(rows) for rel, rows in changes.items()})
 
 

@@ -97,28 +97,14 @@ class ZSet:
         if not self._entries:
             return other
         big, small = (self, other) if len(self._entries) >= len(other._entries) else (other, self)
-        d = dict(big._entries)
-        for x, w in small._entries.items():
-            nw = check_weight(d.get(x, 0) + w)
-            if nw:
-                d[x] = nw
-            else:
-                del d[x]
-        return ZSet._wrap(d)
+        return ZSet._wrap(_merged(big._entries, small._entries, 1))
 
     def __sub__(self, other):
         if not isinstance(other, ZSet):
             return NotImplemented
         if not other._entries:
             return self
-        d = dict(self._entries)
-        for x, w in other._entries.items():
-            nw = check_weight(d.get(x, 0) - w)
-            if nw:
-                d[x] = nw
-            else:
-                del d[x]
-        return ZSet._wrap(d)
+        return ZSet._wrap(_merged(self._entries, other._entries, -1))
 
     def __neg__(self):
         return ZSet._wrap({x: -w for x, w in self._entries.items()})
@@ -253,7 +239,7 @@ class IndexedZSet:
         if not self._groups:
             return other
         big, small = (self, other) if len(self._groups) >= len(other._groups) else (other, self)
-        d = dict(big._groups)
+        d = big._groups.copy()  # dict.copy(), not dict(): see _merged
         for k, z in small._groups.items():
             nz = d.get(k)
             nz = z if nz is None else nz + z
@@ -368,11 +354,11 @@ class Trace:
         self.commit()
 
     def _add(self, u, rows, sign):
-        """slots[u] += sign * rows; True when a weight overflowed."""
+        """slots[u] += sign * rows; an overflowed weight, else None."""
         slot = self.slots.get(u)
         if slot is None:
             slot = self.slots[u] = {}
-        overflow = False
+        overflow = None
         if self.key is None:
             overflow = _add_weights(slot, rows, sign)
         else:
@@ -381,7 +367,7 @@ class Trace:
                 if cur is None:
                     slot[k] = dict(g) if sign > 0 else {x: -w for x, w in g.items()}
                     continue
-                overflow |= _add_weights(cur, g, sign)
+                overflow = _add_weights(cur, g, sign) or overflow
                 if not cur:
                     del slot[k]
         if not slot:
@@ -390,20 +376,33 @@ class Trace:
 
 
 def _add_weights(d, rows, sign):
-    """d += sign * rows in place, dropping zero weights.  Returns True when
-    a weight left the signed 64-bit range; d is updated all the same, so the
-    caller can take rows back out exactly before it raises."""
+    """d += sign * rows in place, dropping zero weights.  Returns the first
+    weight that left the signed 64-bit range, else None; d is updated all
+    the same, so the caller can take rows back out exactly before it raises."""
     get = d.get
-    overflow = False
+    overflow = None
     for x, w in rows.items():
         nw = get(x, 0) + sign * w
         if nw:
             d[x] = nw
-            if not WEIGHT_MIN <= nw <= WEIGHT_MAX:
-                overflow = True
+            if not WEIGHT_MIN <= nw <= WEIGHT_MAX and overflow is None:
+                overflow = nw
         else:
             del d[x]
     return overflow
+
+
+def _merged(base, rows, sign):
+    """A new element -> weight dict base + sign * rows; neither operand
+    changes.  base is cloned with dict.copy(), not dict(base): once a dict
+    has held a deleted entry, dict() (CPython 3.10-3.12) re-inserts it entry
+    by entry, several times slower than copy()'s table clone, and an
+    integral that takes deletions would pay that on every tick."""
+    d = base.copy()
+    overflow = _add_weights(d, rows, sign)
+    if overflow is not None:
+        check_weight(overflow)
+    return d
 
 
 class TraceView:

@@ -267,8 +267,10 @@ class TestStreamingRun:
     def test_failure_keeps_the_lines_before_it_on_stdout(self, kind, code, tmp_path, capsys):
         met = tmp_path / "m"
         assert run_lines(tmp_path, self.bad_lines(kind), "--metrics-out", str(met)) == code
-        assert capsys.readouterr().out == "".join(self.EXPECTED[: self.K - 1])
+        out, err = capsys.readouterr()
+        assert out == "".join(self.EXPECTED[: self.K - 1])
         assert len(met.read_text().splitlines()) == self.K - 1
+        assert err.startswith(f"deltaflow: {tmp_path / 't.ndjson'}:{self.K}: ")
 
     def test_totals_line_ends_a_finished_run(self, tmp_path):
         out, met = tmp_path / "o", tmp_path / "m"

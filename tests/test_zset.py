@@ -1,12 +1,13 @@
 """Z-set algebra: group laws, distinct, grouping, aggregation."""
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import elements, zsets
+from conftest import elements, weights, zsets
 from deltaflow import (
     IndexedZSet,
     ValidationError,
@@ -95,9 +96,73 @@ class TestAddition:
         with pytest.raises(WeightOverflowError):
             ZSet({"x": -(2**63)}) + ZSet({"x": -1})
 
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_add_and_sub_match_a_dict_model(self, data):
+        a, ma = data.draw(churned_zsets())
+        b, mb = data.draw(churned_zsets(model_of=ma))
+        before = list(a.raw_items()), list(b.raw_items())
+        for (x, mx), (y, my), sign in (((a, ma), (b, mb), 1), ((b, mb), (a, ma), 1), ((a, ma), (b, mb), -1)):
+            op = operator.add if sign > 0 else operator.sub
+            want = dict(mx)
+            for e, w in my.items():
+                want[e] = want.get(e, 0) + sign * w
+            bad = first_overflow(x, y, sign, want)
+            if bad is None:
+                assert op(x, y) == ZSet._wrap({e: w for e, w in want.items() if w})
+            else:
+                with pytest.raises(WeightOverflowError, match=f"^weight {bad} outside signed 64-bit range$"):
+                    op(x, y)
+            assert (list(a.raw_items()), list(b.raw_items())) == before
+            assert dict(a.raw_items()) == ma and dict(b.raw_items()) == mb
+
     def test_zero_weight_entries_dropped_on_construction(self):
         z = ZSet([("x", 1), ("x", -1), ("y", 2)])
         assert len(z) == 1 and z["x"] == 0
+
+
+churn_elements = st.one_of(st.integers(min_value=0, max_value=40), st.tuples(st.integers(0, 5), st.sampled_from("ab")))
+NEAR_MAX = 2**63 - 100  # any churned weight plus this stays in range
+# two of these with one sign always overflow, each sum to its own weight
+near_max_weights = st.one_of(st.integers(2**62, NEAR_MAX), st.integers(-NEAR_MAX, -(2**62)))
+
+
+@st.composite
+def churned_zsets(draw, model_of=None):
+    """A Z-set built the way an integral is, by +, so its table has grown
+    past resizes and held deleted entries, with its plain-dict model.  With
+    model_of it also carries the negation of some of that model's entries."""
+    z, model = ZSet(), {}
+
+    def add(step):
+        nonlocal z
+        z = z + ZSet(step)
+        for x, w in step.items():
+            model[x] = model.get(x, 0) + w
+            if not model[x]:
+                del model[x]
+
+    first = draw(st.dictionaries(churn_elements, weights, max_size=30))
+    add(first)
+    add({x: -first[x] for x in draw(st.lists(st.sampled_from(sorted(first, key=repr)), unique=True))} if first else {})
+    add(draw(st.dictionaries(churn_elements, weights, max_size=30)))
+    if model_of:
+        add({x: -w for x, w in model_of.items() if draw(st.booleans())})
+    near = draw(st.dictionaries(st.sampled_from("wxyz"), near_max_weights, max_size=4))
+    add({x: w for x, w in near.items() if x not in model})
+    return z, model
+
+
+def first_overflow(a, b, sign, want):
+    """The weight a + b or a - b reports: the first out-of-range sum in the
+    order of the operand folded into a copy of the other, which is b for -
+    and the smaller operand for + (b on a tie)."""
+    if sign > 0 and len(b) > len(a):
+        a, b = b, a
+    for x, _ in b.raw_items():
+        if not -(2**63) <= want[x] <= 2**63 - 1:
+            return want[x]
+    return None
 
 
 class TestDistinctProperties:
