@@ -218,22 +218,42 @@ class _TraceJoin:
 
 
 class IncJoinFn(_TraceJoin):
-    """The incremental join Δa⋈Δb + A⋈Δb + Δa⋈B as one operator.
+    """The incremental join as one operator, on every clock.
 
-    Reads the tick's changes of a and b grouped by key, and A and B, slot u
-    of their traces before the tick.  On the traces' own clock u is 0; on
-    the parent clock of a nested domain slot u sums iteration u over the
-    earlier parent ticks.
+    x[t][u] is the change on an edge at parent tick t and iteration u; a and
+    b are the changes at (t, u), A and B the traces (zset.Trace) of the
+    join's inputs, A_j their slot j, and L_a, L_b their changes of this
+    parent tick at the iterations below u (the traces' `tick` logs).  Both
+    views are taken before the latch at (t, u): slots below u already hold
+    tick t, slot u holds tick t-1.  The change of the join at (t, u) is
+
+        j1 = a * B(<=t, <u)        j2 = L_a(<=u) * B(<t, =u)
+        j3 = A(<=t, <=u) * b       j4 = A(<t, =u) * L_b(<u)
+
+    which joins the pairs (a, b), (A_j, b) and (a, B_j) for every slot
+    j <= u, (L_a, B_u) and (A_u, L_b).  On the traces' own clock u is 0,
+    slot 0 holds the earlier ticks and the logs are empty, so this is
+    a*b + z(I(a))*b + a*z(I(b)).  Work follows the changes, the logs and the
+    groups they probe.
     """
 
     def rows_in(self, va, vb):
-        """The two changes; the traces are looked up."""
-        return va.size + vb.size
+        """The two changes and both tick logs; the slots are looked up.  The
+        logs count too: (L_a, B_u) and (A_u, L_b) scan them at iterations
+        whose own change is empty, so a zero here means nothing is emitted."""
+        return va.size + vb.size + va.trace.tick_rows + vb.trace.tick_rows
 
     def __call__(self, va, vb):
-        da, db = va.rows, vb.rows
-        a, b = va.trace.slots.get(va.u, {}), vb.trace.slots.get(vb.u, {})
-        return _emit(self.join, ((da, db), (a, db), (da, b)))
+        u, a, b, ta, tb = va.u, va.rows, vb.rows, va.trace, vb.trace
+        pairs = [(a, b)]
+        pairs += [(aslot, b) for j, aslot in ta.slots.items() if j <= u]
+        pairs += [(a, bslot) for j, bslot in tb.slots.items() if j <= u]
+        bslot, aslot = tb.slots.get(u), ta.slots.get(u)
+        if bslot:
+            pairs += [(arows, bslot) for arows in ta.tick.values()]
+        if aslot:
+            pairs += [(aslot, brows) for brows in tb.tick.values()]
+        return _emit(self.join, pairs)
 
 
 class StreamJoinFn(_TraceJoin):
@@ -276,71 +296,6 @@ class DistinctDeltaFn:
             elif old <= 0 and new > 0:
                 out[x] = 1
         return ZSet._wrap(out)
-
-
-class NestedJoinFn(_TraceJoin):
-    """One term of a join inside a fixpoint, incrementalized on both clocks.
-
-    x[t][u] is the change on an edge at parent tick t and iteration u; A and
-    B are the two-axis traces (zset.Trace) of the join's inputs a and b, and
-    L_a, L_b their changes of this parent tick summed over iterations (the
-    traces' `tick` logs).  The change of the join at (t, u) is
-
-        j1 = a * B(<=t, <u)        j2 = L_a(<=u) * B(<t, =u)
-        j3 = A(<=t, <=u) * b       j4 = A(<t, =u) * L_b(<u)
-
-    and each term reads both inputs as probes of TraceViews taken before the
-    latch at (t, u): slots below u already hold tick t, slot u holds t-1.
-    Work follows the tick's change and the groups it probes.
-    """
-
-    def __init__(self, join, term):
-        super().__init__(join)
-        self.term = term
-        self._operands = _NESTED_JOIN_TERMS[term - 1]
-
-    def rows_in(self, va, vb):
-        """The change rows the term scans; the trace it probes is looked up.
-        The tick logs count too: j2 and j4 scan them at iterations whose
-        own change is empty, so a zero here means the term emits nothing."""
-        return (va.size, va.trace.tick_rows + va.size, vb.size, vb.trace.tick_rows)[self.term - 1]
-
-    def __call__(self, va, vb):
-        return _emit(self.join, self._operands(va, vb))
-
-
-# Each nested join term as the pairs of grouped operands it joins.
-
-
-def _term_a_bprev(va, vb):
-    # j1 = a * B(<=t, <u)
-    u, arows = va.u, va.rows
-    return [(arows, bslot) for j, bslot in vb.trace.slots.items() if j < u]
-
-
-def _term_la_bslot(va, vb):
-    # j2 = L_a(<=u) * B(<t, =u): this tick's a below u, then a itself
-    bslot = vb.trace.slots.get(va.u)
-    if not bslot:
-        return ()
-    return [(arows, bslot) for arows in va.trace.tick.values()] + [(va.rows, bslot)]
-
-
-def _term_acum_b(va, vb):
-    # j3 = A(<=t, <=u) * b: slot u of A lacks tick t's a, which va.rows holds
-    u, brows = va.u, vb.rows
-    return [(aslot, brows) for j, aslot in va.trace.slots.items() if j <= u] + [(va.rows, brows)]
-
-
-def _term_aslot_lb(va, vb):
-    # j4 = A(<t, =u) * L_b(<u)
-    aslot = va.trace.slots.get(va.u)
-    if not aslot:
-        return ()
-    return [(aslot, brows) for brows in vb.trace.tick.values()]
-
-
-_NESTED_JOIN_TERMS = (_term_a_bprev, _term_la_bslot, _term_acum_b, _term_aslot_lb)
 
 
 def _emit(join, operands):
@@ -492,20 +447,17 @@ class AggregateFn:
 # -- fragment builders ----------------------------------------------------------
 
 
-def build_filter(c: Circuit, x, pred, set_semantics=False):
-    nid = c.add_lifted(FilterFn(pred), [x], klass=LINEAR, label="filter")
-    return build_distinct(c, nid) if set_semantics else nid
+def build_filter(c: Circuit, x, pred):
+    return c.add_lifted(FilterFn(pred), [x], klass=LINEAR, label="filter")
 
 
-def build_map(c: Circuit, x, fn, set_semantics=False):
+def build_map(c: Circuit, x, fn):
     fn = fn if callable(fn) else MapFunc(fn)
-    nid = c.add_lifted(MapFn(fn), [x], klass=LINEAR, label="map")
-    return build_distinct(c, nid) if set_semantics else nid
+    return c.add_lifted(MapFn(fn), [x], klass=LINEAR, label="map")
 
 
-def build_projection(c: Circuit, x, cols, set_semantics=False):
-    nid = c.add_lifted(project_fn(cols), [x], klass=LINEAR, label="project")
-    return build_distinct(c, nid) if set_semantics else nid
+def build_projection(c: Circuit, x, cols):
+    return c.add_lifted(project_fn(cols), [x], klass=LINEAR, label="project")
 
 
 def build_distinct(c: Circuit, x):
@@ -564,7 +516,9 @@ def build_inc_distinct(c: Circuit, d, depth=None):
 def build_inc_join(c: Circuit, a, b, key_a, key_b, depth=None, fn=None):
     """Incremental bilinear join da*db + z(I(a))*db + da*z(I(b)): one
     in-place trace per side, keyed by the join's keys, and one join node
-    that probes both (IncJoinFn)."""
+    that probes both (IncJoinFn).  The traces run on clock `depth`: the
+    circuit's own, or the parent's in a fixpoint body, where they are
+    two-axis."""
     depth = c.level if depth is None else depth
     fn = fn or JoinFn(key_a, key_b)
     if not hasattr(fn, "index_keys"):

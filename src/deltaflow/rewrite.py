@@ -19,8 +19,8 @@ every edge carries changes instead of snapshots:
 * anything else keeps explicit integrate/differentiate brackets;
 * feedback loops keep their shape with the incremental body (cycle rule);
 * nested fixpoint domains are rebuilt with the same rules one clock level
-  down.  There an already-incremental join becomes four join terms over
-  one two-axis trace per side (NestedJoinFn), and an incremental distinct
+  down.  There an already-incremental join becomes the same probing join
+  (IncJoinFn) over one two-axis trace per side, and an incremental distinct
   becomes one trace probed only at the elements the parent tick touched
   (NestedDistinctDeltaFn), so a fixpoint update works in proportion to its
   change.  The state the old body kept for them is left unread and dropped.
@@ -33,7 +33,6 @@ from .relational import (
     JoinFn,
     MapFn,
     NestedDistinctDeltaFn,
-    NestedJoinFn,
     StreamJoinFn,
     build_inc_distinct,
     build_inc_join,
@@ -215,9 +214,9 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
 
     if isinstance(fn, IncJoinFn):
         # Incremental join seen one clock level up: the traces it probes
-        # are read through to their inputs.
-        a, b = (src.nodes[i].inputs[0] for i in n.inputs)
-        return _nested_inc_join(out, fn.join, dmap[a], dmap[b], bracket_depth)
+        # are read through to their inputs, whose changes get two-axis traces.
+        a, b = (dmap[src.nodes[i].inputs[0]] for i in n.inputs)
+        return build_inc_join(out, a, b, None, None, depth=bracket_depth, fn=fn.join)
 
     if n.label == "stream_join":
         tr = out.add_trace(ins[0], depth=bracket_depth, index_key=fn.key_left)
@@ -241,21 +240,6 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
 
 def _event_nodes(c):
     return {n.id for n in c.nodes if n.kind == "source" and n.meta.get("event")}
-
-
-def _nested_inc_join(out, fn, da, db, bracket_depth):
-    """Dedicated rewrite for an already-incremental join one clock level up,
-    given the join fn and the changes da, db of its inputs.
-
-    The three-term expansion is bilinear as a whole, so incrementalizing it
-    again would give nine join terms; they telescope into four, which read
-    one two-axis trace per side (see NestedJoinFn).
-    """
-    ka, kb = fn.index_keys()
-    ta = out.add_trace(da, depth=bracket_depth, index_key=ka)
-    tb = out.add_trace(db, depth=bracket_depth, index_key=kb)
-    terms = [out.add_lifted(NestedJoinFn(fn, t), [ta, tb], klass=BILINEAR, label=fn.label) for t in (1, 2, 3, 4)]
-    return out.add_plus(terms)
 
 
 def _delta_nested(out, n, dmap, bracket_depth):

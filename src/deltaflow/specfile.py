@@ -88,7 +88,7 @@ def compile_spec(doc):
     for v in views:
         if not isinstance(v, dict) or "name" not in v or "query" not in v:
             raise ValidationError("each view needs 'name' and 'query'")
-        name = v["name"]
+        name = _name(v["name"], "view")
         if name in seen:
             raise ValidationError(f"duplicate name {name!r}")
         seen.add(name)
@@ -112,9 +112,7 @@ def _parse_relations(items):
         raise ValidationError("'relations' must be a list")
     out = {}
     for item in items:
-        if not isinstance(item, dict) or "name" not in item or "columns" not in item:
-            raise ValidationError(f"bad relation declaration: {item!r}")
-        name = item["name"]
+        name, columns = _declared(item, "relation")
         if name in out:
             raise ValidationError(f"duplicate relation {name!r}")
         types = item.get("types")
@@ -126,8 +124,25 @@ def _parse_relations(items):
         kind = item.get("kind", "table")
         if kind not in ("table", "stream"):
             raise ValidationError(f"relation {name!r}: kind must be 'table' or 'stream'")
-        out[name] = RelationDecl(name, Schema(tuple(item["columns"]), types), kind)
+        out[name] = RelationDecl(name, Schema(tuple(columns), types), kind)
     return out
+
+
+def _name(value, what):
+    """A name the spec declares or references, which must be a string."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{what} name must be a string, got {value!r}")
+    return value
+
+
+def _declared(item, what):
+    """The name and the column names of a relation declaration."""
+    if not isinstance(item, dict) or "name" not in item or "columns" not in item:
+        raise ValidationError(f"bad {what} declaration: {item!r}")
+    name, columns = _name(item["name"], what), item["columns"]
+    if not isinstance(columns, list) or not all(isinstance(col, str) for col in columns):
+        raise ValidationError(f"{what} {name!r}: 'columns' must be a list of column names, got {columns!r}")
+    return name, columns
 
 
 def _parse_program(block, relations):
@@ -137,11 +152,10 @@ def _parse_program(block, relations):
         raise ValidationError("'recursive' must be an object with 'relations' and 'rules'")
     derived = {}
     for item in block.get("relations", []):
-        if not isinstance(item, dict) or "name" not in item or "columns" not in item:
-            raise ValidationError(f"bad derived relation declaration: {item!r}")
-        if item["name"] in relations or item["name"] in derived:
-            raise ValidationError(f"duplicate relation {item['name']!r}")
-        derived[item["name"]] = len(item["columns"])
+        name, columns = _declared(item, "derived relation")
+        if name in relations or name in derived:
+            raise ValidationError(f"duplicate relation {name!r}")
+        derived[name] = len(columns)
     rules = []
     for r in block.get("rules", []):
         if not isinstance(r, dict) or "head" not in r or "body" not in r:
@@ -168,7 +182,8 @@ def _parse_program(block, relations):
 def _parse_atom(a):
     if not isinstance(a, dict) or "rel" not in a or "terms" not in a:
         raise ValidationError(f"bad atom: {a!r}")
-    return Atom(rel=a["rel"], terms=tuple(a["terms"]), negated=bool(a.get("negated", False)))
+    rel = _name(a["rel"], "rule atom relation")
+    return Atom(rel=rel, terms=tuple(a["terms"]), negated=bool(a.get("negated", False)))
 
 
 def _expr_max_col(e):
@@ -204,7 +219,7 @@ def _compile_query(c, q, env, where):
     op = q["op"]
 
     if op == "rel":
-        name = q.get("name")
+        name = _name(q.get("name"), f"{where}: relation")
         if name not in env:
             raise ValidationError(f"{where}: unknown relation {name!r}")
         return env[name]
@@ -295,12 +310,15 @@ def _compile_query(c, q, env, where):
         node, arity, ev = sub("input")
         no_events((node, arity, ev))
         theta = q.get("theta")
-        if theta not in env or not env[theta][2]:
+        if not isinstance(theta, str) or theta not in env or not env[theta][2]:
             raise ValidationError(f"{where}: window clock {theta!r} must be an event-stream relation")
         ts_column = q.get("ts_column", 0)
         if not isinstance(ts_column, int) or not 0 <= ts_column < arity:
             raise ValidationError(f"{where}: bad ts_column {ts_column!r}")
-        spec = WindowSpec(ts_column=ts_column, width=q.get("width"))
+        width = q.get("width")
+        if isinstance(width, bool) or not isinstance(width, (int, float)) or not width > 0:
+            raise ValidationError(f"{where}: window width must be a positive number, got {width!r}")
+        spec = WindowSpec(ts_column=ts_column, width=width)
         return build_window_snapshot(c, node, env[theta][0], spec), arity, False
 
     if op == "stream_join":

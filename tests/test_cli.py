@@ -338,6 +338,15 @@ class TestCompareVerdict:
         assert report.verdict == {"equal": True}
 
 
+_R = [{"name": "r", "columns": ["a"]}, {"name": "clock", "columns": ["t"], "kind": "stream"}]
+_REL_R = {"op": "rel", "name": "r"}
+
+
+def _window(**width):
+    """A window query over r on the clock stream, with the given width or none."""
+    return {"op": "window", "theta": "clock", "input": _REL_R, **width}
+
+
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):
         p = write(tmp_path, "bad.json", "{")
@@ -379,6 +388,39 @@ class TestExitCodes:
         assert f"{tp}:1:" in capsys.readouterr().err
         with pytest.raises(ValidationError):
             list(load_trace(tp))  # no declared relations
+
+    @pytest.mark.parametrize(
+        "relations, recursive, view, query, named",
+        [
+            (_R, None, "v", _window(), "view 'v'"),
+            (_R, None, "v", _window(width="5"), "view 'v'"),
+            (_R, None, "v", _window(width=True), "view 'v'"),
+            ([{"name": "r", "columns": 3}], None, "v", _REL_R, "relation 'r'"),
+            ([{"name": ["r"], "columns": ["a"]}], None, "v", _REL_R, "['r']"),
+            (_R, {"relations": [{"name": ["p"], "columns": ["a"]}], "rules": []}, "v", _REL_R, "['p']"),
+            (_R, None, ["v"], _REL_R, "['v']"),
+            (_R, None, "v", {"op": "rel", "name": ["r"]}, "view 'v'"),
+            (
+                _R,
+                {
+                    "relations": [{"name": "p", "columns": ["a"]}],
+                    "rules": [{"head": {"rel": "p", "terms": ["x"]}, "body": [{"rel": ["r"], "terms": ["x"]}]}],
+                },
+                "v",
+                _REL_R,
+                "['r']",
+            ),
+        ],
+        ids=["window-no-width", "window-str-width", "window-bool-width", "columns-int", "relation-name-list",
+             "derived-name-list", "view-name-list", "rel-node-name-list", "atom-name-list"],
+    )
+    def test_malformed_spec_is_2(self, relations, recursive, view, query, named, tmp_path, capsys):
+        doc = {"relations": relations, "views": [{"name": view, "query": query}]}
+        if recursive is not None:
+            doc["recursive"] = recursive
+        assert main(["validate", "--spec", write(tmp_path, "s.json", json.dumps(doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("deltaflow: ") and named in err, err
 
     def test_validate_ok(self, capsys):
         assert main(["validate", "--spec", str(FIG_SPEC), "--trace", str(FIG_TRACE)]) == 0

@@ -12,8 +12,8 @@ from deltaflow.errors import WeightOverflowError
 from deltaflow.expr import BinOp, Col, Const, KeyFunc, MapFunc
 from deltaflow.groupval import ZERO
 from deltaflow.relational import (
+    IncJoinFn,
     JoinFn,
-    NestedJoinFn,
     build_antijoin,
     build_cartesian,
     build_distinct,
@@ -294,10 +294,10 @@ class TestTraceValidation:
         c, blk, inner, e = self._domain()
         fn = JoinFn(lambda x: x, lambda x: x)
         ta, tb = inner.add_trace(e, index_key=fn.key_left), inner.add_trace(e, index_key=fn.key_right)
-        j = inner.add_lifted(NestedJoinFn(fn, 3), [ta, tb], label="join")
+        j = inner.add_lifted(IncJoinFn(fn), [ta, tb], label="join")
         inner.add_stream_sum(j)
         c.add_sink(blk, "o")
-        # A(<=t, <=0) * b at (0, 0) is the entry joined with itself
+        # at (0, 0) only the pair (a, b) has rows: the entry joined with itself
         assert as_z(c.step({"s": ZSet({1: 1})})["o"]) == ZSet({(1, 1): 1})
 
     def test_trace_lifted_past_its_clock_is_rejected(self):

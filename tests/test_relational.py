@@ -19,14 +19,15 @@ from deltaflow.relational import (
     AggregateFn,
     FilterFn,
     DistinctDeltaFn,
+    IncJoinFn,
     JoinFn,
     MapFn,
     NestedDistinctDeltaFn,
-    NestedJoinFn,
     WindowSpec,
     build_antijoin,
     build_cartesian,
     build_difference,
+    build_distinct,
     build_equijoin,
     build_filter,
     build_inc_distinct,
@@ -75,7 +76,7 @@ class TestCorrectnessSquare:
 
     @given(rows)
     def test_projection(self, a):
-        got = eval_fragment(lambda c, s: build_projection(c, s["a"], [1], set_semantics=True), a=to_zset(a))
+        got = eval_fragment(lambda c, s: build_distinct(c, build_projection(c, s["a"], [1])), a=to_zset(a))
         assert to_set(got) == set_project(a, [1])
 
     @given(rows, rows)
@@ -491,18 +492,18 @@ class TestSkipContract:
         assert isinstance(out, ZSet) and out.is_zero()
 
     @pytest.mark.parametrize("mode", ["join", "semi"])
-    def test_nested_join_terms_emit_nothing_when_they_scan_nothing(self, mode):
+    def test_inc_join_emits_nothing_when_it_scans_nothing(self, mode):
         rng = random.Random(7)
-        join = JoinFn(lambda x: x[0], lambda x: x[0], mode=mode)
-        terms = [NestedJoinFn(join, t) for t in (1, 2, 3, 4)]
-        skipped = [0] * 4
-        for _ in range(400):
+        fn = IncJoinFn(JoinFn(lambda x: x[0], lambda x: x[0], mode=mode))
+        skipped = 0
+        # the one operator scans nothing only when both changes and both
+        # tick logs are empty, about one draw in 24
+        for _ in range(2000):
             (va, vb), _ = _random_views(rng, keyed=True)
-            for t, fn in enumerate(terms):
-                if fn.rows_in(va, vb) == 0:
-                    skipped[t] += 1
-                    assert fn(va, vb).is_zero(), (t + 1, va.u, va.rows, vb.rows)
-        assert min(skipped) > 50
+            if fn.rows_in(va, vb) == 0:
+                skipped += 1
+                assert fn(va, vb).is_zero(), (va.u, va.rows, vb.rows)
+        assert skipped > 50
 
     def test_nested_distinct_emits_nothing_when_it_scans_nothing(self):
         rng = random.Random(8)
@@ -517,9 +518,10 @@ class TestSkipContract:
         assert skipped > 50
 
     def test_empty_iteration_change_still_corrects(self):
-        """With both views' own change empty (TraceView.size == 0), j2, j4
-        and the nested distinct still emit cross-tick corrections from the
-        tick logs, so a size-based skip would drop them."""
+        """With both views' own change empty (TraceView.size == 0), the
+        join's (L_a, B_u) and (A_u, L_b) pairs and the nested distinct still
+        emit cross-tick corrections from the tick logs, so a size-based skip
+        would drop them."""
         key = lambda x: x[0]
         ta, tb = Trace(key), Trace(key)
         tb[1] = tb.group(ZSet({(1, "b"): 1}))
@@ -530,8 +532,7 @@ class TestSkipContract:
         tb[0] = tb.group(ZSet({(2, "b"): 1}))
         va, vb = TraceView(ta, 1, {}, 0), TraceView(tb, 1, {}, 0)
         join = JoinFn(key, key)
-        assert NestedJoinFn(join, 2)(va, vb) == ZSet({(1, "a", 1, "b"): 1})
-        assert NestedJoinFn(join, 4)(va, vb) == ZSet({(2, "a", 2, "b"): 1})
+        assert IncJoinFn(join)(va, vb) == ZSet({(1, "a", 1, "b"): 1, (2, "a", 2, "b"): 1})
 
         r = Trace()
         r[1] = r.group(ZSet({"x": 1}))
@@ -569,6 +570,59 @@ class TestSkipContract:
         ]
         if mode == "compare":
             assert report.verdict == {"equal": True}
+
+
+def _flat(groups):
+    """A keyed trace slot, log entry or view change (key -> {row: weight})
+    as one Z-set."""
+    out = ZSet()
+    for g in groups.values():
+        out = out + ZSet(g)
+    return out
+
+
+def _prefix_sums(view):
+    """A(<=t, <=u), A(<=t, <u), A(<t, <=u) and A(<t, <u) for the trace behind
+    a view at (t, u): slots below u hold tick t, slot u holds tick t-1, the
+    tick log holds tick t below u, and the view's rows are the change at
+    (t, u)."""
+    tr, u = view.trace, view.u
+    below = ZSet()
+    for j, slot in tr.slots.items():
+        if j < u:
+            below = below + _flat(slot)
+    logged = ZSet()
+    for rows in tr.tick.values():
+        logged = logged + _flat(rows)
+    at_u = _flat(tr.slots.get(u, {}))
+    below_prev = below - logged
+    return below + at_u + _flat(view.rows), below, below_prev + at_u, below_prev
+
+
+_KEY0 = lambda x: x[0]
+
+
+class TestIncJoinOracle:
+    """The one incremental join at (t, u) is the double difference of
+    snapshot joins J(T, U) = A(<=T, <=U) * B(<=T, <=U):
+    J(t, u) - J(t, u-1) - J(t-1, u) + J(t-1, u-1)."""
+
+    @pytest.mark.parametrize(
+        "join",
+        [
+            JoinFn(_KEY0, _KEY0),
+            JoinFn(_KEY0, _KEY0, mode="semi", label="semijoin"),
+            JoinFn(_KEY0, _KEY0).then(lambda r: (r[0], r[3] % 2), "map"),
+        ],
+        ids=["equijoin", "semijoin", "join+map"],
+    )
+    def test_matches_double_difference_of_snapshots(self, join):
+        rng = random.Random(11)
+        fn = IncJoinFn(join)
+        for _ in range(400):
+            (va, vb), _ = _random_views(rng, keyed=True)
+            j = [join(a, b) for a, b in zip(_prefix_sums(va), _prefix_sums(vb))]
+            assert fn(va, vb) == j[0] - j[1] - j[2] + j[3], (va.u, va.rows, vb.rows)
 
 
 class TestExpressions:

@@ -331,8 +331,8 @@ class TestAlgorithmPipeline:
         assert reference.census()[("lifted", "project")] == 1
 
     def test_nested_join_terms_carry_the_rule_head(self):
-        """In a recursive block the rule head's map is folded into the four
-        nested join terms; the reference's loop body keeps the map."""
+        """In a recursive block the rule head's map is folded into the one
+        nested join; the reference's loop body keeps the map."""
         reference, inc = compile_query(_closure_spec().circuit)
 
         def body_joins(c):
@@ -340,7 +340,7 @@ class TestAlgorithmPipeline:
             inner = block.meta["inner"]
             return [(type(n.fn).__name__, n.fn.op_name) for n in inner.nodes if n.label == "join"]
 
-        assert body_joins(inc) == [("NestedJoinFn", "join+map")] * 4
+        assert body_joins(inc) == [("IncJoinFn", "join+map")]
         assert body_joins(reference) == [("IncJoinFn", "join")]
 
     def test_compile_clones_each_nested_body_at_most_three_times(self, monkeypatch):
