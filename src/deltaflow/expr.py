@@ -125,7 +125,7 @@ class Not(Expr):
 
 def parse_expr(node):
     """Parse the JSON list encoding: ["col",i], ["const",v], [op, l, r]."""
-    if not isinstance(node, list) or not node:
+    if not isinstance(node, list) or not node or not isinstance(node[0], str):
         raise ValidationError(f"bad expression node: {node!r}")
     head = node[0]
     if head == "col":

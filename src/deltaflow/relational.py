@@ -18,6 +18,7 @@ as the join and named for both, e.g. "join+project".
 """
 
 import copy
+import operator
 from dataclasses import dataclass
 
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
@@ -37,6 +38,7 @@ from .zset import (
     check_weight,
     column_reader,
     distinct,
+    exact_div,
     group_by,
     group_rows,
     makeset,
@@ -405,43 +407,93 @@ class NestedDistinctDeltaFn:
         return ZSet._wrap(out)
 
 
+# An aggregate's value over one group's Z-set z, reading column col.
+AGGREGATES = {
+    "count": lambda z, col: aggregate_count(z),
+    "sum": aggregate_sum,
+    "min": aggregate_min,
+    "max": aggregate_max,
+    "avg": aggregate_avg,
+}
+
+
+def _group_sums(keys, values):
+    """key -> the sum of the values paired with it, added in input order."""
+    acc = {}
+    get = acc.get
+    for k, x in zip(keys, values):
+        acc[k] = get(k, 0) + x
+    return acc
+
+
 class AggregateFn:
-    """SQL-style aggregate emitting rows; grouped when group_cols is given."""
+    """SQL-style aggregate emitting rows; grouped when group_cols is given.
+
+    One pass over the rows keeps a state per group (the weight sum, the sum
+    of value * weight, both for AVG, or the running MIN or MAX) and emits
+    key + (value,).  A row that is not a tuple, a str under SUM or AVG, a
+    weight <= 0 under MIN or MAX, a weight sum outside 64 bits or a zero one
+    under AVG, and any TypeError leave the pass for the per-group reference
+    (the AGGREGATES helpers), which raises the established errors.  Of equal
+    MIN or MAX values, such as 1 and 1.0, the first in input order is kept.
+    """
 
     arity = 1
     klass = GENERAL
 
-    _FNS = {
-        "count": lambda z, col: aggregate_count(z),
-        "sum": aggregate_sum,
-        "min": aggregate_min,
-        "max": aggregate_max,
-        "avg": aggregate_avg,
-    }
-
     def __init__(self, kind, column=0, group_cols=None):
-        if kind not in self._FNS:
+        if kind not in AGGREGATES:
             raise ValidationError(f"unknown aggregate {kind!r}")
         self.kind = kind
         self.column = column
-        self.group_key = KeyFunc(group_cols).kernel if group_cols is not None else None
+        self.grouped = group_cols is not None
+        cols = group_cols or []
+        self.group_key = KeyFunc(cols).kernel
+        # One group column is read as a scalar key, and wrapped when emitted.
+        self._key = operator.itemgetter(*cols) if cols else lambda row: ()
+        self._one = len(cols) == 1
+        self._val = operator.itemgetter(column)
 
-    def _value(self, z):
-        return self._FNS[self.kind](z, self.column)
+    def _one_pass(self, entries):
+        """group key -> aggregate value of entries (row -> weight), or None
+        when the rows need the per-group reference."""
+        if set(map(type, entries)) - {tuple}:
+            return None
+        kind, keys, weights = self.kind, map(self._key, entries), entries.values()
+        try:
+            if kind in ("min", "max"):
+                if entries and min(weights) <= 0:
+                    return None
+                acc = {}
+                first, better = acc.setdefault, operator.lt if kind == "min" else operator.gt
+                for k, v in zip(keys, map(self._val, entries)):
+                    if better(v, first(k, v)):
+                        acc[k] = v
+                return acc
+            if kind != "count":
+                vals = list(map(self._val, entries))
+                if any(issubclass(t, str) for t in set(map(type, vals))):
+                    return None
+                acc = _group_sums(keys, map(operator.mul, vals, weights))
+            if kind != "sum":
+                counts = _group_sums(map(self._key, entries), weights)
+                if not all(WEIGHT_MIN <= c <= WEIGHT_MAX and (c or kind == "count") for c in counts.values()):
+                    return None
+        except (TypeError, IndexError):
+            return None
+        if kind == "avg":
+            return {k: exact_div(s, counts[k]) for k, s in acc.items()}
+        return counts if kind == "count" else acc
 
     def __call__(self, m):
         m = as_zset(m)
-        if self.group_key is None:
-            if m.is_zero():
-                # COUNT/SUM of nothing is 0; order aggregates emit no row.
-                if self.kind in ("count", "sum"):
-                    return makeset((0,))
-                return ZSet()
-            return makeset((self._value(m),))
-        out = {}
-        for k, z in group_by(self.group_key, m).raw_items():
-            out[k + (self._value(z),)] = 1
-        return ZSet._wrap(out)
+        acc = self._one_pass(m._entries)
+        if acc is None:
+            value = AGGREGATES[self.kind]
+            return ZSet._wrap({k + (value(z, self.column),): 1 for k, z in group_by(self.group_key, m).raw_items()})
+        if not acc and not self.grouped and self.kind in ("count", "sum"):
+            return makeset((0,))  # COUNT/SUM of nothing is 0; order aggregates emit no row
+        return ZSet._wrap({((k, x) if self._one else k + (x,)): 1 for k, x in acc.items()})
 
 
 # -- fragment builders ----------------------------------------------------------

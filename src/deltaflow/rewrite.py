@@ -16,7 +16,8 @@ every edge carries changes instead of snapshots:
   join, da*db + z(I(a))*db + da*z(I(b)) (IncJoinFn); a stream join reads
   the trace of its relation side;
 * distinct becomes the sign-transition form (integrate, delay, H);
-* anything else keeps explicit integrate/differentiate brackets;
+* anything else keeps explicit integrate/differentiate brackets, and the
+  operators over one input share its integral;
 * feedback loops keep their shape with the incremental body (cycle rule);
 * nested fixpoint domains are rebuilt with the same rules one clock level
   down.  There an already-incremental join becomes the same probing join
@@ -146,7 +147,20 @@ def optimize(c):
     _fold_maps_into_joins(c)
     out = Circuit(level=c.level)
     out.copy_sinks(c, _delta_compile(c, out, bracket_depth=c.level))
+    _share_integrals(out)
     return _rebuild_topological(out)
+
+
+def _share_integrals(c):
+    """Make the readers of each integrate node read the first one with the
+    same input and clock instead, so that the aggregates over one input
+    keep one integral; the unread copies are dropped when c is rebuilt."""
+    first = {}
+    for n in c.nodes:
+        if n.kind == "integrate":
+            nid = first.setdefault((n.inputs, n.depth), n.id)
+            if nid != n.id:
+                _redirect(c, n.id, nid)
 
 
 def _fold_maps_into_joins(c):
@@ -248,6 +262,7 @@ def _delta_nested(out, n, dmap, bracket_depth):
         inner_old = loop_incrementalize(inner_old)
     nid, inner_new = out.add_nested(dmap[n.inputs[0]])
     _delta_compile(inner_old, inner_new, bracket_depth=inner_new.level - 1)
+    _share_integrals(inner_new)
     # Drop the old body's state that the nested rewrites read through (an
     # incremental join's traces, an incremental distinct's integral).
     _rebuild_topological(inner_new)

@@ -13,6 +13,7 @@ from .datalog import Atom, Rule, RuleProgram, compile_program_into
 from .errors import ValidationError
 from .expr import Col, KeyFunc, parse_expr
 from .relational import (
+    AGGREGATES,
     JoinFn,
     Schema,
     WindowSpec,
@@ -117,8 +118,8 @@ def _parse_relations(items):
             raise ValidationError(f"duplicate relation {name!r}")
         types = item.get("types")
         if types is not None:
-            for t in types:
-                if t not in _SCALAR_TYPES:
+            for t in _list(types, f"relation {name!r}: 'types'"):
+                if not isinstance(t, str) or t not in _SCALAR_TYPES:
                     raise ValidationError(f"relation {name!r}: unknown type {t!r}")
             types = tuple(types)
         kind = item.get("kind", "table")
@@ -126,6 +127,13 @@ def _parse_relations(items):
             raise ValidationError(f"relation {name!r}: kind must be 'table' or 'stream'")
         out[name] = RelationDecl(name, Schema(tuple(columns), types), kind)
     return out
+
+
+def _list(value, what):
+    """A spec field that must be a JSON list."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{what} must be a list, got {value!r}")
+    return value
 
 
 def _name(value, what):
@@ -151,21 +159,18 @@ def _parse_program(block, relations):
     if not isinstance(block, dict):
         raise ValidationError("'recursive' must be an object with 'relations' and 'rules'")
     derived = {}
-    for item in block.get("relations", []):
+    for item in _list(block.get("relations", []), "'recursive' block: 'relations'"):
         name, columns = _declared(item, "derived relation")
         if name in relations or name in derived:
             raise ValidationError(f"duplicate relation {name!r}")
         derived[name] = len(columns)
     rules = []
-    for r in block.get("rules", []):
+    for r in _list(block.get("rules", []), "'recursive' block: 'rules'"):
         if not isinstance(r, dict) or "head" not in r or "body" not in r:
             raise ValidationError(f"bad rule: {r!r}")
-        rules.append(
-            Rule(
-                head=_parse_atom(r["head"]),
-                body=tuple(_parse_atom(a) for a in r["body"]),
-            )
-        )
+        head = _parse_atom(r["head"])
+        body = _list(r["body"], f"rule for {head.rel!r}: 'body'")
+        rules.append(Rule(head=head, body=tuple(_parse_atom(a) for a in body)))
     inputs = {}
     referenced = {a.rel for rule in rules for a in (rule.head, *rule.body)}
     for name in referenced - set(derived):
@@ -183,7 +188,8 @@ def _parse_atom(a):
     if not isinstance(a, dict) or "rel" not in a or "terms" not in a:
         raise ValidationError(f"bad atom: {a!r}")
     rel = _name(a["rel"], "rule atom relation")
-    return Atom(rel=rel, terms=tuple(a["terms"]), negated=bool(a.get("negated", False)))
+    terms = _list(a["terms"], f"atom of relation {rel!r}: 'terms'")
+    return Atom(rel=rel, terms=tuple(terms), negated=bool(a.get("negated", False)))
 
 
 def _expr_max_col(e):
@@ -254,7 +260,7 @@ def _compile_query(c, q, env, where):
     if op == "map":
         node, arity, ev = sub("input")
         no_events((node, arity, ev))
-        exprs = [parse_expr(e) for e in q.get("exprs", [])]
+        exprs = [parse_expr(e) for e in _list(q.get("exprs", []), f"{where}: map 'exprs'")]
         if not exprs:
             raise ValidationError(f"{where}: map needs at least one expression")
         for e in exprs:
@@ -296,6 +302,8 @@ def _compile_query(c, q, env, where):
         node, arity, ev = sub("input")
         no_events((node, arity, ev))
         kind = q.get("agg")
+        if not isinstance(kind, str) or kind not in AGGREGATES:
+            raise ValidationError(f"{where}: unknown aggregate {kind!r}")
         column = q.get("column", 0)
         group = q.get("group_by")
         if not isinstance(column, int) or not 0 <= column < arity:

@@ -1,5 +1,6 @@
 """Spec/trace loading, the batch CLI, report round-trips, exit codes."""
 
+import copy
 import json
 import os
 import subprocess
@@ -123,7 +124,7 @@ class TestLoadTrace:
 
 
 class TestGoldenRuns:
-    @pytest.mark.parametrize("name", ["filtered_join", "closure"])
+    @pytest.mark.parametrize("name", ["filtered_join", "closure", "aggregates"])
     def test_byte_exact(self, name, tmp_path, capsys):
         out = tmp_path / "out.ndjson"
         rc = main(
@@ -347,6 +348,49 @@ def _window(**width):
     return {"op": "window", "theta": "clock", "input": _REL_R, **width}
 
 
+# A valid spec with every kind of field: relation types, a recursive block,
+# a map, an aggregate, a join, a filter over a projection, and a window.
+_FULL_SPEC = {
+    "relations": [
+        {"name": "e", "columns": ["a", "b"], "types": ["int", "int"]},
+        {"name": "clock", "columns": ["t"], "types": ["int"], "kind": "stream"},
+    ],
+    "recursive": {
+        "relations": [{"name": "p", "columns": ["a", "b"]}],
+        "rules": [{"head": {"rel": "p", "terms": ["x", "y"]}, "body": [{"rel": "e", "terms": ["x", "y"]}]}],
+    },
+    "views": [
+        {"name": "m", "query": {"op": "map", "exprs": [["+", ["col", 0], ["const", 1]]], "input": {"op": "rel", "name": "p"}}},
+        {"name": "s", "query": {"op": "aggregate", "agg": "sum", "column": 1, "group_by": [0], "input": {"op": "rel", "name": "e"}}},
+        {"name": "j", "query": {"op": "join", "left_key": [0], "right_key": [1],
+                                "left": {"op": "rel", "name": "e"}, "right": {"op": "rel", "name": "p"}}},
+        {"name": "f", "query": {"op": "filter", "predicate": [">", ["col", 0], ["const", 1]],
+                                "input": {"op": "project", "columns": [1, 0], "input": {"op": "rel", "name": "e"}}}},
+        {"name": "w", "query": {"op": "window", "theta": "clock", "ts_column": 0, "width": 5, "input": {"op": "rel", "name": "e"}}},
+    ],
+}
+# Fields that must be lists (or, for agg, a known name): no replacement by
+# another JSON value is a valid spec, except a relation without types.
+_SHAPE_FIELDS = {"types", "relations", "rules", "body", "terms", "exprs", "agg"}
+
+
+def _field_paths(node, prefix=()):
+    """The path of every field and list item under node."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _field_paths(v, prefix + (k,))
+
+
+def _replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    node = doc
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    return doc
+
+
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):
         p = write(tmp_path, "bad.json", "{")
@@ -421,6 +465,21 @@ class TestExitCodes:
         assert main(["validate", "--spec", write(tmp_path, "s.json", json.dumps(doc))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("deltaflow: ") and named in err, err
+
+    @pytest.mark.parametrize("bad", [3, "5", ["x"], {"a": 1}, None, True, -1, 1.5], ids=repr)
+    def test_every_field_replaced_is_valid_or_exits_2(self, bad, tmp_path, capsys):
+        """Each field of a valid spec in turn replaced by a JSON value of
+        another shape: the spec is valid or exits 2 with a message, never a
+        traceback; a field that must be a list always exits 2."""
+        p = tmp_path / "s.json"
+        for path in _field_paths(_FULL_SPEC):
+            p.write_text(json.dumps(_replaced(_FULL_SPEC, path, bad)))
+            rc = main(["validate", "--spec", str(p)])
+            err = capsys.readouterr().err
+            assert rc in (0, 2), (path, rc)
+            assert rc == 0 or err.startswith("deltaflow: "), (path, err)
+            if path[-1] in _SHAPE_FIELDS and not (path[-1] == "types" and bad is None):
+                assert rc == 2, path
 
     def test_validate_ok(self, capsys):
         assert main(["validate", "--spec", str(FIG_SPEC), "--trace", str(FIG_TRACE)]) == 0

@@ -4,7 +4,7 @@ incremental primitives, windows, and stream joins."""
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import row_zsets, run_all
@@ -14,8 +14,9 @@ from deltaflow.groupval import ZERO
 from deltaflow.runner import compile_circuits
 from deltaflow.specfile import compile_spec
 from deltaflow.trace import Transaction
-from deltaflow.zset import Trace, TraceView
+from deltaflow.zset import Trace, TraceView, group_by
 from deltaflow.relational import (
+    AGGREGATES,
     AggregateFn,
     FilterFn,
     DistinctDeltaFn,
@@ -430,6 +431,47 @@ class TestStreamJoin:
             assert got == fn(acc, ev)
 
 
+_AGG_POOLS = {
+    "int": st.integers(-2, 2),
+    "float": st.sampled_from([0.5, -1.5, 2.0]),
+    "str": st.sampled_from(["a", "b", "ab"]),
+}
+_AGG_POOLS["mixed"] = st.one_of(*_AGG_POOLS.values())
+
+
+@st.composite
+def _agg_inputs(draw):
+    """(group columns, Z-set): rows of three columns, each int, float, str or
+    mixed; weights all positive, or any nonzero with sometimes a row whose
+    weight cancels another's in the same group; sometimes a scalar element."""
+    group = draw(st.sampled_from([None, [0], [2], [1, 0], [0, 2]]))
+    pools = [_AGG_POOLS[draw(st.sampled_from(sorted(_AGG_POOLS)))] for _ in range(3)]
+    positive = draw(st.booleans())
+    weights = st.integers(1, 3) if positive else st.integers(-3, 3).filter(bool)
+    d = draw(st.dictionaries(st.tuples(*pools), weights, max_size=8))
+    free = [c for c in range(3) if c not in (group or [])]
+    if d and not positive and draw(st.booleans()):
+        row, w = draw(st.sampled_from(sorted(d.items(), key=repr)))
+        c = draw(st.sampled_from(free))
+        twin = row[:c] + (draw(pools[c]),) + row[c + 1 :]
+        d[twin] = d.get(twin, 0) - w or w  # the pair's weights cancel unless twin is row
+    if draw(st.integers(0, 4)) == 0:
+        d[draw(_AGG_POOLS["mixed"])] = draw(weights)
+    return group, ZSet(d)
+
+
+def _agg_reference(kind, column, group, m):
+    """The aggregate of m by its per-group definition: group_by, then the
+    zset.aggregate_* helper on each group; COUNT and SUM of an empty ungrouped input
+    are 0, the other ungrouped aggregates emit no row."""
+    f = AGGREGATES[kind]
+    if group is None:
+        if m.is_zero():
+            return ZSet({(0,): 1}) if kind in ("count", "sum") else ZSet()
+        return ZSet({(f(m, column),): 1})
+    return ZSet({k + (f(z, column),): 1 for k, z in group_by(KeyFunc(group), m).raw_items()})
+
+
 class TestAggregateFn:
     def test_global_count_sum(self):
         m = ZSet({(1, 10): 1, (2, 20): 2})
@@ -449,6 +491,54 @@ class TestAggregateFn:
     def test_avg(self):
         m = ZSet({(4,): 1, (6,): 1})
         assert AggregateFn("avg", column=0)(m) == ZSet({(5,): 1})
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(["count", "sum", "avg", "min", "max"]), st.integers(0, 2), _agg_inputs())
+    @example("avg", 1, ([0], ZSet({(0, 1, 0): 1, (0, 2, 0): -1})))
+    @example("min", 1, ([0], ZSet({(0, 1, 0): 1, (0, "a", 0): 1})))
+    @example("max", 1, ([0], ZSet({(0, 1, 0): 1, (0, 2, 0): -1})))
+    @example("count", 0, (None, ZSet({(0, 0, 0): 2**62, (1, 0, 0): 2**62})))
+    @example("sum", 1, ([0], ZSet({(0, "ab", 0): 2**62})))
+    def test_one_pass_equals_per_group_reference(self, kind, column, inputs):
+        """The one-pass kernel against each group's zset helper, over
+        int/float/str columns, scalar elements, and weights that are
+        negative, sum to zero or exceed 1: the same Z-set, or an error of
+        the same class with the same message prefix."""
+        group, m = inputs
+        try:
+            want = _agg_reference(kind, column, group, m)
+        except Exception as e:
+            with pytest.raises(type(e)) as got:
+                AggregateFn(kind, column, group)(m)
+            assert type(got.value) is type(e)
+            assert str(got.value).split(":")[0] == str(e).split(":")[0]
+        else:
+            assert AggregateFn(kind, column, group)(m) == want
+
+    @pytest.mark.parametrize(
+        "kind, group, want",
+        [
+            ("min", None, [("ab",)]),
+            ("max", None, [("b",)]),
+            ("count", None, [(3,)]),
+            ("min", [0], [("ab", "ab"), ("b", "b")]),
+            ("max", [0], [("ab", "ab"), ("b", "b")]),
+            ("count", [0], [("ab", 1), ("b", 2)]),
+        ],
+    )
+    def test_str_scalars_are_their_own_column(self, kind, group, want):
+        """A str element is a scalar, its own column 0, not a row of characters."""
+        m = ZSet({"ab": 1, "b": 2})
+        assert AggregateFn(kind, 0, group)(m) == ZSet({row: 1 for row in want})
+        with pytest.raises(ValidationError, match="SUM over non-numeric column 0"):
+            AggregateFn("sum", 0, group)(m)
+
+    @pytest.mark.parametrize("kind", ["min", "max"])
+    def test_ties_keep_the_first_value_in_input_order(self, kind):
+        for first, then in ((1, 1.0), (1.0, 1)):
+            m = ZSet({(0, first, "x"): 1, (0, then, "y"): 1, (0, 0 if kind == "max" else 2, "z"): 1})
+            (row,) = AggregateFn(kind, 1, [0])(m).raw_items()
+            assert row == ((0, 1), 1) and type(row[0][1]) is type(first)
 
 
 def _random_change(rng, empty_share=0.4):

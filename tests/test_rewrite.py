@@ -28,6 +28,7 @@ from deltaflow.relational import (
     build_projection,
     build_union,
 )
+from deltaflow.rewrite import differential_check
 from deltaflow.runner import _closure_spec
 from deltaflow.specfile import compile_spec
 from oracles import as_z, brute_incremental
@@ -329,6 +330,30 @@ class TestAlgorithmPipeline:
         ]
         assert [n.fn.op_name for n in inc.nodes if n.label == "join"] == ["join+project"]
         assert reference.census()[("lifted", "project")] == 1
+
+    def test_operators_over_one_input_share_one_integral(self):
+        """SUM, MAX and distinct over t read one integral of t; a SUM over
+        a filter of t keeps its own.  Outputs equal the reference's."""
+        t = {"op": "rel", "name": "t"}
+        agg = lambda kind, inp: {"op": "aggregate", "agg": kind, "column": 1, "group_by": [0], "input": inp}
+        doc = {
+            "relations": [{"name": "t", "columns": ["g", "v"], "types": ["int", "int"]}],
+            "views": [
+                {"name": "s", "query": agg("sum", t)},
+                {"name": "m", "query": agg("max", t)},
+                {"name": "d", "query": {"op": "distinct", "input": t}},
+                {"name": "f", "query": agg("sum", {"op": "filter", "predicate": [">", ["col", 1], ["const", 2]], "input": t})},
+            ],
+        }
+        scalar = compile_spec(doc).circuit
+        inc = compile_query(scalar)[1]
+        assert inc.census()[("integrate", "")] == 2
+        rng, live, ticks = random.Random(3), {}, []
+        for _ in range(30):  # insert a row, with weight 1 or 2, or delete one
+            row = (rng.randrange(3), rng.randrange(6))
+            w = -live.pop(row) if row in live else live.setdefault(row, rng.choice((1, 2)))
+            ticks.append({"t": ZSet({row: w})})
+        assert differential_check(scalar, [ticks], raise_on_mismatch=False) is None
 
     def test_nested_join_terms_carry_the_rule_head(self):
         """In a recursive block the rule head's map is folded into the one
