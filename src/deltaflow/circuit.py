@@ -127,7 +127,10 @@ class _InnerCtx:
         """The parent tick failed: leave the domain's state as it was before."""
         outer = self.outer
         for key, old in self.journal.items():
-            outer[key] = old
+            if old is None:
+                del outer[key]
+            else:
+                outer[key] = old
         for v in outer.values():
             if isinstance(v, Trace):
                 v.rollback()
@@ -506,14 +509,18 @@ class Circuit:
             return lambda vals, inputs, ctx, latches: update(store, nid, store.get(nid, ZERO), vals, latches)
 
         def step(vals, inputs, ctx, latches):
-            # At (nid, u) in the parent-clock store, journaled so that a
-            # failed parent tick can restore it.
+            # At (nid, u) in the parent-clock store, journaled (None: absent)
+            # so that a failed parent tick can restore it.  A key no earlier
+            # tick reached starts from the last one they reached, before this
+            # tick: they had converged there.
             if ctx is None:
                 raise CircuitError(f"node {node} needs a parent clock")
-            store, key = ctx.outer, (nid, ctx.u)
-            state = store.get(key, ZERO)
-            if key not in ctx.journal:
-                ctx.journal[key] = state
+            store, key, journal = ctx.outer, (nid, ctx.u), ctx.journal
+            state = store.get(key)
+            if key not in journal:
+                journal[key] = state
+            if state is None:
+                state = journal.get((nid, ctx.max_len - 1)) or ZERO
             return update(store, key, state, vals, latches)
 
         return step

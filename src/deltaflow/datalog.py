@@ -35,7 +35,7 @@ def normalize_term(t):
         return WILDCARD
     if isinstance(t, str):
         return ("var", t)
-    if isinstance(t, dict) and set(t) == {"const"}:
+    if isinstance(t, dict) and set(t) == {"const"} and isinstance(t["const"], (int, float, str)):
         return ("const", t["const"])
     if isinstance(t, (int, float)):
         return ("const", t)
@@ -357,7 +357,12 @@ def build_incremental_recursive(program, cap=None):
 
 def build_while(q, cap=None):
     """Iterate a zero-preserving scalar query x := Q(x) from the input until
-    it stops changing; the circuit emits the limit."""
+    it stops changing; the circuit emits the limit.
+
+    The body is bracketed as _build_unit's is: the input enters through D
+    then an integrate marked "i" (I(D(x)) = x), and the loop value leaves
+    through a differentiate marked "d", so the incremental rewrite first
+    turns the loop into its semi-naive form, along its own clock."""
     if len(q.sources) != 1 or len(q.sinks) != 1:
         raise CircuitError("while-loop body needs exactly one source and one sink")
     for n in q.nodes:
@@ -371,11 +376,14 @@ def build_while(q, cap=None):
     block, inner = c.add_nested(src)
     entry = inner.add_delta0()
     fb = inner.add_feedback(depth=inner.level)
-    start = inner.add_plus([entry, fb])
+    ientry = inner.add_integrate(inner.add_differentiate(entry))
+    inner.nodes[ientry].meta["bracket"] = "i"
+    start = inner.add_plus([ientry, fb])
 
     qout = inner.copy_nodes(q.nodes, {s_id: start})[v_id]
     inner.connect_feedback(qout, fb)
     d = inner.add_differentiate(qout, depth=inner.level)
+    inner.nodes[d].meta["bracket"] = "d"
     inner.add_stream_sum(d, max_iterations=cap)
     c.add_sink(block, vname)
     return c

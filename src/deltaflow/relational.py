@@ -29,6 +29,7 @@ from .zset import (
     WEIGHT_MAX,
     WEIGHT_MIN,
     IndexedZSet,
+    TraceView,
     ZSet,
     aggregate_avg,
     aggregate_count,
@@ -273,30 +274,63 @@ class StreamJoinFn(_TraceJoin):
 
 
 class DistinctDeltaFn:
-    """Sign-transition detector behind incremental distinct.
-
-    Given the previously integrated input i and the tick's change d, an
-    element of d enters the output with +1 when its accumulated weight turns
-    positive, -1 when it stops being positive, 0 otherwise.  Only the support
-    of d is inspected, so the work is bounded by the change.
+    """Incremental distinct as one operator, on every clock: the sign
+    transition H(old, new) is +1 when an element's accumulated weight turns
+    positive, -1 when it stops being positive, 0 otherwise.  Inside a
+    fixpoint i is a TraceView of the two-axis trace R of d (flat, no key)
+    and d is the change at (t, u).  Per element, with old_t the sum
+    of R below slot u, new_t = old_t + R[u] + d, and the tick-(t-1) values
+    old_p = old_t - (this tick's changes below u) and new_p = old_p + R[u],
+    the output is H(old_t, new_t) - H(old_p, new_p).  An element this tick
+    did not touch at any j <= u has the same R at t and t-1 there, so its
+    two terms cancel; one touched only below u cancels too unless it has
+    weight in R[u].  So only the elements of d and those of R's tick log
+    found in R[u] are visited.  On its own clock i is the integral of the
+    earlier changes, slot 0 with an empty log, and this is H(i, i + d).
     """
 
     arity = 2
     klass = GENERAL
     probe_args = (0,)  # the accumulated input is probed per element of d
 
+    def rows_in(self, i, d):
+        """The rows of d and of this tick's log, the only elements visited
+        (the accumulated input is looked up): with neither it emits nothing."""
+        return len(as_zset(d)) + (i.trace.tick_rows if isinstance(i, TraceView) else 0)
+
     def __call__(self, i, d):
-        i = as_zset(i)
-        d = as_zset(d)
-        get = i._entries.get
+        d = as_zset(d)._entries
         out = {}
-        for x, w in d.raw_items():
-            old = get(x, 0)
-            new = old + w
-            if old > 0 and new <= 0:
-                out[x] = -1
-            elif old <= 0 and new > 0:
-                out[x] = 1
+        if not isinstance(i, TraceView):
+            get = as_zset(i)._entries.get
+            for x, w in d.items():
+                old = get(x, 0)
+                new = old + w
+                if old > 0 and new <= 0:
+                    out[x] = -1
+                elif old <= 0 and new > 0:
+                    out[x] = 1
+            return ZSet._wrap(out)
+        u, tr = i.u, i.trace
+        done = {}  # element -> this tick's change below u
+        for rows in tr.tick.values():
+            for x, w in rows.items():
+                done[x] = done.get(x, 0) + w
+        at = tr.slots.get(u, {})
+        touched = [(x, done.get(x, 0), w) for x, w in d.items()]
+        touched += [(x, dn, 0) for x, dn in done.items() if x in at and x not in d]
+        below = [slot for j, slot in tr.slots.items() if j < u]
+        for x, dn, w in touched:
+            old = 0
+            for slot in below:
+                old += slot.get(x, 0)
+            cur = at.get(x, 0)
+            new = old + cur + w
+            old_p = old - dn
+            new_p = old_p + cur
+            o = (new > 0) - (old > 0) - (new_p > 0) + (old_p > 0)
+            if o:
+                out[x] = o
         return ZSet._wrap(out)
 
 
@@ -355,56 +389,6 @@ def _cross(d, left, right, semi, fn):
                 d[out] = w
             else:
                 _add_weight(d, out, nw + w)
-
-
-class NestedDistinctDeltaFn:
-    """Distinct inside a fixpoint, incrementalized on both clocks.
-
-    Takes a TraceView of the two-axis trace R of the input d (flat, no key)
-    and d itself, the change at (t, u).  Per element, with old_t the sum of
-    R below slot u, new_t = old_t + R[u] + d, and the tick-(t-1) values
-    old_p = old_t - (this tick's changes below u) and new_p = old_p + R[u],
-    the output is H(old_t, new_t) - H(old_p, new_p), H the sign transition
-    of DistinctDeltaFn.  An element this tick did not touch at any j <= u has
-    the same R at t and t-1 there, so its two terms cancel; one touched only
-    below u cancels too unless it has weight in R[u].  So only the elements
-    of d and those of R's tick log found in R[u] are visited.
-    """
-
-    arity = 2
-    klass = GENERAL
-    probe_args = (0,)
-
-    def rows_in(self, view, d):
-        """The rows of this tick's log and of d; the slots are looked up.
-        Only elements of the two are visited, so with neither it emits
-        nothing."""
-        return view.trace.tick_rows + len(as_zset(d))
-
-    def __call__(self, view, d):
-        u, tr = view.u, view.trace
-        d = as_zset(d)._entries
-        done = {}  # element -> this tick's change below u
-        for rows in tr.tick.values():
-            for x, w in rows.items():
-                done[x] = done.get(x, 0) + w
-        at = tr.slots.get(u, {})
-        touched = [(x, done.get(x, 0), w) for x, w in d.items()]
-        touched += [(x, dn, 0) for x, dn in done.items() if x in at and x not in d]
-        below = [slot for j, slot in tr.slots.items() if j < u]
-        out = {}
-        for x, dn, w in touched:
-            old = 0
-            for slot in below:
-                old += slot.get(x, 0)
-            cur = at.get(x, 0)
-            new = old + cur + w
-            old_p = old - dn
-            new_p = old_p + cur
-            o = (new > 0) - (old > 0) - (new_p > 0) + (old_p > 0)
-            if o:
-                out[x] = o
-        return ZSet._wrap(out)
 
 
 # An aggregate's value over one group's Z-set z, reading column col.
@@ -558,7 +542,8 @@ def build_aggregate(c: Circuit, x, kind, column=0, group_cols=None):
 
 def build_inc_distinct(c: Circuit, d, depth=None):
     """Incremental distinct: delta in, delta out.  DistinctDeltaFn's work is
-    O(|delta|); its integral is rebuilt each tick, an O(relation) state update."""
+    O(|delta|); its integral is rebuilt each tick, an O(relation) state update.
+    In a fixpoint body the rewrite swaps the integral for a two-axis trace."""
     depth = c.level if depth is None else depth
     i = c.add_integrate(d, depth=depth)
     z = c.add_delay(i, depth=depth)

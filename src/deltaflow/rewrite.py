@@ -21,19 +21,19 @@ every edge carries changes instead of snapshots:
 * feedback loops keep their shape with the incremental body (cycle rule);
 * nested fixpoint domains are rebuilt with the same rules one clock level
   down.  There an already-incremental join becomes the same probing join
-  (IncJoinFn) over one two-axis trace per side, and an incremental distinct
-  becomes one trace probed only at the elements the parent tick touched
-  (NestedDistinctDeltaFn), so a fixpoint update works in proportion to its
-  change.  The state the old body kept for them is left unread and dropped.
+  (IncJoinFn) over one two-axis trace per side, and the incremental distinct
+  (DistinctDeltaFn) probes one two-axis trace at the elements the parent
+  tick touched, so a fixpoint update works in proportion to its change.
+  The state the old body kept for them is left unread and dropped.
 """
 
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
 from .errors import CircuitError
 from .relational import (
+    DistinctDeltaFn,
     IncJoinFn,
     JoinFn,
     MapFn,
-    NestedDistinctDeltaFn,
     StreamJoinFn,
     build_inc_distinct,
     build_inc_join,
@@ -219,12 +219,11 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
     fn = n.fn
     ins = [dmap[i] for i in n.inputs]
 
-    if n.label == "distinct_delta":
-        # Incremental distinct seen one clock level up: a two-axis trace of
-        # the change, probed only at the elements this tick touched.
-        d = ins[1]  # DistinctDeltaFn reads (delayed integral, change)
-        r = out.add_trace(d, depth=bracket_depth)
-        return out.add_lifted(NestedDistinctDeltaFn(), [r, d], klass=GENERAL, label="distinct_delta")
+    if isinstance(fn, DistinctDeltaFn):
+        # Incremental distinct seen one clock level up: the same operator
+        # reads a two-axis trace of the change in place of its integral.
+        d = ins[1]
+        return out.add_lifted(fn, [out.add_trace(d, depth=bracket_depth), d], klass=GENERAL, label=n.label)
 
     if isinstance(fn, IncJoinFn):
         # Incremental join seen one clock level up: the traces it probes
@@ -237,6 +236,9 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
         return out.add_lifted(StreamJoinFn(fn), [tr, ins[1]], klass=BILINEAR, label="stream_join")
 
     if n.klass == BILINEAR:
+        if bracket_depth < out.level:
+            # IncJoinFn's formula assumes changes on both clocks.
+            raise CircuitError(f"{n.label} in a nested body whose loop is not incrementalized first")
         return build_inc_join(out, ins[0], ins[1], None, None, depth=bracket_depth, fn=fn)
 
     if n.label == "distinct":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from .circuit import Circuit
 from .datalog import Atom, Rule, RuleProgram, compile_program_into
 from .errors import ValidationError
-from .expr import Col, KeyFunc, parse_expr
+from .expr import Col, Const, KeyFunc, parse_expr
 from .relational import (
     AGGREGATES,
     JoinFn,
@@ -192,31 +192,32 @@ def _parse_atom(a):
     return Atom(rel=rel, terms=tuple(terms), negated=bool(a.get("negated", False)))
 
 
-def _expr_max_col(e):
-    if isinstance(e, Col):
-        return e.index
-    hi = -1
-    for attr in ("left", "right", "inner"):
-        sub = getattr(e, attr, None)
-        if sub is not None:
-            hi = max(hi, _expr_max_col(sub))
-    return hi
+def _col(i, arity, where):
+    """A column index: an int that is not a bool, with 0 <= i < arity."""
+    if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < arity:
+        raise ValidationError(f"{where}: bad column index {i!r} (arity {arity})")
+    return i
 
 
-def _check_cols(e, arity, where):
-    if _expr_max_col(e) >= arity:
-        raise ValidationError(f"{where}: column index out of range (arity {arity})")
+def _expr(node, arity, where):
+    """An expression over rows of the given arity, with its column indexes
+    checked and no null, list or object constant, which no value equals."""
+    expr = parse_expr(node)
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Col):
+            _col(e.index, arity, where)
+        elif isinstance(e, Const) and (e.value is None or isinstance(e.value, (list, dict))):
+            raise ValidationError(f"{where}: bad constant {e.value!r}")
+        stack += [x for x in (getattr(e, a, None) for a in ("left", "right", "inner")) if x is not None]
+    return expr
 
 
 def _parse_keys(keys, arity, where):
     if not isinstance(keys, list):
         raise ValidationError(f"{where}: keys must be a list")
-    exprs = []
-    for k in keys:
-        e = Col(k) if isinstance(k, int) else parse_expr(k)
-        _check_cols(e, arity, where)
-        exprs.append(e)
-    return exprs
+    return [Col(_col(k, arity, where)) if isinstance(k, int) else _expr(k, arity, where) for k in keys]
 
 
 def _compile_query(c, q, env, where):
@@ -245,26 +246,21 @@ def _compile_query(c, q, env, where):
     if op == "filter":
         node, arity, ev = sub("input")
         no_events((node, arity, ev))
-        pred = parse_expr(q.get("predicate"))
-        _check_cols(pred, arity, where)
+        pred = _expr(q.get("predicate"), arity, where)
         return build_filter(c, node, pred), arity, False
 
     if op == "project":
         node, arity, ev = sub("input")
         no_events((node, arity, ev))
-        cols = q.get("columns")
-        if not isinstance(cols, list) or not all(isinstance(i, int) and 0 <= i < arity for i in cols):
-            raise ValidationError(f"{where}: bad projection columns {cols!r}")
+        cols = [_col(i, arity, where) for i in _list(q.get("columns"), f"{where}: projection 'columns'")]
         return build_projection(c, node, cols), len(cols), False
 
     if op == "map":
         node, arity, ev = sub("input")
         no_events((node, arity, ev))
-        exprs = [parse_expr(e) for e in _list(q.get("exprs", []), f"{where}: map 'exprs'")]
+        exprs = [_expr(e, arity, where) for e in _list(q.get("exprs", []), f"{where}: map 'exprs'")]
         if not exprs:
             raise ValidationError(f"{where}: map needs at least one expression")
-        for e in exprs:
-            _check_cols(e, arity, where)
         return build_map(c, node, exprs), len(exprs), False
 
     if op == "distinct":
@@ -304,13 +300,10 @@ def _compile_query(c, q, env, where):
         kind = q.get("agg")
         if not isinstance(kind, str) or kind not in AGGREGATES:
             raise ValidationError(f"{where}: unknown aggregate {kind!r}")
-        column = q.get("column", 0)
+        column = _col(q.get("column", 0), arity, where)
         group = q.get("group_by")
-        if not isinstance(column, int) or not 0 <= column < arity:
-            raise ValidationError(f"{where}: bad aggregate column {column!r}")
         if group is not None:
-            if not isinstance(group, list) or not all(isinstance(i, int) and 0 <= i < arity for i in group):
-                raise ValidationError(f"{where}: bad group_by columns {group!r}")
+            group = [_col(i, arity, where) for i in _list(group, f"{where}: 'group_by'")]
         out_arity = (len(group) if group else 0) + 1
         return build_aggregate(c, node, kind, column, group), out_arity, False
 
@@ -320,9 +313,7 @@ def _compile_query(c, q, env, where):
         theta = q.get("theta")
         if not isinstance(theta, str) or theta not in env or not env[theta][2]:
             raise ValidationError(f"{where}: window clock {theta!r} must be an event-stream relation")
-        ts_column = q.get("ts_column", 0)
-        if not isinstance(ts_column, int) or not 0 <= ts_column < arity:
-            raise ValidationError(f"{where}: bad ts_column {ts_column!r}")
+        ts_column = _col(q.get("ts_column", 0), arity, where)
         width = q.get("width")
         if isinstance(width, bool) or not isinstance(width, (int, float)) or not width > 0:
             raise ValidationError(f"{where}: window width must be a positive number, got {width!r}")

@@ -10,7 +10,7 @@ from conftest import zsets
 from deltaflow import Circuit, CircuitError, NonTerminationError, ValidationError, ZSet
 from deltaflow.circuit import LINEAR
 from deltaflow.groupval import ZERO, gv_eq, gv_is_zero
-from deltaflow.relational import DistinctDeltaFn, FilterFn, IncJoinFn, MapFn, NestedDistinctDeltaFn
+from deltaflow.relational import DistinctDeltaFn, FilterFn, IncJoinFn, MapFn
 from deltaflow.runner import _closure_spec, compile_circuits
 from oracles import as_z, list_differentiate, list_integrate
 
@@ -419,7 +419,7 @@ class TestStepProgram:
 
     def test_wrapper_installed_before_the_first_step_sees_every_call(self, monkeypatch):
         made = []
-        for cls in (FilterFn, MapFn, DistinctDeltaFn, IncJoinFn, NestedDistinctDeltaFn):
+        for cls in (FilterFn, MapFn, DistinctDeltaFn, IncJoinFn):
             call = cls.__call__
             monkeypatch.setattr(cls, "__call__", lambda self, *a, _call=call: (made.append(self), _call(self, *a))[1])
         plain = _run_counted(_closure(), CLOSURE_TICKS)

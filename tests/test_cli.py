@@ -348,6 +348,21 @@ def _window(**width):
     return {"op": "window", "theta": "clock", "input": _REL_R, **width}
 
 
+# t(a, b) beside the clock stream: a column index True reads column 1 and -1
+# the last column, so both must be rejected, not read.
+_T = [{"name": "t", "columns": ["a", "b"]}, _R[1]]
+_REL_T = {"op": "rel", "name": "t"}
+
+
+def _over_t(op, **fields):
+    """A query node of kind op over t."""
+    return {"op": op, "input": _REL_T, **fields}
+
+
+def _join_t(left_key, right_key):
+    return {"op": "join", "left": _REL_T, "right": _REL_T, "left_key": left_key, "right_key": right_key}
+
+
 # A valid spec with every kind of field: relation types, a recursive block,
 # a map, an aggregate, a join, a filter over a projection, and a window.
 _FULL_SPEC = {
@@ -454,9 +469,33 @@ class TestExitCodes:
                 _REL_R,
                 "['r']",
             ),
+            (_T, None, "v", _over_t("filter", predicate=[">", ["col", -1], ["const", 5]]), "view 'v'"),
+            (_T, None, "v", _over_t("filter", predicate=[">", ["col", True], ["const", 5]]), "view 'v'"),
+            (_T, None, "v", _over_t("filter", predicate=[">", ["col", 0], ["const", None]]), "view 'v'"),
+            (_T, None, "v", _over_t("filter", predicate=["==", ["col", 0], ["const", ["x"]]]), "view 'v'"),
+            (_T, None, "v", _over_t("map", exprs=[["+", ["col", 0], ["const", {"a": 1}]]]), "view 'v'"),
+            (_T, None, "v", _over_t("project", columns=[True]), "view 'v'"),
+            (_T, None, "v", _over_t("aggregate", agg="count", group_by=[True]), "view 'v'"),
+            (_T, None, "v", _over_t("aggregate", agg="sum", column=True), "view 'v'"),
+            (_T, None, "v", _over_t("window", theta="clock", ts_column=True, width=5), "view 'v'"),
+            (_T, None, "v", _join_t([True], [0]), "view 'v'"),
+            (_T, None, "v", _join_t([0], [-1]), "view 'v'"),
+            (
+                _T,
+                {
+                    "relations": [{"name": "p", "columns": ["a", "b"]}],
+                    "rules": [{"head": {"rel": "p", "terms": ["x", {"const": [1]}]},
+                               "body": [{"rel": "t", "terms": ["x", "y"]}]}],
+                },
+                "v",
+                {"op": "rel", "name": "p"},
+                "bad rule term",
+            ),
         ],
         ids=["window-no-width", "window-str-width", "window-bool-width", "columns-int", "relation-name-list",
-             "derived-name-list", "view-name-list", "rel-node-name-list", "atom-name-list"],
+             "derived-name-list", "view-name-list", "rel-node-name-list", "atom-name-list", "col-negative",
+             "col-bool", "const-null", "const-list", "const-object", "project-bool", "group-by-bool",
+             "aggregate-column-bool", "ts-column-bool", "join-key-bool", "join-key-negative", "rule-const-list"],
     )
     def test_malformed_spec_is_2(self, relations, recursive, view, query, named, tmp_path, capsys):
         doc = {"relations": relations, "views": [{"name": view, "query": query}]}

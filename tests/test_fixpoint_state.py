@@ -14,6 +14,7 @@ from deltaflow.groupval import ZERO
 from deltaflow.relational import (
     IncJoinFn,
     JoinFn,
+    build_aggregate,
     build_antijoin,
     build_cartesian,
     build_distinct,
@@ -102,28 +103,38 @@ class TestStepAtomicity:
             assert c.metrics.iterations - i0 == fresh.metrics.iterations - f0, t
 
     def test_parent_clock_slots_are_restored(self):
-        """A while-loop body keeps its node state at (nid, u) slots on the
-        parent clock, not in traces: a cut tick restores those too."""
+        """An aggregate in a while-loop body keeps its integral and
+        derivative at (nid, u) slots on the parent clock.  A tick cut after
+        it ran past every earlier run restores each slot exactly: the slots
+        it reached first are deleted, not left as zero, because a later tick
+        starts those from the last slot the earlier runs reached."""
 
-        def growing():
-            # Q(x) = x union (successors of x below 6)
+        def min_down():
+            # Q(x) = x union {MIN(x) - 1} while that is >= 0
             q = Circuit()
             s = q.add_source("x")
-            nxt = build_map(q, s, MapFunc([BinOp("+", Col(0), Const(1))]))
-            q.add_sink(build_union(q, s, build_filter(q, nxt, BinOp("<", Col(0), Const(6)))), "x")
+            m = build_map(q, build_aggregate(q, s, "min"), MapFunc([BinOp("-", Col(0), Const(1))]))
+            q.add_sink(build_union(q, s, build_filter(q, m, BinOp(">=", Col(0), Const(0)))), "x")
             return q
 
-        fresh, c = incrementalize_query(build_while(growing())), incrementalize_query(build_while(growing()))
-        ticks = [{(0,): 1}, {(3,): 1}, {(0,): -1}, {(1,): 1, (4,): 2}, {(3,): -1}, {(0,): 1}]
+        def slots(bstate):
+            return {k: v for k, v in bstate["outer"].items() if isinstance(k, tuple)}
+
+        fresh, c = incrementalize_query(build_while(min_down())), incrementalize_query(build_while(min_down()))
+        block = next(n.id for n in c.nodes if n.kind == "nested")
+        ticks = [{(2,): 1}, {(5,): 1}, {(2,): -1}, {(5,): -1, (9,): 1}, {(9,): -1}]
         for t, rows in enumerate(ticks):
             inputs = {"x": ZSet(rows)}
-            if t in (2, 4):
-                before = _plain(c._state)
-                _set_cap(c, 2)
+            if t in (2, 3):
+                bstate = c._state[block]
+                before, state_before, max_len = slots(bstate), _plain(c._state), bstate["max_len"]
+                assert before and {u for _, u in before} == set(range(max_len)), t
+                _set_cap(c, max_len + 1)  # cut one iteration past every earlier run
                 with pytest.raises(NonTerminationError):
                     c.step(inputs)
                 _set_cap(c, None)
-                assert _plain(c._state) == before, t
+                assert slots(bstate) == before and bstate["max_len"] == max_len, t
+                assert _plain(c._state) == state_before, t
             assert as_z(c.step(inputs)["x"]) == as_z(fresh.step(inputs)["x"]), t
 
     def test_tick_failing_after_the_block_ran_leaves_its_state(self):

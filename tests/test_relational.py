@@ -14,7 +14,7 @@ from deltaflow.groupval import ZERO
 from deltaflow.runner import compile_circuits
 from deltaflow.specfile import compile_spec
 from deltaflow.trace import Transaction
-from deltaflow.zset import Trace, TraceView, group_by
+from deltaflow.zset import Trace, TraceView, distinct, group_by
 from deltaflow.relational import (
     AGGREGATES,
     AggregateFn,
@@ -23,7 +23,6 @@ from deltaflow.relational import (
     IncJoinFn,
     JoinFn,
     MapFn,
-    NestedDistinctDeltaFn,
     WindowSpec,
     build_antijoin,
     build_cartesian,
@@ -595,17 +594,20 @@ class TestSkipContract:
                 assert fn(va, vb).is_zero(), (va.u, va.rows, vb.rows)
         assert skipped > 50
 
-    def test_nested_distinct_emits_nothing_when_it_scans_nothing(self):
+    def test_distinct_emits_nothing_when_it_scans_nothing(self):
+        """Inside a fixpoint and on its own clock, where the integral is
+        probed and an empty change scans nothing."""
         rng = random.Random(8)
-        fn = NestedDistinctDeltaFn()
+        fn = DistinctDeltaFn()
         skipped = 0
         for _ in range(400):
             (view, _), (d, _) = _random_views(rng, keyed=False)
-            for change in (d, ZERO) if d.is_zero() else (d,):
-                if fn.rows_in(view, change) == 0:
-                    skipped += 1
-                    assert fn(view, change).is_zero()
-        assert skipped > 50
+            for i in (view, _flat(view.trace.slots.get(0, {}))):
+                for change in (d, ZERO) if d.is_zero() else (d,):
+                    if fn.rows_in(i, change) == 0:
+                        skipped += 1
+                        assert fn(i, change).is_zero()
+        assert skipped > 100
 
     def test_empty_iteration_change_still_corrects(self):
         """With both views' own change empty (TraceView.size == 0), the
@@ -629,7 +631,7 @@ class TestSkipContract:
         r.commit()
         r[0] = r.group(ZSet({"x": 1}))
         # x reached iteration 1 on the last tick and iteration 0 on this one
-        assert NestedDistinctDeltaFn()(TraceView(r, 1, {}, 0), ZERO) == ZSet({"x": -1})
+        assert DistinctDeltaFn()(TraceView(r, 1, {}, 0), ZERO) == ZSet({"x": -1})
 
     @pytest.mark.parametrize("mode", ["incremental", "compare"])
     def test_ungrouped_count_and_sum_of_nothing_emit_zero_row(self, mode):
@@ -663,8 +665,10 @@ class TestSkipContract:
 
 
 def _flat(groups):
-    """A keyed trace slot, log entry or view change (key -> {row: weight})
-    as one Z-set."""
+    """A trace slot, log entry or view change as one Z-set: keyed, it is
+    key -> {row: weight}; flat, row -> weight."""
+    if not all(isinstance(g, dict) for g in groups.values()):
+        return ZSet(groups)
     out = ZSet()
     for g in groups.values():
         out = out + ZSet(g)
@@ -713,6 +717,31 @@ class TestIncJoinOracle:
             (va, vb), _ = _random_views(rng, keyed=True)
             j = [join(a, b) for a, b in zip(_prefix_sums(va), _prefix_sums(vb))]
             assert fn(va, vb) == j[0] - j[1] - j[2] + j[3], (va.u, va.rows, vb.rows)
+
+
+class TestDistinctDeltaOracle:
+    """The one incremental distinct at (t, u) is the double difference of
+    distinct over the snapshots R(<=T, <=U) of its input's trace:
+    D(t, u) - D(t, u-1) - D(t-1, u) + D(t-1, u-1); on its own clock,
+    distinct(i + d) - distinct(i)."""
+
+    def test_matches_double_difference_of_snapshots(self):
+        rng = random.Random(12)
+        fn = DistinctDeltaFn()
+        for _ in range(600):
+            (view, _), (d, _) = _random_views(rng, keyed=False)
+            s = [distinct(r) for r in _prefix_sums(view)]
+            assert fn(view, d) == s[0] - s[1] - s[2] + s[3], (view.u, view.trace.slots, view.trace.tick, d)
+
+    def test_own_clock_is_the_change_of_distinct(self):
+        rng = random.Random(13)
+        fn = DistinctDeltaFn()
+        for _ in range(600):
+            i, d = (
+                ZSet({(rng.randrange(5),): rng.choice((-2, -1, 1, 2, 3)) for _ in range(rng.randrange(5))})
+                for _ in range(2)
+            )
+            assert fn(i, d) == distinct(i + d) - distinct(i), (i, d)
 
 
 class TestExpressions:
