@@ -24,7 +24,8 @@ store, which lives in the parent's `_state` and is updated in place: at key
 `(nid, u)`, u the inner tick.  A trace node keeps one trace (zset.Trace)
 updated in place at key `nid`: in slot 0 on its own clock, in slot u on
 the parent clock; the domain's accumulated per-iteration change is a trace
-at the stream-sum's id.  A trace node's value is a TraceView that only
+at the stream-sum's id; an own-clock trace may also keep a summary per key
+(zset.SummaryTrace).  A trace node's value is a TraceView that only
 probing operators may read, never a sink, and a trace is never lifted past
 its clock.  Traces latch before the other state, and an overflow while
 latching rolls back the own-clock traces latched before it.  A nested
@@ -55,7 +56,7 @@ that holds state is visited again.
 
 from .errors import CircuitError, NonTerminationError, TypeMismatchError, ValidationError
 from .groupval import ZERO, StreamVector, as_vector, as_zset, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
-from .zset import Trace, TraceView, ZSet
+from .zset import SummaryTrace, Trace, TraceView, ZSet
 
 DEFAULT_ITERATION_CAP = 1_000_000
 
@@ -213,16 +214,17 @@ class Circuit:
     def add_differentiate(self, x, depth=None):
         return self._add("differentiate", (x,), depth=self.level if depth is None else depth, klass=DELAY_CLASS)
 
-    def add_trace(self, x, depth=None, index_key=None):
+    def add_trace(self, x, depth=None, index_key=None, summary=False):
         """A trace of change stream x, grouped by index_key (see
         zset.Trace), on the given clock: by default the parent clock of this
-        nested domain."""
+        nested domain.  With summary, an own-clock trace also keeps a
+        summary per key that its probe stages (zset.SummaryTrace)."""
         return self._add(
             "trace",
             (x,),
             depth=self.level - 1 if depth is None else depth,
             klass=DELAY_CLASS,
-            meta={"index_key": index_key},
+            meta={"index_key": index_key, "summary": summary},
         )
 
     def add_feedback(self, depth=None, delayed=True):
@@ -543,6 +545,7 @@ class Circuit:
         probes, and _eval_tick latches them into the trace in place."""
         nid, src, metrics, state = node.id, node.inputs[0], self.metrics, self._state
         index_key = node.meta.get("index_key")
+        make = SummaryTrace if node.meta.get("summary") else Trace
 
         def step(vals, inputs, ctx, latches):
             if own:
@@ -553,7 +556,7 @@ class Circuit:
                 store, u = ctx.outer, ctx.u
             tr = store.get(nid)
             if tr is None:
-                tr = store[nid] = Trace(index_key)
+                tr = store[nid] = make(index_key)
             change = as_zset(vals[src])
             metrics.tuples += len(change)
             return TraceView(tr, u, tr.group(change), len(change))

@@ -152,17 +152,21 @@ def _tuple_kernel(exprs):
 
     A pure column list reads tuple elements with `operator.itemgetter`; scalar
     elements take the per-column readers, so column 0 is the scalar itself.
+    Its closure carries the column list as `columns`.
     """
     kernels = [e.kernel for e in exprs]
     if not all(isinstance(e, Col) for e in exprs):
         return lambda elem: tuple([k(elem) for k in kernels])
     if not exprs:
-        return lambda elem: ()
-    if len(exprs) == 1:
+        kernel = lambda elem: ()
+    elif len(exprs) == 1:
         i, k0 = exprs[0].index, kernels[0]
-        return lambda elem: (elem[i],) if type(elem) is tuple else (k0(elem),)
-    get = operator.itemgetter(*(e.index for e in exprs))
-    return lambda elem: get(elem) if type(elem) is tuple else tuple([k(elem) for k in kernels])
+        kernel = lambda elem: (elem[i],) if type(elem) is tuple else (k0(elem),)
+    else:
+        get = operator.itemgetter(*(e.index for e in exprs))
+        kernel = lambda elem: get(elem) if type(elem) is tuple else tuple([k(elem) for k in kernels])
+    kernel.columns = tuple(e.index for e in exprs)  # lets zset.group_rows read many rows at once
+    return kernel
 
 
 class KeyFunc:

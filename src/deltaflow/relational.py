@@ -20,6 +20,8 @@ as the join and named for both, e.g. "join+project".
 import copy
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain, repeat
 
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
 from .errors import CircuitError, ValidationError
@@ -40,9 +42,11 @@ from .zset import (
     column_reader,
     distinct,
     exact_div,
+    exact_sum,
     group_by,
     group_rows,
     makeset,
+    rounded,
 )
 
 
@@ -401,25 +405,18 @@ AGGREGATES = {
 }
 
 
-def _group_sums(keys, values):
-    """key -> the sum of the values paired with it, added in input order."""
-    acc = {}
-    get = acc.get
-    for k, x in zip(keys, values):
-        acc[k] = get(k, 0) + x
-    return acc
-
-
 class AggregateFn:
     """SQL-style aggregate emitting rows; grouped when group_cols is given.
 
-    One pass over the rows keeps a state per group (the weight sum, the sum
-    of value * weight, both for AVG, or the running MIN or MAX) and emits
-    key + (value,).  A row that is not a tuple, a str under SUM or AVG, a
-    weight <= 0 under MIN or MAX, a weight sum outside 64 bits or a zero one
-    under AVG, and any TypeError leave the pass for the per-group reference
-    (the AGGREGATES helpers), which raises the established errors.  Of equal
-    MIN or MAX values, such as 1 and 1.0, the first in input order is kept.
+    COUNT, SUM and AVG fold each group's rows into its totals (_sums) and
+    form its row from them (_value), with the errors of the per-group
+    reference (the AGGREGATES helpers), in its order.  SUM and AVG add
+    floats exactly and round once (zset.exact_sum), so the value does not
+    depend on row order; it is a float when any of the group's values is.
+    MIN and MAX keep the running value per group in one pass; a row that is
+    not a tuple, a weight <= 0 and any TypeError leave the pass for the
+    per-group reference.  Of equal MIN or MAX values, such as 1 and 1.0, the
+    first in input order is kept.
     """
 
     arity = 1
@@ -437,47 +434,162 @@ class AggregateFn:
         self._key = operator.itemgetter(*cols) if cols else lambda row: ()
         self._one = len(cols) == 1
         self._val = operator.itemgetter(column)
+        self._read = column_reader(column)
+        self._what = f"{kind.upper()} over column {column}"
 
     def _one_pass(self, entries):
-        """group key -> aggregate value of entries (row -> weight), or None
-        when the rows need the per-group reference."""
-        if set(map(type, entries)) - {tuple}:
+        """group key -> MIN or MAX of entries (row -> weight), or None when
+        the rows need the per-group reference."""
+        if set(map(type, entries)) - {tuple} or (entries and min(entries.values()) <= 0):
             return None
-        kind, keys, weights = self.kind, map(self._key, entries), entries.values()
+        acc = {}
+        first, better = acc.setdefault, operator.lt if self.kind == "min" else operator.gt
         try:
-            if kind in ("min", "max"):
-                if entries and min(weights) <= 0:
-                    return None
-                acc = {}
-                first, better = acc.setdefault, operator.lt if kind == "min" else operator.gt
-                for k, v in zip(keys, map(self._val, entries)):
-                    if better(v, first(k, v)):
-                        acc[k] = v
-                return acc
-            if kind != "count":
-                vals = list(map(self._val, entries))
-                if any(issubclass(t, str) for t in set(map(type, vals))):
-                    return None
-                acc = _group_sums(keys, map(operator.mul, vals, weights))
-            if kind != "sum":
-                counts = _group_sums(map(self._key, entries), weights)
-                if not all(WEIGHT_MIN <= c <= WEIGHT_MAX and (c or kind == "count") for c in counts.values()):
-                    return None
+            for k, v in zip(map(self._key, entries), map(self._val, entries)):
+                if better(v, first(k, v)):
+                    acc[k] = v
         except (TypeError, IndexError):
             return None
-        if kind == "avg":
-            return {k: exact_div(s, counts[k]) for k, s in acc.items()}
-        return counts if kind == "count" else acc
+        return acc
+
+    def _sums(self, rows):
+        """The totals of rows (row -> weight): the weight sum, the exact sum
+        of value * weight and the number of float values.  In place of the
+        value sum stands the error that reading the values raised (a str
+        value's too), for _value to raise in the reference's order."""
+        count = sum(rows.values())
+        if self.kind == "count":
+            return count, 0, 0
+        try:
+            return (count, *exact_sum(rows, self.column, self._what))
+        except (ValidationError, IndexError) as e:
+            return count, e, 0
+
+    def _totals(self, groups):
+        """key -> the totals (see _sums) of each group (key -> {row: weight}).
+        Where every weight is 1, as in a table's first load, each group's
+        plain sum of values is its weighted sum, taken by nested maps with
+        no Python call per group, when it is exact: a float makes it a
+        float, and a str, or a scalar row (which itemgetter cannot read or
+        reads as a str), makes it raise.  Other groups take _sums."""
+        rows = groups.values()
+        counts = list(map(sum, map(dict.values, rows)))
+        if self.kind == "count":
+            return dict(zip(groups, zip(counts, repeat(0), repeat(0))))
+        sums = [None]
+        if counts == list(map(len, rows)) and min(chain.from_iterable(map(dict.values, rows)), default=1) >= 1:
+            try:
+                sums = list(map(sum, map(map, repeat(self._val), rows)))
+            except (TypeError, IndexError):
+                pass
+        if not set(map(type, sums)) <= _EXACT:
+            return {k: self._sums(g) for k, g in groups.items()}
+        return dict(zip(groups, zip(counts, sums, repeat(0))))
+
+    def _value(self, count, total, floats):
+        """The value of a group with these totals (see _sums)."""
+        kind = self.kind
+        if kind != "sum":
+            check_weight(count)
+            if kind == "count":
+                return count
+            if not count:
+                raise ValidationError("AVG over input with zero total weight")
+        if isinstance(total, Exception):
+            raise total
+        return rounded(total if kind == "sum" else exact_div(total, count), floats, self._what)
 
     def __call__(self, m):
         m = as_zset(m)
-        acc = self._one_pass(m._entries)
-        if acc is None:
-            value = AGGREGATES[self.kind]
-            return ZSet._wrap({k + (value(z, self.column),): 1 for k, z in group_by(self.group_key, m).raw_items()})
-        if not acc and not self.grouped and self.kind in ("count", "sum"):
-            return makeset((0,))  # COUNT/SUM of nothing is 0; order aggregates emit no row
-        return ZSet._wrap({((k, x) if self._one else k + (x,)): 1 for k, x in acc.items()})
+        if self.kind in ("min", "max"):
+            acc = self._one_pass(m._entries)
+            if acc is None:
+                value = AGGREGATES[self.kind]
+                return ZSet._wrap({k + (value(z, self.column),): 1 for k, z in group_by(self.group_key, m).raw_items()})
+            return ZSet._wrap({((k, x) if self._one else k + (x,)): 1 for k, x in acc.items()})
+        groups = group_rows(self.group_key, m._entries)
+        if not groups and not self.grouped and self.kind != "avg":
+            return makeset((0,))  # COUNT/SUM of nothing is 0; AVG emits no row
+        value = self._value
+        return ZSet._wrap({k + (value(*t),): 1 for k, t in self._totals(groups).items()})
+
+
+_EXACT = {int, Fraction}  # value types that SUM and AVG add as they are
+
+
+class IncAggregateFn:
+    """COUNT, SUM or AVG as one operator whose work follows the change.
+
+    A group's totals (AggregateFn._sums) are linear in its rows, so the
+    trace this operator probes (zset.SummaryTrace, own clock, keyed by the
+    group key) keeps them per group beside its rows.  For each group the
+    change touches, the operator adds the change's totals to the old ones
+    and emits -(k, old value) and +(k, new value) where the value or the
+    group's presence changed.  It stages the new totals for the trace to
+    latch with the change, so a failed tick leaves them as they were.  A
+    row carries its group key as the change spells it: for a column that
+    holds equal ints and floats (2 and 2.0) the snapshot's spelling, which
+    follows the order of its integral, may differ.
+    """
+
+    arity = 1
+    klass = GENERAL
+    probe_args = (0,)
+
+    def __init__(self, agg):
+        self.agg = agg
+        # An ungrouped COUNT or SUM emits (0,) over no rows, from the first tick on.
+        self._always = not agg.grouped and agg.kind != "avg"
+
+    def rows_in(self, view):
+        """The rows of the change; at the first tick an ungrouped COUNT or
+        SUM counts one, so that it runs on an empty change too."""
+        return view.size or int(self._always and not view.trace.summary)
+
+    def __call__(self, view):
+        tr, agg = view.trace, self.agg
+        summary, slot, value = tr.summary, tr.slots.get(0, {}), agg._value
+        touched = view.rows
+        if self._always and not summary:
+            touched = {(): {}, **touched}
+        if not slot and not summary:  # the first rows: every group is new
+            staged = tr.staged = agg._totals(touched)
+            return ZSet._wrap({k + (value(*t),): 1 for k, t in staged.items()})
+        out, staged = {}, {}
+        for k, rows in touched.items():
+            old = summary.get(k)
+            new = staged[k] = self._fold(rows, slot.get(k), old)
+            was = None if old is None else value(*old)
+            now = None if new is None else value(*new)
+            if was != now:
+                if old is not None:
+                    out[k + (was,)] = -1
+                if new is not None:
+                    out[k + (now,)] = 1
+        tr.staged = staged
+        return ZSet._wrap(out)
+
+    def _fold(self, rows, group, old):
+        """The totals of a group after its change rows (row -> weight),
+        given its rows and totals before (None when it held no row or
+        emitted none); None when no row is left and it emits none."""
+        count, total, floats = self.agg._sums(rows)
+        c, s, f = old or (0, 0, 0)
+        read = self.agg._read
+        if group:
+            come = [x for x in rows if x not in group]
+            go = [x for x, w in rows.items() if group.get(x) == -w]
+            if len(group) + len(come) == len(go) and not self._always:
+                return None
+            if go and f:
+                # A row leaves as the trace holds it, which may be a float
+                # where the change's equal row holds an int (2.0 and 2), so
+                # in a group that mixes them it is looked up.
+                gone = set(go)
+                f -= len(go) if f == len(group) else sum(isinstance(read(y), float) for y in group if y in gone)
+            if floats:
+                floats = sum(isinstance(read(x), float) for x in come)
+        return c + count, total if isinstance(total, Exception) else s + total, f + floats
 
 
 # -- fragment builders ----------------------------------------------------------
@@ -538,6 +650,14 @@ def build_antijoin(c: Circuit, a, b, key_a, key_b):
 def build_aggregate(c: Circuit, x, kind, column=0, group_cols=None):
     fn = AggregateFn(kind, column, group_cols)
     return c.add_lifted(fn, [x], klass=GENERAL, label="aggregate")
+
+
+def build_inc_aggregate(c: Circuit, d, agg):
+    """Incremental COUNT, SUM or AVG (the AggregateFn agg) of change stream
+    d: one own-clock trace of d keyed by the group key, which keeps each
+    group's running totals, probed by IncAggregateFn."""
+    tr = c.add_trace(d, depth=c.level, index_key=agg.group_key, summary=True)
+    return c.add_lifted(IncAggregateFn(agg), [tr], klass=GENERAL, label="aggregate")
 
 
 def build_inc_distinct(c: Circuit, d, depth=None):

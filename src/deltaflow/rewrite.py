@@ -16,8 +16,13 @@ every edge carries changes instead of snapshots:
   join, da*db + z(I(a))*db + da*z(I(b)) (IncJoinFn); a stream join reads
   the trace of its relation side;
 * distinct becomes the sign-transition form (integrate, delay, H);
-* anything else keeps explicit integrate/differentiate brackets, and the
-  operators over one input share its integral;
+* a top-level COUNT, SUM or AVG over a table becomes one own-clock trace
+  keyed by the group key, which keeps each group's running totals, and one
+  probing aggregate (IncAggregateFn): the weight and value sums are linear,
+  so only forming a touched group's row is not;
+* anything else keeps explicit integrate/differentiate brackets (MIN and
+  MAX, an aggregate over an event stream, any aggregate in a nested body),
+  and the operators over one input share its integral;
 * feedback loops keep their shape with the incremental body (cycle rule);
 * nested fixpoint domains are rebuilt with the same rules one clock level
   down.  There an already-incremental join becomes the same probing join
@@ -30,11 +35,13 @@ every edge carries changes instead of snapshots:
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
 from .errors import CircuitError
 from .relational import (
+    AggregateFn,
     DistinctDeltaFn,
     IncJoinFn,
     JoinFn,
     MapFn,
     StreamJoinFn,
+    build_inc_aggregate,
     build_inc_distinct,
     build_inc_join,
     build_window,
@@ -244,8 +251,17 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
     if n.label == "distinct":
         return build_inc_distinct(out, ins[0], depth=bracket_depth)
 
-    # General operator: keep explicit brackets around it.
     event_inputs = _event_nodes(src)
+    if (
+        isinstance(fn, AggregateFn)
+        and fn.kind in ("count", "sum", "avg")
+        and not out.is_inner
+        and n.inputs[0] not in event_inputs
+    ):
+        # A linear aggregate at top level keeps running totals per group.
+        return build_inc_aggregate(out, ins[0], fn)
+
+    # General operator: keep explicit brackets around it.
     wrapped = [
         i if old in event_inputs else out.add_integrate(i, depth=bracket_depth)
         for i, old in zip(ins, n.inputs)

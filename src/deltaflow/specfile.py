@@ -6,12 +6,13 @@ are Datalog-style rules whose derived relations views may then reference.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 from .circuit import Circuit
 from .datalog import Atom, Rule, RuleProgram, compile_program_into
 from .errors import ValidationError
-from .expr import Col, Const, KeyFunc, parse_expr
+from .expr import BinOp, Col, Const, KeyFunc, parse_expr
 from .relational import (
     AGGREGATES,
     JoinFn,
@@ -201,16 +202,24 @@ def _col(i, arity, where):
 
 def _expr(node, arity, where):
     """An expression over rows of the given arity, with its column indexes
-    checked and no null, list or object constant, which no value equals."""
+    checked and no null, list, object or non-finite constant, which no
+    value equals, nor a bool one under a comparison or arithmetic, where
+    Python reads true as 1; under and, or and not a bool stays valid."""
     expr = parse_expr(node)
-    stack = [expr]
+    stack = [(expr, None)]
     while stack:
-        e = stack.pop()
+        e, op = stack.pop()
         if isinstance(e, Col):
             _col(e.index, arity, where)
-        elif isinstance(e, Const) and (e.value is None or isinstance(e.value, (list, dict))):
+        elif isinstance(e, Const) and (
+            e.value is None
+            or isinstance(e.value, (list, dict))
+            or (isinstance(e.value, float) and not math.isfinite(e.value))
+            or (isinstance(e.value, bool) and op not in (None, "and", "or", "not"))
+        ):
             raise ValidationError(f"{where}: bad constant {e.value!r}")
-        stack += [x for x in (getattr(e, a, None) for a in ("left", "right", "inner")) if x is not None]
+        op = e.op if isinstance(e, BinOp) else "not"
+        stack += [(x, op) for x in (getattr(e, a, None) for a in ("left", "right", "inner")) if x is not None]
     return expr
 
 

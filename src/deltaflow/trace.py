@@ -17,7 +17,10 @@ class Transaction:
 
 
 def _coerce_value(v, decl_type, where):
-    validate_element(v)
+    try:
+        validate_element(v)
+    except ValidationError as e:
+        raise ValidationError(f"{where}: {e}") from None
     if decl_type == "int" and not isinstance(v, int):
         raise ValidationError(f"{where}: expected int, got {v!r}")
     if decl_type == "float" and not isinstance(v, (int, float)):

@@ -7,7 +7,9 @@ Fraction, str) or tuples of elements; a total order over all of them gives
 Z-sets a canonical enumeration order.
 """
 
+import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import TypeMismatchError, ValidationError, WeightOverflowError
 
@@ -48,7 +50,8 @@ def canonical_keys(d):
 
 
 def validate_element(elem):
-    """Ingestion check: no NULLs, no NaN, no bools, only supported scalars."""
+    """Ingestion check: no NULLs, no NaN or infinities, no bools, only
+    supported scalars."""
     if type(elem) is tuple:
         for x in elem:
             validate_element(x)
@@ -57,8 +60,8 @@ def validate_element(elem):
         raise ValidationError("NULL values are not supported")
     if isinstance(elem, bool):
         raise ValidationError("boolean values are not supported")
-    if isinstance(elem, float) and elem != elem:
-        raise ValidationError("NaN values are not supported")
+    if isinstance(elem, float) and not math.isfinite(elem):
+        raise ValidationError("NaN values are not supported" if elem != elem else "infinite values are not supported")
     if not isinstance(elem, (int, float, str, Fraction)):
         raise ValidationError(f"unsupported value type {type(elem).__name__!r}")
     return elem
@@ -289,14 +292,21 @@ def group_by(key_fn, m):
 
 
 def group_rows(key_fn, entries):
-    """key -> {element: weight} for an element -> weight map."""
+    """key -> {element: weight} for an element -> weight map.  A key of
+    plain columns (its kernel lists them as `columns`, see expr.KeyFunc)
+    reads the columns of a map of tuples in C; one column is grouped by
+    its value, which is hashed faster, and wrapped once per group."""
+    cols = getattr(key_fn, "columns", None)
+    if cols == ():
+        return {(): dict(entries)} if entries else {}
+    plain = cols is not None and set(map(type, entries)) == {tuple}
     groups = {}
-    for k, (x, w) in zip(map(key_fn, entries), entries.items()):
+    for k, (x, w) in zip(map(itemgetter(*cols) if plain else key_fn, entries), entries.items()):
         g = groups.get(k)
         if g is None:
             g = groups[k] = {}
         g[x] = w
-    return groups
+    return {(k,): g for k, g in groups.items()} if plain and len(cols) == 1 else groups
 
 
 class Trace:
@@ -365,7 +375,11 @@ class Trace:
             for k, g in rows.items():
                 cur = slot.get(k)
                 if cur is None:
-                    slot[k] = dict(g) if sign > 0 else {x: -w for x, w in g.items()}
+                    # group() made g for this latch: a new group takes it
+                    slot[k] = g if sign > 0 else {x: -w for x, w in g.items()}
+                    continue
+                if cur is g:  # taking back a group this latch brought
+                    del slot[k]
                     continue
                 overflow = _add_weights(cur, g, sign) or overflow
                 if not cur:
@@ -373,6 +387,40 @@ class Trace:
         if not slot:
             del self.slots[u]
         return overflow
+
+
+class SummaryTrace(Trace):
+    """An own-clock trace that also keeps a summary per key, such as the
+    running totals of an aggregate's groups.  The operator that probes it
+    stages the summaries of the keys a tick touches (None drops a key);
+    they latch with the tick's rows and are taken back with them, so a
+    failed tick leaves them as they were."""
+
+    __slots__ = ("summary", "staged", "undo")
+
+    def __init__(self, key=None):
+        super().__init__(key)
+        self.summary, self.staged, self.undo = {}, {}, {}
+
+    def __setitem__(self, u, rows):
+        super().__setitem__(u, rows)
+        self.undo = {k: self.summary.get(k) for k in self.staged}  # own clock: one latch per tick
+        self._put(self.staged)
+        self.staged = {}
+
+    def commit(self):
+        super().commit()
+        self.staged, self.undo = {}, {}
+
+    def rollback(self):
+        self._put(self.undo)
+        super().rollback()
+
+    def _put(self, summaries):
+        """Store key -> summary, dropping the keys whose summary is None."""
+        self.summary.update(summaries)
+        for k in [k for k, s in summaries.items() if s is None]:
+            del self.summary[k]
 
 
 def _add_weights(d, rows, sign):
@@ -455,14 +503,42 @@ def aggregate_count(m):
 
 def aggregate_sum(m, col=0):
     """Weighted sum of a numeric column; linear."""
+    total, floats = exact_sum(m._entries, col, f"SUM over column {col}")
+    return rounded(total, floats, f"SUM over column {col}")
+
+
+def exact_sum(entries, col, what):
+    """The weighted sum of column col over entries (row -> weight), each
+    float taken as the fraction it stands for, so that the sum does not
+    depend on row order, and the number of float values.  A str value or a
+    non-finite float (which only a map can make) raises; `what` names the
+    aggregate."""
     read = column_reader(col)
-    total = 0
-    for x, w in m.raw_items():
+    total = floats = 0
+    for x, w in entries.items():
         v = read(x)
         if isinstance(v, str):
             raise ValidationError(f"SUM over non-numeric column {col}")
+        if isinstance(v, float):
+            floats += 1
+            try:
+                v = Fraction(v)
+            except (OverflowError, ValueError):
+                raise ValidationError(f"{what} is outside the float range") from None
         total += v * w
-    return total
+    return total, floats
+
+
+def rounded(total, floats, what):
+    """An exact SUM or AVG value as emitted: rounded once to a float when
+    any of its rows holds a float (floats > 0), else exact, an int when
+    whole.  A value beyond the float range raises, naming `what`."""
+    if not floats:
+        return total.numerator if type(total) is Fraction and total.denominator == 1 else total
+    try:
+        return float(total)
+    except OverflowError:
+        raise ValidationError(f"{what} is outside the float range") from None
 
 
 def aggregate_general(f, m):
@@ -511,4 +587,5 @@ def aggregate_avg(m, col=0):
     cnt = aggregate_count(m)
     if cnt == 0:
         raise ValidationError("AVG over input with zero total weight")
-    return exact_div(aggregate_sum(m, col), cnt)
+    total, floats = exact_sum(m._entries, col, f"AVG over column {col}")
+    return rounded(exact_div(total, cnt), floats, f"AVG over column {col}")

@@ -406,6 +406,36 @@ def _replaced(doc, path, value):
     return doc
 
 
+# t(g int, v float) with the SUM and AVG of v grouped by g.
+_FLOAT_SPEC = {
+    "relations": [{"name": "t", "columns": ["g", "v"], "types": ["int", "float"]}],
+    "views": [
+        {"name": kind, "query": {"op": "aggregate", "agg": kind, "column": 1, "group_by": [0], "input": {"op": "rel", "name": "t"}}}
+        for kind in ("sum", "avg")
+    ],
+}
+
+
+class TestFloatAggregates:
+    def test_float_sum_does_not_depend_on_row_order(self, tmp_path):
+        """The same float rows in two orders, in one transaction or one per
+        transaction: SUM and AVG add them exactly and round once, so both
+        orders end on the same rows, in both modes."""
+        sp = write(tmp_path, "s.json", json.dumps(_FLOAT_SPEC))
+        rows = [["t", [1, v], 1] for v in (0.1, 0.2, 0.3)]
+        for split in (False, True):
+            ends = set()
+            for order in (rows, rows[::-1]):
+                txs = [[r] for r in order] if split else [order]
+                tp = write(tmp_path, "t.ndjson", "".join(jline({"tx": i, "changes": c}) for i, c in enumerate(txs)))
+                for mode in ("incremental", "reference"):
+                    out = tmp_path / "o.ndjson"
+                    assert main(["run", "--spec", sp, "--trace", tp, "--mode", mode, "--out", str(out)]) == 0
+                    last = json.loads(out.read_text().splitlines()[-1])["changes"]
+                    ends.add(json.dumps([c for c in last if c[2] == 1]))
+            assert ends == {'[["avg", [1, 0.2], 1], ["sum", [1, 0.6], 1]]'}, split
+
+
 class TestExitCodes:
     def test_validation_error_is_2(self, tmp_path):
         p = write(tmp_path, "bad.json", "{")
@@ -439,6 +469,8 @@ class TestExitCodes:
             {"tx": 0, "changes": [["t1", 5, 1]]},
             {"tx": 0, "changes": [["t1", "abc", 1]]},
             {"tx": 0, "changes": [[["t1"], [1, 2, 3], 1]]},
+            {"tx": 0, "changes": [["t1", [float("inf"), 2, 3], 1]]},
+            {"tx": 0, "changes": [["t1", [1, float("-inf"), 3], 1]]},
         ],
     )
     def test_malformed_change_is_2(self, line, tmp_path, capsys):
@@ -473,6 +505,9 @@ class TestExitCodes:
             (_T, None, "v", _over_t("filter", predicate=[">", ["col", True], ["const", 5]]), "view 'v'"),
             (_T, None, "v", _over_t("filter", predicate=[">", ["col", 0], ["const", None]]), "view 'v'"),
             (_T, None, "v", _over_t("filter", predicate=["==", ["col", 0], ["const", ["x"]]]), "view 'v'"),
+            (_T, None, "v", _over_t("filter", predicate=["==", ["col", 0], ["const", True]]), "view 'v'"),
+            (_T, None, "v", _over_t("map", exprs=[["+", ["const", False], ["col", 0]]]), "view 'v'"),
+            (_T, None, "v", _over_t("filter", predicate=["<", ["col", 0], ["const", float("inf")]]), "view 'v'"),
             (_T, None, "v", _over_t("map", exprs=[["+", ["col", 0], ["const", {"a": 1}]]]), "view 'v'"),
             (_T, None, "v", _over_t("project", columns=[True]), "view 'v'"),
             (_T, None, "v", _over_t("aggregate", agg="count", group_by=[True]), "view 'v'"),
@@ -494,7 +529,8 @@ class TestExitCodes:
         ],
         ids=["window-no-width", "window-str-width", "window-bool-width", "columns-int", "relation-name-list",
              "derived-name-list", "view-name-list", "rel-node-name-list", "atom-name-list", "col-negative",
-             "col-bool", "const-null", "const-list", "const-object", "project-bool", "group-by-bool",
+             "col-bool", "const-null", "const-list", "const-bool-compared", "const-bool-added", "const-infinite",
+             "const-object", "project-bool", "group-by-bool",
              "aggregate-column-bool", "ts-column-bool", "join-key-bool", "join-key-negative", "rule-const-list"],
     )
     def test_malformed_spec_is_2(self, relations, recursive, view, query, named, tmp_path, capsys):
@@ -504,6 +540,19 @@ class TestExitCodes:
         assert main(["validate", "--spec", write(tmp_path, "s.json", json.dumps(doc))]) == 2
         err = capsys.readouterr().err
         assert err.startswith("deltaflow: ") and named in err, err
+
+    def test_bool_constant_under_and_or_not_is_valid(self, tmp_path):
+        pred = ["or", ["not", ["const", False]], ["and", ["const", True], [">", ["col", 0], ["const", 1]]]]
+        doc = {"relations": _T, "views": [{"name": "v", "query": _over_t("filter", predicate=pred)}]}
+        assert main(["validate", "--spec", write(tmp_path, "s.json", json.dumps(doc))]) == 0
+
+    def test_float_sum_out_of_range_is_2_in_both_modes(self, tmp_path, capsys):
+        sp = write(tmp_path, "s.json", json.dumps(_FLOAT_SPEC))
+        tp = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": [["t", [1, 1e308], 3], ["t", [2, 1.0], 1]]}))
+        for mode in ("incremental", "reference"):
+            assert main(["run", "--spec", sp, "--trace", tp, "--mode", mode, "--out", str(tmp_path / mode)]) == 2
+            err = capsys.readouterr().err
+            assert "tx 0: SUM over column 1 is outside the float range" in err, (mode, err)
 
     @pytest.mark.parametrize("bad", [3, "5", ["x"], {"a": 1}, None, True, -1, 1.5], ids=repr)
     def test_every_field_replaced_is_valid_or_exits_2(self, bad, tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltaflow import ValidationError, ZSet
+from deltaflow import RunReport, ValidationError, ZSet
 from deltaflow.runner import compile_circuits
 from deltaflow.specfile import compile_spec
 from deltaflow.trace import Transaction, dump_transaction
@@ -190,6 +190,18 @@ def view_queries(draw, depth=3, unary=UNARY_OPS, aggs=LINEAR_AGGS):
     return {"op": "map", "exprs": exprs, "input": out}, 2
 
 
+@st.composite
+def linear_aggregates(draw):
+    """A COUNT, SUM or AVG, grouped by a column or not, over a random view
+    that may hold aggregates too."""
+    q, n = draw(view_queries(aggs=("count", "sum", "avg")))
+    col = st.integers(0, n - 1)
+    out = {"op": "aggregate", "agg": draw(st.sampled_from(["count", "sum", "avg"])), "column": draw(col), "input": q}
+    if draw(st.booleans()):
+        out["group_by"] = [draw(col)]
+    return out
+
+
 def _window(q, ts_column, width):
     return {"op": "window", "input": q, "ts_column": ts_column, "width": width, "theta": "clk"}
 
@@ -299,6 +311,25 @@ class TestSpecFuzz:
     def test_random_aggregates_compare_equal(self, views, txs):
         cs = compile_circuits(compile_spec(spec_doc([q for q, _ in views])), "compare", max_iterations=self.CAP)
         assert run_all(cs, table_trace(txs), "compare")[0].verdict == {"equal": True}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(linear_aggregates(), min_size=1, max_size=2), st.lists(table_changes, min_size=1, max_size=5))
+    def test_linear_aggregates_under_signed_changes(self, views, txs):
+        """COUNT, SUM and AVG keep running totals in the incremental circuit.
+        Under changes whose weights cancel or go negative, both modes emit
+        the same lines, or stop at the same tx with the same error."""
+        spec = compile_spec(spec_doc(views))
+        runs = []
+        for mode in ("incremental", "reference"):
+            report = RunReport(compile_circuits(spec, mode, max_iterations=self.CAP), table_trace(txs), mode)
+            lines = []
+            try:
+                for tx, changes, _ in report:
+                    lines.append(dump_transaction(tx, changes))
+            except ValidationError as e:
+                lines.append(str(e))
+            runs.append(lines)
+        assert runs[0] == runs[1]
 
     def test_non_positive_group_raises_alike_in_both_modes(self):
         query = {"op": "aggregate", "agg": "min", "column": 1, "group_by": [0], "input": {"op": "rel", "name": "a"}}

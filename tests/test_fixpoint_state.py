@@ -6,7 +6,7 @@ with a tick that fails."""
 import random
 
 import pytest
-from deltaflow import Circuit, CircuitError, NonTerminationError, TypeMismatchError, ZSet
+from deltaflow import Circuit, CircuitError, NonTerminationError, TypeMismatchError, ValidationError, ZSet
 from deltaflow.datalog import build_while
 from deltaflow.errors import WeightOverflowError
 from deltaflow.expr import BinOp, Col, Const, KeyFunc, MapFunc
@@ -30,7 +30,7 @@ from deltaflow.rewrite import incrementalize_query
 from deltaflow.runner import _closure_spec, compile_circuits
 from deltaflow.specfile import compile_spec
 from deltaflow.trace import Transaction
-from deltaflow.zset import Trace
+from deltaflow.zset import SummaryTrace, Trace
 from conftest import run_all
 from oracles import as_z
 
@@ -68,6 +68,8 @@ def _churn(seed, n_tx, n_nodes=9):
 
 def _plain(v):
     """Operator state as plain values; zero state reads as absent."""
+    if isinstance(v, SummaryTrace):
+        return _plain(v.slots), _plain(v.tick), dict(v.summary)
     if isinstance(v, Trace):
         return _plain(v.slots), _plain(v.tick)
     if isinstance(v, ZSet):
@@ -395,9 +397,48 @@ class TestOwnClockTraces:
         for again in (c, copy):
             assert [as_z(again.step(inputs)["o"]) for inputs in JOIN_TICKS] == want
 
-    @pytest.mark.parametrize("op", ["join", "semijoin", "antijoin", "intersect", "cartesian", "stream_join"])
+    @pytest.mark.parametrize(
+        "op",
+        ["join", "semijoin", "antijoin", "intersect", "cartesian", "stream_join"]
+        + ["count", "sum", "avg", "count-ungrouped", "sum-ungrouped", "avg-ungrouped"],
+    )
     def test_one_row_tick_work_does_not_grow_with_the_base(self, op):
         assert _one_row_tuples(op, 10**3) == _one_row_tuples(op, 10**4)
+
+    def test_running_totals_roll_back_with_a_failed_tick(self):
+        """A tick fails after the SUM operator staged its totals: once in
+        another view's zero-weight AVG, during the pass, and once in another
+        trace's latch, after the SUM's trace latched.  Both times the state
+        is as before the tick, and every later output is that of a run
+        without it."""
+        q = Circuit()
+        t = q.add_source("t")
+        q.add_sink(build_aggregate(q, t, "sum", 1, [0]), "s")
+        q.add_sink(build_aggregate(q, t, "avg", 1, [0]), "a")
+        c = incrementalize_query(q)
+        kinds = [n.fn.agg.kind for n in c.nodes if n.label == "aggregate"]
+        assert kinds == ["sum", "avg"]  # the SUM runs first
+        ticks = [
+            {"t": ZSet({(1, 5): 1, (2, 3): 2})},
+            {"t": ZSet({(1, 7): 1, (3, 4): 1})},
+            {"t": ZSet({(1, 5): 1, (4, 1): 1, (4, 2): -1})},  # AVG of group 4 over zero weight
+            {"t": ZSet({(1, 5): -1, (2, 9): 1})},
+            {"t": ZSet({(1, 7): -1, (3, 4): -1})},
+        ]
+        self._fail_then_match_fresh(c, ticks, 2, ValidationError)
+
+        q = Circuit()
+        t, u = q.add_source("t"), q.add_source("u")
+        q.add_sink(build_aggregate(q, t, "sum", 1, [0]), "s")
+        q.add_sink(build_equijoin(q, t, u, KeyFunc([0]), KeyFunc([0])), "j")
+        c = incrementalize_query(q)
+        ticks = [
+            {"t": ZSet({(1, 5): 1, (2, 3): 2}), "u": ZSet({(9, 9): 2**62})},
+            {"t": ZSet({(1, 7): 1}), "u": ZSet({(1, 0): 1})},
+            {"t": ZSet({(1, 5): 1, (5, 5): 1}), "u": ZSet({(9, 9): 2**62})},  # u's trace overflows
+            {"t": ZSet({(1, 5): -1, (2, 9): 1}), "u": ZSet({(2, 1): 1})},
+        ]
+        self._fail_then_match_fresh(c, ticks, 2, WeightOverflowError)
 
     def test_trace_read_by_a_sink_or_a_non_probe_is_rejected(self):
         for read in ("sink", "plus"):
@@ -412,10 +453,14 @@ class TestOwnClockTraces:
 def _one_row_tuples(op, base):
     """The `tuples` of a one-row tick after a tick that loads base rows into
     a and, for the keyed joins and intersect, into b: one base row matches
-    the tick's row."""
+    the tick's row.  An aggregate over a gets the tick's row in a group of
+    its own, or in the one group of all of a when it is ungrouped."""
     q = Circuit()
     a, b = q.add_source("a"), q.add_source("b", event=op == "stream_join")
-    if op in ("intersect", "cartesian"):
+    kind, _, ungrouped = op.partition("-")
+    if kind in ("count", "sum", "avg"):
+        out = build_aggregate(q, a, kind, 1, None if ungrouped else [0])
+    elif op in ("intersect", "cartesian"):
         out = {"intersect": build_intersect, "cartesian": build_cartesian}[op](q, a, b)
     else:
         build = {"join": build_equijoin, "semijoin": build_semijoin, "antijoin": build_antijoin}.get(op)
@@ -425,7 +470,8 @@ def _one_row_tuples(op, base):
     rows, none = ZSet({(i, i): 1 for i in range(base)}), ZSet()
     c.step({"a": rows, "b": ZSet({(0, 0): 1}) if op in ("cartesian", "stream_join") else rows})
     t0 = c.metrics.tuples
-    c.step({"a": ZSet({(base, 0): 1}), "b": none} if op == "cartesian" else {"a": none, "b": ZSet({(7, 7): 1})})
+    changes_a = op == "cartesian" or kind in ("count", "sum", "avg")
+    c.step({"a": ZSet({(base, 0): 1}), "b": none} if changes_a else {"a": none, "b": ZSet({(7, 7): 1})})
     return c.metrics.tuples - t0
 
 

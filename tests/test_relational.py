@@ -13,7 +13,8 @@ from deltaflow.expr import Col, KeyFunc, MapFunc, parse_expr
 from deltaflow.groupval import ZERO
 from deltaflow.runner import compile_circuits
 from deltaflow.specfile import compile_spec
-from deltaflow.trace import Transaction
+from deltaflow.rewrite import compile_query
+from deltaflow.trace import Transaction, dump_transaction
 from deltaflow.zset import Trace, TraceView, distinct, group_by
 from deltaflow.relational import (
     AGGREGATES,
@@ -24,6 +25,7 @@ from deltaflow.relational import (
     JoinFn,
     MapFn,
     WindowSpec,
+    build_aggregate,
     build_antijoin,
     build_cartesian,
     build_difference,
@@ -538,6 +540,21 @@ class TestAggregateFn:
             m = ZSet({(0, first, "x"): 1, (0, then, "y"): 1, (0, 0 if kind == "max" else 2, "z"): 1})
             (row,) = AggregateFn(kind, 1, [0])(m).raw_items()
             assert row == ((0, 1), 1) and type(row[0][1]) is type(first)
+
+
+class TestIncAggregateFn:
+    def test_a_float_row_leaves_under_its_int_spelling(self):
+        """(0, 2.0) and (0, 2) are one row.  Deleted as (0, 2) from a group
+        that also holds other rows, it takes its float with it, so the SUM
+        is an int once no float row is left, as the reference's is."""
+        q = Circuit()
+        t = q.add_source("t")
+        q.add_sink(build_aggregate(q, t, "sum", 1, [0]), "s")
+        reference, inc = compile_query(q)
+        for tx, rows in enumerate(({(0, 2.0): 1, (0, 1): 1}, {(0, 3.5): 1}, {(0, 2): -1}, {(0, 3.5): -1})):
+            got, want = (dump_transaction(tx, c.step({"t": ZSet(rows)})) for c in (inc, reference))
+            assert got == want, tx
+        assert '["s",[0,1],1]' in got
 
 
 def _random_change(rng, empty_share=0.4):

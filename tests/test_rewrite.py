@@ -18,7 +18,10 @@ from deltaflow import (
     incrementalize_query,
 )
 from deltaflow.expr import BinOp, Col, Const, KeyFunc
+from deltaflow.datalog import build_while
 from deltaflow.relational import (
+    AggregateFn,
+    build_aggregate,
     build_distinct,
     build_equijoin,
     build_filter,
@@ -332,8 +335,9 @@ class TestAlgorithmPipeline:
         assert reference.census()[("lifted", "project")] == 1
 
     def test_operators_over_one_input_share_one_integral(self):
-        """SUM, MAX and distinct over t read one integral of t; a SUM over
-        a filter of t keeps its own.  Outputs equal the reference's."""
+        """MAX and distinct over t read one integral of t; a MIN over a
+        filter of t keeps its own.  Each SUM keeps its own running totals
+        in a trace instead.  Outputs equal the reference's."""
         t = {"op": "rel", "name": "t"}
         agg = lambda kind, inp: {"op": "aggregate", "agg": kind, "column": 1, "group_by": [0], "input": inp}
         doc = {
@@ -343,17 +347,86 @@ class TestAlgorithmPipeline:
                 {"name": "m", "query": agg("max", t)},
                 {"name": "d", "query": {"op": "distinct", "input": t}},
                 {"name": "f", "query": agg("sum", {"op": "filter", "predicate": [">", ["col", 1], ["const", 2]], "input": t})},
+                {"name": "n", "query": agg("min", {"op": "filter", "predicate": [">", ["col", 1], ["const", 2]], "input": t})},
             ],
         }
         scalar = compile_spec(doc).circuit
         inc = compile_query(scalar)[1]
         assert inc.census()[("integrate", "")] == 2
+        assert inc.census()[("trace", "")] == 2
         rng, live, ticks = random.Random(3), {}, []
         for _ in range(30):  # insert a row, with weight 1 or 2, or delete one
             row = (rng.randrange(3), rng.randrange(6))
             w = -live.pop(row) if row in live else live.setdefault(row, rng.choice((1, 2)))
             ticks.append({"t": ZSet({row: w})})
         assert differential_check(scalar, [ticks], raise_on_mismatch=False) is None
+
+    def test_linear_aggregates_keep_running_totals(self):
+        """A top-level COUNT, SUM or AVG, grouped or not, compiles to a trace
+        and a probing aggregate, with no integrate or differentiate.  MIN
+        and MAX, an aggregate over an event stream and an aggregate in a
+        while-loop body keep their brackets.  Outputs equal the reference's,
+        the (0,) of an empty ungrouped COUNT or SUM from the first tick on."""
+
+        def compiled(kind, group, event=False):
+            c = Circuit()
+            s = c.add_source("s", event=event)
+            c.add_sink(build_aggregate(c, s, kind, 1, group), "o")
+            return compile_query(c)
+
+        ticks = [ZSet(), ZSet({(1, 2): 1, (2, 5): 2}), ZSet({(1, 4): 1}), ZSet({(1, 2): -1, (2, 5): -2})]
+        for kind in ("count", "sum", "avg", "min", "max"):
+            for group in ([0], None):
+                reference, inc = compiled(kind, group)
+                kinds = {n.kind for n in inc.nodes}
+                linear = kind in ("count", "sum", "avg")
+                assert ("trace" in kinds) == linear, (kind, group)
+                assert ("integrate" in kinds and "differentiate" in kinds) != linear, (kind, group)
+                for t, d in enumerate(ticks):
+                    got, want = as_z(inc.step({"s": d})["o"]), as_z(reference.step({"s": d})["o"])
+                    assert got == want, (kind, group, t)
+                    if t == 0:
+                        assert got == (ZSet({(0,): 1}) if group is None and kind in ("count", "sum") else ZSet())
+
+        reference, inc = compiled("sum", [0], event=True)
+        assert {"differentiate"} <= {n.kind for n in inc.nodes} and ("trace", "") not in inc.census()
+        for d in ticks[1:]:
+            assert as_z(inc.step({"s": d})["o"]) == as_z(reference.step({"s": d})["o"])
+
+        q = Circuit()
+        x = q.add_source("x")
+        q.add_sink(build_union(q, x, build_aggregate(q, x, "sum", 0, [0])), "x")
+        (block,) = [n for n in incrementalize_query(build_while(q)).nodes if n.kind == "nested"]
+        body = block.meta["inner"]
+        (agg,) = [n for n in body.nodes if n.label == "aggregate"]
+        assert type(agg.fn) is AggregateFn and body.nodes[agg.inputs[0]].kind == "integrate"
+        assert any(n.kind == "differentiate" and n.inputs == (agg.id,) for n in body.nodes)
+
+    @pytest.mark.parametrize(
+        "kind, group, ticks",
+        [
+            ("avg", [0], [{(1, 5): 1}, {(1, 6): -1}]),  # weights cancel
+            ("count", [0], [{(1, 1): 2**62}, {(1, 2): 2**62}]),  # beyond 64 bits
+            ("sum", [0], [{(1, 5): 1}, {(1, "a"): 1}]),
+            ("avg", None, [{(1, 5): 1}, {(2, "a"): 2}]),
+            ("sum", [0], [{(1, 5): 1}, {7: 1}]),  # a scalar row has no column 1
+            ("avg", None, [{(1, 5): 1}, {7: 1}]),
+        ],
+        ids=["avg-zero-weight", "count-overflow", "sum-str", "avg-str", "sum-scalar", "avg-scalar"],
+    )
+    def test_running_totals_raise_what_the_reference_raises(self, kind, group, ticks):
+        c = Circuit()
+        s = c.add_source("s")
+        c.add_sink(build_aggregate(c, s, kind, 1, group), "o")
+        errors = []
+        for circuit in compile_query(c):
+            for t, rows in enumerate(ticks):
+                try:
+                    circuit.step({"s": ZSet(rows)})
+                except Exception as e:
+                    errors.append((t, type(e), str(e)))
+                    break
+        assert len(errors) == 2 and errors[0] == errors[1] and errors[0][0] == 1, errors
 
     def test_nested_join_terms_carry_the_rule_head(self):
         """In a recursive block the rule head's map is folded into the one
