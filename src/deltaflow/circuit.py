@@ -34,6 +34,11 @@ parent: a parent tick that fails anywhere (a cap hit, an overflow, an
 operator error after the block ran) is rolled back, so the store is as it
 was before the tick.
 
+A node's `meta["event"]`, set when it is added, says that its values are
+per-tick events, which the rewrite leaves raw: a source as declared, a
+LINEAR node whose inputs all are, a BILINEAR node with any input that is;
+never a GENERAL operator, a state node, a window or a trace.
+
 validate() compiles the circuit, nested bodies included, to a step program:
 one callable per node that binds the node's inputs, fn, label, metrics and
 state location once, so a tick runs the list without dispatching on node
@@ -142,7 +147,6 @@ class Circuit:
         self.nodes = []
         self.sources = {}
         self.sinks = {}
-        self.event_sinks = set()
         self.level = level
         self.is_inner = inner
         self.metrics = Metrics()
@@ -166,11 +170,16 @@ class Circuit:
     # -- construction --------------------------------------------------------
 
     def _add(self, kind, inputs=(), **kw):
+        nodes = self.nodes
         for i in inputs:
-            if not (0 <= i < len(self.nodes)):
+            if not (0 <= i < len(nodes)):
                 raise CircuitError(f"unknown input node {i}")
-        node = Node(len(self.nodes), kind, inputs, **kw)
-        self.nodes.append(node)
+        node = Node(len(nodes), kind, inputs, **kw)
+        if kind != "source":  # a source declares it
+            events = [nodes[i].meta["event"] for i in inputs]
+            linear = node.klass == LINEAR and bool(events)
+            node.meta["event"] = all(events) if linear else node.klass == BILINEAR and any(events)
+        nodes.append(node)
         self._validated = False
         return node.id
 
@@ -183,14 +192,12 @@ class Circuit:
         self.sources[name] = nid
         return nid
 
-    def add_sink(self, node, name, event=False):
+    def add_sink(self, node, name):
         if name in self.sinks:
             raise CircuitError(f"duplicate sink name {name!r}")
         if not (0 <= node < len(self.nodes)):
             raise CircuitError(f"sink on nonexistent node {node}")
         self.sinks[name] = node
-        if event:
-            self.event_sinks.add(name)
         return node
 
     def add_lifted(self, fn, inputs, klass=GENERAL, label=""):
@@ -675,7 +682,7 @@ class Circuit:
 
     def _copy_node(self, n, mapping, pending):
         if n.kind == "source":
-            return self.add_source(n.name, sort=n.meta.get("sort", "zset"), event=n.meta.get("event", False))
+            return self.add_source(n.name, sort=n.meta["sort"], event=n.meta["event"])
         if n.meta.get("feedback"):
             nid = self.add_feedback(depth=n.depth, delayed=n.meta.get("delayed", True))
             if n.inputs:
@@ -699,7 +706,7 @@ class Circuit:
     def copy_sinks(self, c, mapping):
         """Declare every sink of circuit c on the node mapping gives for it."""
         for name, nid in c.sinks.items():
-            self.add_sink(mapping[nid], name, event=name in c.event_sinks)
+            self.add_sink(mapping[nid], name)
 
 
 def _plus(ins):

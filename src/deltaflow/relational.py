@@ -264,17 +264,23 @@ class IncJoinFn(_TraceJoin):
 
 
 class StreamJoinFn(_TraceJoin):
-    """The accumulated relation s joined with the tick's events t: s is read
-    from its trace as slot u plus the tick's rows; the events are scanned."""
+    """The accumulated relation s, input `side` of the join, joined with
+    the tick's events: s is read from its trace as slot u plus the tick's
+    rows; the events are scanned."""
 
-    probe_args = (0,)
+    def __init__(self, join, side=0):
+        super().__init__(join)
+        self.probe_args = (side,)
 
-    def rows_in(self, view, t):
-        return len(as_zset(t))
+    def rows_in(self, *ins):
+        return len(as_zset(ins[1 - self.probe_args[0]]))
 
-    def __call__(self, view, t):
-        events = group_rows(self.join.key_right, as_zset(t)._entries)
-        return _emit(self.join, ((view.trace.slots.get(view.u, {}), events), (view.rows, events)))
+    def __call__(self, *ins):
+        side = self.probe_args[0]
+        view = ins[side]
+        events = group_rows(self.join.index_keys()[1 - side], as_zset(ins[1 - side])._entries)
+        pairs = [(s, events) for s in (view.trace.slots.get(view.u, {}), view.rows)]
+        return _emit(self.join, pairs if side == 0 else [(e, s) for s, e in pairs])
 
 
 class DistinctDeltaFn:

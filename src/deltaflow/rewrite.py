@@ -7,22 +7,26 @@ every edge carries changes instead of snapshots:
 
 * by default a node is copied unchanged: linear, delay-class and boundary
   nodes (sources, delta0, stream-sum) are their own incremental versions;
+* an event-typed node (`meta["event"]`) over events only is copied too;
+  over a table and events, an in-place trace of the table side probed by
+  the raw events (StreamJoinFn); any other node that reads events (an
+  aggregate, a window over them, a state node) keeps the general bracket
+  below, its event inputs raw;
 * an integrate/differentiate bracket is dropped, as its delta is its input;
 * a linear map (project or map) that is all that reads an equi-join or
   cartesian product is folded into it first: a linear operator distributes
   over a bilinear one, so the join emits mapped rows (JoinFn.then), here and
   in nested bodies; the reference circuit keeps the two apart;
 * bilinear nodes (joins) become one in-place trace per side and one probing
-  join, da*db + z(I(a))*db + da*z(I(b)) (IncJoinFn); a stream join reads
-  the trace of its relation side;
+  join, da*db + z(I(a))*db + da*z(I(b)) (IncJoinFn);
 * distinct becomes the sign-transition form (integrate, delay, H);
 * a top-level COUNT, SUM or AVG over a table becomes one own-clock trace
   keyed by the group key, which keeps each group's running totals, and one
   probing aggregate (IncAggregateFn): the weight and value sums are linear,
   so only forming a touched group's row is not;
 * anything else keeps explicit integrate/differentiate brackets (MIN and
-  MAX, an aggregate over an event stream, any aggregate in a nested body),
-  and the operators over one input share its integral;
+  MAX, any aggregate in a nested body), and the operators over one input
+  share its integral;
 * feedback loops keep their shape with the incremental body (cycle rule);
 * nested fixpoint domains are rebuilt with the same rules one clock level
   down.  There an already-incremental join becomes the same probing join
@@ -76,8 +80,8 @@ def incrementalize_naive(c):
     """Wrap a stream circuit as integrate -> body -> differentiate.
 
     The result consumes per-tick deltas and emits per-tick deltas, but the
-    body still computes on full snapshots.  Event-typed sources and sinks
-    stay raw: they are per-tick values, not changes of anything.
+    body still computes on full snapshots.  Sources and sinks on event-typed
+    nodes stay raw: they are per-tick values, not changes of anything.
     """
     return _bracketed(c, _marked(Circuit.add_integrate, "i"), _marked(Circuit.add_differentiate, "d"))
 
@@ -94,12 +98,11 @@ def _bracketed(c, wrap_in, wrap_out):
     sources = [n for n in c.nodes if n.kind == "source"]
     mapping = out.copy_nodes(sources, {})
     for n in sources:
-        if not n.meta.get("event"):
+        if not n.meta["event"]:
             mapping[n.id] = wrap_in(out, mapping[n.id])
     out.copy_nodes(c.nodes, mapping)
     for name, nid in c.sinks.items():
-        event = name in c.event_sinks
-        out.add_sink(mapping[nid] if event else wrap_out(out, mapping[nid]), name, event=event)
+        out.add_sink(mapping[nid] if c.nodes[nid].meta["event"] else wrap_out(out, mapping[nid]), name)
     return out
 
 
@@ -147,7 +150,7 @@ def optimize(c):
     """Push the incrementalization through a naively incrementalized circuit."""
     # A circuit whose sources are all event streams has nothing to bracket.
     if not any(n.meta.get("bracket") == "i" for n in c.nodes) and any(
-        n.kind == "source" and not n.meta.get("event") for n in c.nodes
+        n.kind == "source" and not n.meta["event"] for n in c.nodes
     ):
         raise CircuitError("optimize expects a naively incrementalized circuit (no brackets found)")
     c = c.clone()
@@ -203,23 +206,46 @@ def _delta_compile(src, out, bracket_depth):
 
 def _delta_node(src, out, n, dmap, bracket_depth):
     """The rewrite rule for node n, or None: n is copied, as linear,
-    delay-class and boundary nodes are their own incremental versions."""
+    delay-class and boundary nodes and event-typed nodes over events are
+    their own incremental versions."""
     if n.meta.get("bracket") in ("i", "d"):
         return dmap[n.inputs[0]]  # the delta of an integral/derivative bracket is its input
 
     if n.kind == "nested":
         return _delta_nested(out, n, dmap, bracket_depth)
 
-    if n.kind == "window":
-        wf = build_window(out, dmap[n.inputs[0]], dmap[n.inputs[1]], n.meta["window"])
-        return out.add_differentiate(wf, depth=bracket_depth)
-
     if n.kind == "window_fold":
         raise CircuitError(f"no incremental rewrite for node kind {n.kind!r}")
 
+    events = [src.nodes[i].meta["event"] for i in n.inputs]
+    if n.kind == "window" and not events[0]:
+        wf = build_window(out, dmap[n.inputs[0]], dmap[n.inputs[1]], n.meta["window"])
+        return out.add_differentiate(wf, depth=bracket_depth)
+    if n.meta["event"]:
+        return None if all(events) else _delta_stream_join(out, n, dmap, events, bracket_depth)
+    if any(events):
+        return _bracket(out, n, dmap, events, bracket_depth)
     if n.kind == "lifted" and n.klass != LINEAR:
         return _delta_lifted(src, out, n, dmap, bracket_depth)
     return None
+
+
+def _delta_stream_join(out, n, dmap, events, depth):
+    """A bilinear node over a table and events: a trace of the table side,
+    keyed by its join key, which the tick's events probe (StreamJoinFn)."""
+    if not hasattr(n.fn, "index_keys"):
+        raise CircuitError(f"{n.label} over an event stream needs join keys")
+    side = events.index(False)
+    ins = [dmap[i] for i in n.inputs]
+    ins[side] = out.add_trace(ins[side], depth=depth, index_key=n.fn.index_keys()[side])
+    return out.add_lifted(StreamJoinFn(n.fn, side), ins, klass=BILINEAR, label=n.label)
+
+
+def _bracket(out, n, dmap, events, depth):
+    """The general rule: a copy of n over the integrals of its inputs,
+    event inputs raw, with its output differentiated."""
+    ins = {i: dmap[i] if ev else out.add_integrate(dmap[i], depth=depth) for i, ev in zip(n.inputs, events)}
+    return out.add_differentiate(out._copy_node(n, ins, []), depth=depth)
 
 
 def _delta_lifted(src, out, n, dmap, bracket_depth):
@@ -238,10 +264,6 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
         a, b = (dmap[src.nodes[i].inputs[0]] for i in n.inputs)
         return build_inc_join(out, a, b, None, None, depth=bracket_depth, fn=fn.join)
 
-    if n.label == "stream_join":
-        tr = out.add_trace(ins[0], depth=bracket_depth, index_key=fn.key_left)
-        return out.add_lifted(StreamJoinFn(fn), [tr, ins[1]], klass=BILINEAR, label="stream_join")
-
     if n.klass == BILINEAR:
         if bracket_depth < out.level:
             # IncJoinFn's formula assumes changes on both clocks.
@@ -251,27 +273,11 @@ def _delta_lifted(src, out, n, dmap, bracket_depth):
     if n.label == "distinct":
         return build_inc_distinct(out, ins[0], depth=bracket_depth)
 
-    event_inputs = _event_nodes(src)
-    if (
-        isinstance(fn, AggregateFn)
-        and fn.kind in ("count", "sum", "avg")
-        and not out.is_inner
-        and n.inputs[0] not in event_inputs
-    ):
+    if isinstance(fn, AggregateFn) and fn.kind in ("count", "sum", "avg") and not out.is_inner:
         # A linear aggregate at top level keeps running totals per group.
         return build_inc_aggregate(out, ins[0], fn)
 
-    # General operator: keep explicit brackets around it.
-    wrapped = [
-        i if old in event_inputs else out.add_integrate(i, depth=bracket_depth)
-        for i, old in zip(ins, n.inputs)
-    ]
-    mid = out.add_lifted(fn, wrapped, klass=n.klass, label=n.label)
-    return out.add_differentiate(mid, depth=bracket_depth)
-
-
-def _event_nodes(c):
-    return {n.id for n in c.nodes if n.kind == "source" and n.meta.get("event")}
+    return _bracket(out, n, dmap, (False,) * len(ins), bracket_depth)
 
 
 def _delta_nested(out, n, dmap, bracket_depth):
@@ -326,7 +332,7 @@ def _positive_nodes(c):
     pos = set()
     eligible = {"filter", "project", "map", "join", "cartesian", "intersect", "semijoin", "distinct"}
     for n in c.nodes:
-        if n.kind == "source" and not n.meta.get("event"):
+        if n.kind == "source" and not n.meta["event"]:
             pos.add(n.id)
         elif n.kind == "nested" or n.kind in ("window", "window_fold"):
             pos.add(n.id)

@@ -47,7 +47,6 @@ class RelationDecl:
 class CircuitSpec:
     relations: dict
     view_names: list
-    event_views: set
     circuit: Circuit
     program: RuleProgram = None
 
@@ -70,22 +69,20 @@ def compile_spec(doc):
     program = _parse_program(doc.get("recursive"), relations)
 
     c = Circuit()
-    env = {}  # name -> (node, arity, is_event)
+    env = {}  # name -> (node, arity)
     for name, decl in relations.items():
-        nid = c.add_source(name, event=decl.kind == "stream")
-        env[name] = (nid, decl.schema.arity, decl.kind == "stream")
+        env[name] = (c.add_source(name, event=decl.kind == "stream"), decl.schema.arity)
 
     if program is not None:
         rel_nodes = {name: env[name][0] for name in program.inputs}
         compile_program_into(c, program, rel_nodes)
         for name, arity in program.outputs.items():
-            env[name] = (rel_nodes[name], arity, False)
+            env[name] = (rel_nodes[name], arity)
 
     views = doc.get("views", [])
     if not isinstance(views, list):
         raise ValidationError("'views' must be a list")
     view_names = []
-    event_views = set()
     seen = set(env)
     for v in views:
         if not isinstance(v, dict) or "name" not in v or "query" not in v:
@@ -94,11 +91,8 @@ def compile_spec(doc):
         if name in seen:
             raise ValidationError(f"duplicate name {name!r}")
         seen.add(name)
-        node, _arity, is_event = _compile_query(c, v["query"], env, f"view {name!r}")
-        c.add_sink(node, name, event=is_event)
+        c.add_sink(_compile_query(c, v["query"], env, f"view {name!r}")[0], name)
         view_names.append(name)
-        if is_event:
-            event_views.add(name)
     if not view_names and program is not None:
         # No explicit views: every derived relation is a view.
         for name in sorted(program.outputs):
@@ -106,7 +100,7 @@ def compile_spec(doc):
             view_names.append(name)
     if not view_names:
         raise ValidationError("spec defines no views")
-    return CircuitSpec(relations=relations, view_names=view_names, event_views=event_views, circuit=c, program=program)
+    return CircuitSpec(relations=relations, view_names=view_names, circuit=c, program=program)
 
 
 def _parse_relations(items):
@@ -230,6 +224,8 @@ def _parse_keys(keys, arity, where):
 
 
 def _compile_query(c, q, env, where):
+    """The node and arity of query q.  Only a stream join's right side and
+    a window's clock may read an event stream."""
     if not isinstance(q, dict) or "op" not in q:
         raise ValidationError(f"{where}: bad query node {q!r}")
     op = q["op"]
@@ -240,46 +236,37 @@ def _compile_query(c, q, env, where):
             raise ValidationError(f"{where}: unknown relation {name!r}")
         return env[name]
 
-    def sub(key, need=True):
+    def sub(key, event=False):
         if key not in q:
-            if need:
-                raise ValidationError(f"{where}: {op!r} needs {key!r}")
-            return None
-        return _compile_query(c, q[key], env, where)
-
-    def no_events(*parts):
-        for node, _a, ev in parts:
-            if ev:
-                raise ValidationError(f"{where}: {op!r} cannot consume an event stream")
+            raise ValidationError(f"{where}: {op!r} needs {key!r}")
+        node, arity = _compile_query(c, q[key], env, where)
+        if c.nodes[node].meta["event"] != event:
+            raise ValidationError(f"{where}: {op!r} {key} {'must' if event else 'cannot'} be an event stream")
+        return node, arity
 
     if op == "filter":
-        node, arity, ev = sub("input")
-        no_events((node, arity, ev))
+        node, arity = sub("input")
         pred = _expr(q.get("predicate"), arity, where)
-        return build_filter(c, node, pred), arity, False
+        return build_filter(c, node, pred), arity
 
     if op == "project":
-        node, arity, ev = sub("input")
-        no_events((node, arity, ev))
+        node, arity = sub("input")
         cols = [_col(i, arity, where) for i in _list(q.get("columns"), f"{where}: projection 'columns'")]
-        return build_projection(c, node, cols), len(cols), False
+        return build_projection(c, node, cols), len(cols)
 
     if op == "map":
-        node, arity, ev = sub("input")
-        no_events((node, arity, ev))
+        node, arity = sub("input")
         exprs = [_expr(e, arity, where) for e in _list(q.get("exprs", []), f"{where}: map 'exprs'")]
         if not exprs:
             raise ValidationError(f"{where}: map needs at least one expression")
-        return build_map(c, node, exprs), len(exprs), False
+        return build_map(c, node, exprs), len(exprs)
 
     if op == "distinct":
-        node, arity, ev = sub("input")
-        no_events((node, arity, ev))
-        return build_distinct(c, node), arity, False
+        node, arity = sub("input")
+        return build_distinct(c, node), arity
 
     if op in ("union", "union_all", "except", "intersect"):
         left, right = sub("left"), sub("right")
-        no_events(left, right)
         if left[1] != right[1]:
             raise ValidationError(f"{where}: {op!r} operands have different arities")
         build = {
@@ -288,24 +275,27 @@ def _compile_query(c, q, env, where):
             "except": build_difference,
             "intersect": build_intersect,
         }[op]
-        return build(c, left[0], right[0]), left[1], False
+        return build(c, left[0], right[0]), left[1]
 
-    if op in ("join", "antijoin", "cartesian"):
-        left, right = sub("left"), sub("right")
-        no_events(left, right)
+    if op in ("join", "antijoin", "cartesian", "stream_join"):
+        left, right = sub("left"), sub("right", event=op == "stream_join")
         if op == "cartesian":
-            return build_cartesian(c, left[0], right[0]), left[1] + right[1], False
+            return build_cartesian(c, left[0], right[0]), left[1] + right[1]
         lk = _parse_keys(q.get("left_key", []), left[1], where)
         rk = _parse_keys(q.get("right_key", []), right[1], where)
         if len(lk) != len(rk):
             raise ValidationError(f"{where}: join key arity mismatch")
         if op == "join":
-            return build_equijoin(c, left[0], right[0], lk, rk), left[1] + right[1], False
-        return build_antijoin(c, left[0], right[0], lk, rk), left[1], False
+            return build_equijoin(c, left[0], right[0], lk, rk), left[1] + right[1]
+        if op == "stream_join":
+            # The accumulated relation joined with the tick's events: an
+            # event-typed node, as its right input is.
+            fn = JoinFn(KeyFunc(lk), KeyFunc(rk), label="stream_join")
+            return c.add_lifted(fn, [left[0], right[0]], klass="bilinear", label="stream_join"), left[1] + right[1]
+        return build_antijoin(c, left[0], right[0], lk, rk), left[1]
 
     if op == "aggregate":
-        node, arity, ev = sub("input")
-        no_events((node, arity, ev))
+        node, arity = sub("input")
         kind = q.get("agg")
         if not isinstance(kind, str) or kind not in AGGREGATES:
             raise ValidationError(f"{where}: unknown aggregate {kind!r}")
@@ -314,36 +304,18 @@ def _compile_query(c, q, env, where):
         if group is not None:
             group = [_col(i, arity, where) for i in _list(group, f"{where}: 'group_by'")]
         out_arity = (len(group) if group else 0) + 1
-        return build_aggregate(c, node, kind, column, group), out_arity, False
+        return build_aggregate(c, node, kind, column, group), out_arity
 
     if op == "window":
-        node, arity, ev = sub("input")
-        no_events((node, arity, ev))
+        node, arity = sub("input")
         theta = q.get("theta")
-        if not isinstance(theta, str) or theta not in env or not env[theta][2]:
+        if not isinstance(theta, str) or theta not in env or not c.nodes[env[theta][0]].meta["event"]:
             raise ValidationError(f"{where}: window clock {theta!r} must be an event-stream relation")
         ts_column = _col(q.get("ts_column", 0), arity, where)
         width = q.get("width")
         if isinstance(width, bool) or not isinstance(width, (int, float)) or not width > 0:
             raise ValidationError(f"{where}: window width must be a positive number, got {width!r}")
         spec = WindowSpec(ts_column=ts_column, width=width)
-        return build_window_snapshot(c, node, env[theta][0], spec), arity, False
-
-    if op == "stream_join":
-        left = sub("left")
-        right = sub("right")
-        no_events(left)
-        if not right[2]:
-            raise ValidationError(f"{where}: stream_join right side must be an event stream")
-        lk = _parse_keys(q.get("left_key", []), left[1], where)
-        rk = _parse_keys(q.get("right_key", []), right[1], where)
-        if len(lk) != len(rk):
-            raise ValidationError(f"{where}: join key arity mismatch")
-        # Scalar reading: accumulated relation joined with the tick's events.
-        # The accumulation itself comes from the surrounding integrate bracket
-        # (reference) or from the incremental rewrite (optimized).
-        fn = JoinFn(KeyFunc(lk), KeyFunc(rk), label="stream_join")
-        node = c.add_lifted(fn, [left[0], right[0]], klass="bilinear", label="stream_join")
-        return node, left[1] + right[1], True
+        return build_window_snapshot(c, node, env[theta][0], spec), arity
 
     raise ValidationError(f"{where}: unknown operator {op!r}")

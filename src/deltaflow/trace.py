@@ -128,21 +128,25 @@ def _json_value(v):
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_json_value, check_circular=False)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=_json_value, check_circular=False, allow_nan=False)
 DUMP_BATCH_ROWS = 256  # rows encoded per call: the encoder's chunks stay bounded
 
 
 def dump_transaction(tx, changes):
     """One canonical NDJSON line: relations sorted by name, tuples in
     canonical order, weights as signed decimal integers.  Rows are encoded
-    DUMP_BATCH_ROWS at a time and the pieces joined."""
+    DUMP_BATCH_ROWS at a time and the pieces joined.  A row holding an
+    infinity or a NaN, which JSON cannot encode, raises ValidationError."""
     parts = []
     for rel in sorted(changes):
         d = changes[rel]._entries
         keys = canonical_keys(d)
         for i in range(0, len(keys), DUMP_BATCH_ROWS):
             batch = [[rel, row if type(row) is tuple else [row], d[row]] for row in keys[i : i + DUMP_BATCH_ROWS]]
-            parts.append(_ENCODER.encode(batch)[1:-1])
+            try:
+                parts.append(_ENCODER.encode(batch)[1:-1])
+            except ValueError:
+                raise ValidationError(f"tx {tx}: view {rel!r} emits a non-finite number, not JSON") from None
     return f'{{"changes":[{",".join(parts)}],"tx":{_ENCODER.encode(tx)}}}\n'
 
 

@@ -124,7 +124,7 @@ class TestLoadTrace:
 
 
 class TestGoldenRuns:
-    @pytest.mark.parametrize("name", ["filtered_join", "closure", "aggregates"])
+    @pytest.mark.parametrize("name", ["filtered_join", "closure", "aggregates", "streams"])
     def test_byte_exact(self, name, tmp_path, capsys):
         out = tmp_path / "out.ndjson"
         rc = main(
@@ -363,6 +363,11 @@ def _join_t(left_key, right_key):
     return {"op": "join", "left": _REL_T, "right": _REL_T, "left_key": left_key, "right_key": right_key}
 
 
+# t joined with the clock's events: an event stream, which only a window's
+# clock or a stream join's right side may read.
+_STREAM_JOIN_T = {**_join_t([0], [0]), "op": "stream_join", "right": {"op": "rel", "name": "clock"}}
+
+
 # A valid spec with every kind of field: relation types, a recursive block,
 # a map, an aggregate, a join, a filter over a projection, and a window.
 _FULL_SPEC = {
@@ -526,12 +531,17 @@ class TestExitCodes:
                 {"op": "rel", "name": "p"},
                 "bad rule term",
             ),
+            (_T, None, "v", {**_over_t("distinct"), "input": {"op": "rel", "name": "clock"}}, "input cannot be an event"),
+            (_T, None, "v", {**_join_t([0], [0]), "op": "stream_join"}, "right must be an event stream"),
+            (_T, None, "v", _over_t("aggregate", agg="count", input=_STREAM_JOIN_T), "input cannot be an event"),
+            (_T, None, "v", _over_t("window", theta="t", ts_column=0, width=5), "must be an event-stream relation"),
         ],
         ids=["window-no-width", "window-str-width", "window-bool-width", "columns-int", "relation-name-list",
              "derived-name-list", "view-name-list", "rel-node-name-list", "atom-name-list", "col-negative",
              "col-bool", "const-null", "const-list", "const-bool-compared", "const-bool-added", "const-infinite",
              "const-object", "project-bool", "group-by-bool",
-             "aggregate-column-bool", "ts-column-bool", "join-key-bool", "join-key-negative", "rule-const-list"],
+             "aggregate-column-bool", "ts-column-bool", "join-key-bool", "join-key-negative", "rule-const-list",
+             "distinct-over-events", "stream-join-of-tables", "aggregate-over-stream-join", "window-clock-table"],
     )
     def test_malformed_spec_is_2(self, relations, recursive, view, query, named, tmp_path, capsys):
         doc = {"relations": relations, "views": [{"name": view, "query": query}]}
@@ -733,6 +743,26 @@ class TestTypedErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "tx 3" in proc.stderr and "operator 'aggregate'" in proc.stderr
+
+
+class TestNonFiniteOutput:
+    """A map may compute an infinity or a NaN, which JSON cannot encode: the
+    run exits 2 naming the tx and the view, and keeps the lines before it."""
+
+    BIG = ["*", ["col", 1], ["const", 1e308]]
+
+    @pytest.mark.parametrize("mode", ["incremental", "reference"])
+    @pytest.mark.parametrize("expr", [BIG, ["-", BIG, BIG]], ids=["inf", "nan"])
+    def test_exit_2_after_the_lines_before_it(self, expr, mode, tmp_path, capsys):
+        query = {"op": "map", "exprs": [expr, ["col", 0]], "input": {"op": "rel", "name": "r"}}
+        spec = {"relations": [{"name": "r", "columns": ["a", "b"]}], "views": [{"name": "v", "query": query}]}
+        sp = write(tmp_path, "s.json", json.dumps(spec))
+        rows = [(0, [1, 0]), (1, [2, 5]), (2, [3, 0])]
+        tp = write(tmp_path, "t.ndjson", "".join(jline({"tx": tx, "changes": [["r", row, 1]]}) for tx, row in rows))
+        out = tmp_path / "o.ndjson"
+        assert main(["run", "--mode", mode, "--spec", sp, "--trace", tp, "--out", str(out)]) == 2
+        assert out.read_text() == '{"changes":[["v",[0.0,1],1]],"tx":0}\n'
+        assert capsys.readouterr().err.startswith("deltaflow: tx 1: view 'v' emits a non-finite number")
 
 
 class TestEventViews:

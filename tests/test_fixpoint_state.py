@@ -465,7 +465,7 @@ def _one_row_tuples(op, base):
     else:
         build = {"join": build_equijoin, "semijoin": build_semijoin, "antijoin": build_antijoin}.get(op)
         out = (build or _stream_join)(q, a, b, KeyFunc([0]), KeyFunc([0]))
-    q.add_sink(out, "v", event=op == "stream_join")
+    q.add_sink(out, "v")
     c = incrementalize_query(q)
     rows, none = ZSet({(i, i): 1 for i in range(base)}), ZSet()
     c.step({"a": rows, "b": ZSet({(0, 0): 1}) if op in ("cartesian", "stream_join") else rows})
@@ -476,7 +476,8 @@ def _one_row_tuples(op, base):
 
 
 def _stream_join(c, s, t, key_s, key_t):
-    """A stream join as a spec reads it, left to the stream_join rule."""
+    """A stream join as a spec reads it: a join over a table and an event
+    stream, event-typed, which the rewrite gives a trace of its table side."""
     return c.add_lifted(JoinFn(key_s, key_t, label="stream_join"), [s, t], klass="bilinear", label="stream_join")
 
 

@@ -9,6 +9,7 @@ from deltaflow import (
     Circuit,
     CircuitError,
     NonTerminationError,
+    WindowSpec,
     ZSet,
     compile_query,
     consolidate_distinct,
@@ -17,7 +18,7 @@ from deltaflow import (
     optimize,
     incrementalize_query,
 )
-from deltaflow.expr import BinOp, Col, Const, KeyFunc
+from deltaflow.expr import BinOp, Col, Const, KeyFunc, MapFunc
 from deltaflow.datalog import build_while
 from deltaflow.relational import (
     AggregateFn,
@@ -29,7 +30,10 @@ from deltaflow.relational import (
     build_inc_join,
     build_map,
     build_projection,
+    build_semijoin,
     build_union,
+    build_union_all,
+    build_window_snapshot,
 )
 from deltaflow.rewrite import differential_check
 from deltaflow.runner import _closure_spec
@@ -510,6 +514,106 @@ class TestAlgorithmPipeline:
         inc = incrementalize_query(_fig_query())
         ref = incrementalize_naive(consolidate_distinct(_fig_query()))
         assert_equivalent(inc, ref, ["t1", "t2"], seeds=range(6), ticks=8, arity=3)
+
+
+class TestEventStreams:
+    """An event stream is a per-tick value, not a change: every circuit
+    over one must equal the reference, which reads it raw."""
+
+    @staticmethod
+    def _check(c, ticks):
+        """differential_check of c over ticks, each source not named in a
+        tick getting an empty change; returns the reference's outputs."""
+        ticks = [{name: ZSet(t.get(name, {})) for name in c.sources} for t in ticks]
+        assert differential_check(c, [ticks], raise_on_mismatch=False) is None
+        reference = compile_query(c)[0]
+        return [{k: as_z(v) for k, v in reference.step(t).items()} for t in ticks]
+
+    def test_event_flag_follows_the_operator_class(self):
+        c = Circuit()
+        t, e, f = c.add_source("t"), c.add_source("e", event=True), c.add_source("f", event=True)
+        flag = {
+            "events only": build_union_all(c, e, build_map(c, f, MapFunc([0, 1]))),
+            "mixed linear": build_union_all(c, t, e),
+            "join with events": build_equijoin(c, t, e, KeyFunc([0]), KeyFunc([0])),
+            "join of tables": build_equijoin(c, t, t, KeyFunc([0]), KeyFunc([0])),
+            "general": build_aggregate(c, e, "max", 1, [0]),
+            "state": c.add_integrate(e),
+        }
+        got = {what: c.nodes[nid].meta["event"] for what, nid in flag.items()}
+        assert got == {
+            "events only": True,
+            "mixed linear": False,
+            "join with events": True,
+            "join of tables": False,
+            "general": False,
+            "state": False,
+        }
+
+    def test_max_over_a_filtered_event_stream(self):
+        c = Circuit()
+        e = c.add_source("e", event=True)
+        c.add_sink(build_aggregate(c, build_filter(c, e, BinOp(">", Col(1), Const(0))), "max", 1, [0]), "o")
+        out = self._check(c, [{"e": {(1, 5): 1}}, {"e": {(1, 3): 1}}, {"e": {(2, 4): 1}}])
+        assert [o["o"] for o in out] == [
+            ZSet({(1, 5): 1}),
+            ZSet({(1, 3): 1, (1, 5): -1}),
+            ZSet({(1, 3): -1, (2, 4): 1}),
+        ]
+
+    @pytest.mark.parametrize("kind", ["sum", "count"])
+    def test_linear_aggregate_over_a_mapped_event_stream(self, kind):
+        c = Circuit()
+        e = c.add_source("e", event=True)
+        doubled = build_map(c, e, MapFunc([Col(0), BinOp("*", Col(1), Const(2))]))
+        c.add_sink(build_aggregate(c, doubled, kind, 1, [0]), "o")
+        ticks = [{"e": {(1, 5): 1, (2, 1): 2}}, {"e": {(1, 3): 1}}, {}, {"e": {(1, 5): -1, (2, 2): 1}}]
+        self._check(c, ticks)
+        assert ("trace", "") not in incrementalize_query(c).census()  # events are not accumulated
+
+    def test_join_of_two_event_streams(self):
+        c = Circuit()
+        a, b = c.add_source("a", event=True), c.add_source("b", event=True)
+        c.add_sink(build_equijoin(c, a, b, KeyFunc([0]), KeyFunc([0])), "o")
+        out = self._check(c, [{"a": {(1, 1): 1}, "b": {(1, 2): 1}}, {"a": {(1, 3): 1}}, {"b": {(1, 4): 1}}])
+        assert [o["o"] for o in out] == [ZSet({(1, 1, 1, 2): 1}), ZSet(), ZSet()]
+
+    @pytest.mark.parametrize("events_left", [False, True], ids=["events-right", "events-left"])
+    @pytest.mark.parametrize("build", [build_equijoin, build_semijoin])
+    def test_stream_join_traces_only_its_table_side(self, build, events_left):
+        c = Circuit()
+        t, e = c.add_source("t"), c.add_source("e", event=True)
+        left, right = (e, t) if events_left else (t, e)
+        c.add_sink(build(c, left, right, KeyFunc([0]), KeyFunc([0])), "o")
+        rng = random.Random(7)
+        self._check(c, [{"t": rand_zset(rng), "e": rand_zset(rng)} for _ in range(12)])
+        inc = incrementalize_query(c)
+        traced = [inc.nodes[n.inputs[0]] for n in inc.nodes if n.kind == "trace"]
+        assert [n.name for n in traced] == ["t"]
+
+    def test_bilinear_fn_without_join_keys_over_events_is_rejected(self):
+        c = Circuit()
+        t, e = c.add_source("t"), c.add_source("e", event=True)
+        c.add_sink(c.add_lifted(lambda x, y: x, [t, e], klass="bilinear", label="f"), "o")
+        with pytest.raises(CircuitError, match="needs join keys"):
+            incrementalize_query(c)
+
+    def test_state_and_window_over_an_event_stream(self):
+        ticks = [{"e": {(1,): 1}, "k": {(1,): 1}}, {"e": {(2,): 1}, "k": {(12,): 1}}, {}]
+        c = Circuit()
+        e, k = c.add_source("e", event=True), c.add_source("k", event=True)
+        c.add_sink(c.add_integrate(e), "sum")
+        c.add_sink(build_window_snapshot(c, e, k, WindowSpec(0, 10)), "recent")
+        out = self._check(c, ticks)
+        assert [o["sum"] for o in out] == [ZSet({(1,): 1}), ZSet({(2,): 1}), ZSet()]
+        assert [o["recent"] for o in out] == [ZSet({(1,): 1}), ZSet({(1,): -1, (2,): 1}), ZSet({(2,): -1})]
+
+    def test_union_of_a_table_and_an_event_stream(self):
+        c = Circuit()
+        t, e = c.add_source("t"), c.add_source("e", event=True)
+        c.add_sink(build_union_all(c, t, e), "o")
+        rng = random.Random(8)
+        self._check(c, [{"t": rand_zset(rng), "e": rand_zset(rng)} for _ in range(12)])
 
 
 def _set_delta(rng, cur):
