@@ -59,7 +59,7 @@ corrections from earlier ticks are fully replayed and every inner tick u
 that holds state is visited again.
 """
 
-from .errors import CircuitError, NonTerminationError, TypeMismatchError, ValidationError
+from .errors import CircuitError, DeltaflowError, NonTerminationError, TypeMismatchError, ValidationError
 from .groupval import ZERO, StreamVector, as_vector, as_zset, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
 from .zset import SummaryTrace, Trace, TraceView, ZSet
 
@@ -418,8 +418,12 @@ class Circuit:
         vals = []
         latches = []
         put = vals.append
-        for step in self._program:
-            put(step(vals, inputs, ctx, latches))
+        try:
+            for step in self._program:
+                put(step(vals, inputs, ctx, latches))
+        except DeltaflowError as e:
+            e.node = len(vals)  # set again by each enclosing circuit
+            raise
         return vals, latches
 
     # -- the step program ----------------------------------------------------------

@@ -3,6 +3,7 @@
 
 class DeltaflowError(Exception):
     exit_code = 1
+    node = None  # the id of the node whose step raised it, in the outermost circuit
 
 
 class ValidationError(DeltaflowError):

@@ -4,8 +4,8 @@ Each build_* function appends a fragment to a Circuit and returns the output
 node id.  The function objects carry class labels (linear / bilinear /
 general) and, for joins, their key functions, so the incrementalizer can pick
 the right rewrite without inspecting Python code.  An incremental join is one
-in-place trace per side, keyed by the join's keys, and one probing join; the
-traces run on the join's own clock, or on the parent clock inside a fixpoint.
+in-place trace per table side (events are read raw), keyed by the join's
+keys, and one probing join, on its own clock or the parent's in a fixpoint.
 
 Optional attributes tell the circuit what an operator reads and how to
 name it.  `probe_args` lists the argument slots it looks up per element of
@@ -31,6 +31,7 @@ from .zset import (
     WEIGHT_MAX,
     WEIGHT_MIN,
     IndexedZSet,
+    Trace,
     TraceView,
     ZSet,
     aggregate_avg,
@@ -201,31 +202,9 @@ def intersect_fn():
     return JoinFn(_identity_key, _identity_key, mode="semi", label="intersect")
 
 
-class _TraceJoin:
-    """A form of the join fn `join` that reads its inputs as TraceViews of
-    traces keyed by the join's keys (see zset.Trace)."""
-
-    arity = 2
-    klass = BILINEAR
-    probe_args = (0, 1)
-
-    def __init__(self, join):
-        self.join = join
-        self.label = join.label
-
-    @property
-    def op_name(self):
-        return self.join.op_name
-
-    def then(self, fn, label):
-        """This probing join with the row map fn folded into its join fn."""
-        j = copy.copy(self)
-        j.join = self.join.then(fn, label)
-        return j
-
-
-class IncJoinFn(_TraceJoin):
-    """The incremental join as one operator, on every clock.
+class IncJoinFn:
+    """The incremental join of the join fn `join` as one operator, on every
+    clock, over tables and event streams.
 
     x[t][u] is the change on an edge at parent tick t and iteration u; a and
     b are the changes at (t, u), A and B the traces (zset.Trace) of the
@@ -242,15 +221,42 @@ class IncJoinFn(_TraceJoin):
     slot 0 holds the earlier ticks and the logs are empty, so this is
     a*b + z(I(a))*b + a*z(I(b)).  Work follows the changes, the logs and the
     groups they probe.
+
+    `probe_args` are the traced inputs.  An untraced one (events, never
+    integrated) has no slots and no log: over events b this is I(a)*b.
     """
+
+    arity = 2
+    klass = BILINEAR
+
+    def __init__(self, join, probe_args=(0, 1)):
+        self.join = join
+        self.label = join.label
+        self.probe_args = probe_args
+
+    @property
+    def op_name(self):
+        return self.join.op_name
+
+    def then(self, fn, label):
+        """This probing join with the row map fn folded into its join fn."""
+        j = copy.copy(self)
+        j.join = self.join.then(fn, label)
+        return j
 
     def rows_in(self, va, vb):
         """The two changes and both tick logs; the slots are looked up.  The
         logs count too: (L_a, B_u) and (A_u, L_b) scan them at iterations
-        whose own change is empty, so a zero here means nothing is emitted."""
+        whose own change is empty, so a zero here means nothing is emitted.
+        With an untraced side, its rows alone: without them nothing is."""
+        if len(self.probe_args) < 2:
+            return sum(len(as_zset(v)) for s, v in enumerate((va, vb)) if s not in self.probe_args)
         return va.size + vb.size + va.trace.tick_rows + vb.trace.tick_rows
 
     def __call__(self, va, vb):
+        if len(self.probe_args) < 2:
+            keys = self.join.index_keys()
+            va, vb = (v if s in self.probe_args else _untraced(keys[s], v) for s, v in enumerate((va, vb)))
         u, a, b, ta, tb = va.u, va.rows, vb.rows, va.trace, vb.trace
         pairs = [(a, b)]
         pairs += [(aslot, b) for j, aslot in ta.slots.items() if j <= u]
@@ -263,24 +269,9 @@ class IncJoinFn(_TraceJoin):
         return _emit(self.join, pairs)
 
 
-class StreamJoinFn(_TraceJoin):
-    """The accumulated relation s, input `side` of the join, joined with
-    the tick's events: s is read from its trace as slot u plus the tick's
-    rows; the events are scanned."""
-
-    def __init__(self, join, side=0):
-        super().__init__(join)
-        self.probe_args = (side,)
-
-    def rows_in(self, *ins):
-        return len(as_zset(ins[1 - self.probe_args[0]]))
-
-    def __call__(self, *ins):
-        side = self.probe_args[0]
-        view = ins[side]
-        events = group_rows(self.join.index_keys()[1 - side], as_zset(ins[1 - side])._entries)
-        pairs = [(s, events) for s in (view.trace.slots.get(view.u, {}), view.rows)]
-        return _emit(self.join, pairs if side == 0 else [(e, s) for s, e in pairs])
+def _untraced(key, v):
+    """An untraced input as the view of an empty trace: this tick's rows."""
+    return TraceView(Trace(), 0, group_rows(key, as_zset(v)._entries), 0)
 
 
 class DistinctDeltaFn:
@@ -678,26 +669,21 @@ def build_inc_distinct(c: Circuit, d, depth=None):
 
 def build_inc_join(c: Circuit, a, b, key_a, key_b, depth=None, fn=None):
     """Incremental bilinear join da*db + z(I(a))*db + da*z(I(b)): one
-    in-place trace per side, keyed by the join's keys, and one join node
-    that probes both (IncJoinFn).  The traces run on clock `depth`: the
+    in-place trace per table side, keyed by the join's keys, and one join
+    node that probes them (IncJoinFn).  An event-typed side is never
+    integrated, so it gets no trace.  The traces run on clock `depth`: the
     circuit's own, or the parent's in a fixpoint body, where they are
-    two-axis."""
+    two-axis and no side may be event-typed."""
     depth = c.level if depth is None else depth
     fn = fn or JoinFn(key_a, key_b)
     if not hasattr(fn, "index_keys"):
         raise CircuitError(f"incremental {getattr(fn, 'label', 'bilinear operator')} needs join keys")
-    ka, kb = fn.index_keys()
-    ta = c.add_trace(a, depth=depth, index_key=ka)
-    tb = c.add_trace(b, depth=depth, index_key=kb)
-    return c.add_lifted(IncJoinFn(fn), [ta, tb], klass=BILINEAR, label=fn.label)
-
-
-def build_stream_join(c: Circuit, s, t, key_s, key_t):
-    """Join the accumulated relation s against the current tick of stream t:
-    an in-place trace of s keyed by key_s, probed by the events."""
-    fn = JoinFn(key_s, key_t)
-    tr = c.add_trace(s, depth=c.level, index_key=fn.key_left)
-    return c.add_lifted(StreamJoinFn(fn), [tr, t], klass=BILINEAR, label="join")
+    events = [c.nodes[x].meta["event"] for x in (a, b)]
+    if any(events) and depth < c.level:
+        raise CircuitError(f"incremental {fn.label!r} reads an event stream on its parent clock")
+    ins = [x if ev else c.add_trace(x, depth=depth, index_key=k) for x, ev, k in zip((a, b), events, fn.index_keys())]
+    probe = tuple(s for s, ev in enumerate(events) if not ev)
+    return c.add_lifted(IncJoinFn(fn, probe), ins, klass=BILINEAR, label=fn.label)
 
 
 def build_window(c: Circuit, delta, theta, spec: WindowSpec):

@@ -7,18 +7,18 @@ every edge carries changes instead of snapshots:
 
 * by default a node is copied unchanged: linear, delay-class and boundary
   nodes (sources, delta0, stream-sum) are their own incremental versions;
-* an event-typed node (`meta["event"]`) over events only is copied too;
-  over a table and events, an in-place trace of the table side probed by
-  the raw events (StreamJoinFn); any other node that reads events (an
-  aggregate, a window over them, a state node) keeps the general bracket
+* an event-typed node (`meta["event"]`) over events only is copied too; a
+  join of a table and events is the incremental join below, with
+  z(I(events)) = 0, so its events are not traced; any other node that reads
+  events (an aggregate, a window, a state node) keeps the general bracket
   below, its event inputs raw;
 * an integrate/differentiate bracket is dropped, as its delta is its input;
 * a linear map (project or map) that is all that reads an equi-join or
   cartesian product is folded into it first: a linear operator distributes
   over a bilinear one, so the join emits mapped rows (JoinFn.then), here and
   in nested bodies; the reference circuit keeps the two apart;
-* bilinear nodes (joins) become one in-place trace per side and one probing
-  join, da*db + z(I(a))*db + da*z(I(b)) (IncJoinFn);
+* bilinear nodes (joins) become one in-place trace per table side and one
+  probing join, da*db + z(I(a))*db + da*z(I(b)) (IncJoinFn);
 * distinct becomes the sign-transition form (integrate, delay, H);
 * a top-level COUNT, SUM or AVG over a table becomes one own-clock trace
   keyed by the group key, which keeps each group's running totals, and one
@@ -44,7 +44,6 @@ from .relational import (
     IncJoinFn,
     JoinFn,
     MapFn,
-    StreamJoinFn,
     build_inc_aggregate,
     build_inc_distinct,
     build_inc_join,
@@ -221,24 +220,13 @@ def _delta_node(src, out, n, dmap, bracket_depth):
     if n.kind == "window" and not events[0]:
         wf = build_window(out, dmap[n.inputs[0]], dmap[n.inputs[1]], n.meta["window"])
         return out.add_differentiate(wf, depth=bracket_depth)
-    if n.meta["event"]:
-        return None if all(events) else _delta_stream_join(out, n, dmap, events, bracket_depth)
-    if any(events):
+    if n.meta["event"] and all(events):
+        return None
+    if any(events) and n.klass != BILINEAR:
         return _bracket(out, n, dmap, events, bracket_depth)
     if n.kind == "lifted" and n.klass != LINEAR:
         return _delta_lifted(src, out, n, dmap, bracket_depth)
     return None
-
-
-def _delta_stream_join(out, n, dmap, events, depth):
-    """A bilinear node over a table and events: a trace of the table side,
-    keyed by its join key, which the tick's events probe (StreamJoinFn)."""
-    if not hasattr(n.fn, "index_keys"):
-        raise CircuitError(f"{n.label} over an event stream needs join keys")
-    side = events.index(False)
-    ins = [dmap[i] for i in n.inputs]
-    ins[side] = out.add_trace(ins[side], depth=depth, index_key=n.fn.index_keys()[side])
-    return out.add_lifted(StreamJoinFn(n.fn, side), ins, klass=BILINEAR, label=n.label)
 
 
 def _bracket(out, n, dmap, events, depth):

@@ -63,9 +63,20 @@ def _step_circuit(circuit, inputs, tx):
     try:
         out = circuit.step(inputs)
     except (ValidationError, NonTerminationError, WeightOverflowError) as e:
-        raise type(e)(f"tx {tx}: {e}") from e
+        views = _views_reading(circuit, e.node) if isinstance(e, ValidationError) else []
+        where = f" (in view{'s' if len(views) > 1 else ''} {', '.join(map(repr, views))})" if views else ""
+        raise type(e)(f"tx {tx}: {e}{where}") from e
     wall = time.perf_counter_ns() - start
     return out, {"tuples": m.tuples - t0, "iterations": m.iterations - i0, "wall_ns": wall}
+
+
+def _views_reading(circuit, nid):
+    """The sorted names of the sinks on node nid or on a node that reads it."""
+    reach, size = {nid}, 0
+    while size < len(reach):
+        size = len(reach)
+        reach.update(n.id for n in circuit.nodes if reach.intersection(n.inputs))
+    return sorted(name for name, top in circuit.sinks.items() if top in reach)
 
 
 class RunReport:

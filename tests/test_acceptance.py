@@ -37,7 +37,6 @@ from deltaflow.relational import (
     build_inc_join,
     build_map,
     build_projection,
-    build_stream_join,
     build_union,
     build_window,
 )
@@ -368,7 +367,7 @@ def test_criterion_9_window_streamjoin_while():
     sj = Circuit()
     s2 = sj.add_source("s")
     t2 = sj.add_source("t", event=True)
-    sj.add_sink(build_stream_join(sj, s2, t2, KeyFunc([0]), KeyFunc([0])), "o")
+    sj.add_sink(build_inc_join(sj, s2, t2, KeyFunc([0]), KeyFunc([0])), "o")
     fn = JoinFn(KeyFunc([0]), KeyFunc([0]))
     for _ in range(10):
         sj.reset()

@@ -13,9 +13,12 @@ import pytest
 from deltaflow import DivergenceError, ValidationError, ZSet, load_spec, load_trace
 from deltaflow.cli import main
 from conftest import run_all
-from deltaflow.runner import check_verdict, compile_circuits
-from deltaflow.specfile import compile_spec
-from deltaflow.trace import DUMP_BATCH_ROWS, _json_value, dump_transaction
+from deltaflow.circuit import Circuit
+from deltaflow.expr import BinOp, Col, Const
+from deltaflow.relational import Schema, build_filter, build_projection
+from deltaflow.runner import RunReport, check_verdict, compile_circuits
+from deltaflow.specfile import CircuitSpec, RelationDecl, compile_spec
+from deltaflow.trace import DUMP_BATCH_ROWS, Transaction, _json_value, dump_transaction
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -743,6 +746,49 @@ class TestTypedErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "tx 3" in proc.stderr and "operator 'aggregate'" in proc.stderr
+
+
+class TestStepErrorsNameTheView:
+    """An operator error at a tx names the tx, the operator and every view
+    that reads the failing node (sorted); the run exits 2 and keeps the
+    lines of the transactions before it."""
+
+    BIG = {"op": "filter", "predicate": [">", ["col", 0], ["const", 1]], "input": {"op": "rel", "name": "t"}}
+    SPEC = {
+        "relations": [{"name": "t", "columns": ["a"], "types": ["str"]}, {"name": "u", "columns": ["a"]}],
+        "views": [{"name": "big", "query": BIG}, {"name": "all_u", "query": {"op": "rel", "name": "u"}}],
+    }
+
+    @pytest.mark.parametrize("mode", ["incremental", "reference", "compare"])
+    def test_cli_names_the_view(self, mode, tmp_path, capsys):
+        sp = write(tmp_path, "s.json", json.dumps(self.SPEC))
+        rows = [(0, "u", [1]), (1, "t", ["x"]), (2, "u", [2])]
+        tp = write(tmp_path, "t.ndjson", "".join(jline({"tx": tx, "changes": [[r, row, 1]]}) for tx, r, row in rows))
+        assert main(["validate", "--spec", sp, "--trace", tp]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o.ndjson"
+        assert main(["run", "--mode", mode, "--spec", sp, "--trace", tp, "--out", str(out)]) == 2
+        assert out.read_text() == '{"changes":[["all_u",[1],1]],"tx":0}\n'
+        assert capsys.readouterr().err == (
+            "deltaflow: tx 1: operator 'filter': '>' not supported between instances of 'str' and 'int'"
+            " (in view 'big')\n"
+        )
+
+    @pytest.mark.parametrize("mode", ["incremental", "reference"])
+    def test_a_shared_node_names_every_view_that_reads_it(self, mode):
+        c = Circuit()
+        t, u = c.add_source("t"), c.add_source("u")
+        big = build_filter(c, t, BinOp(">", Col(0), Const(1)))
+        c.add_sink(build_projection(c, big, [0, 0]), "wide")
+        c.add_sink(big, "big")
+        c.add_sink(u, "all_u")
+        relations = {name: RelationDecl(name, Schema(("a",))) for name in ("t", "u")}
+        spec = CircuitSpec(relations=relations, view_names=["wide", "big", "all_u"], circuit=c)
+        txs = [Transaction(0, {"u": ZSet({(1,): 1})}), Transaction(1, {"t": ZSet({("x",): 1})})]
+        report = iter(RunReport(compile_circuits(spec, mode), txs, mode))
+        assert next(report)[0] == 0
+        with pytest.raises(ValidationError, match=r"^tx 1: operator 'filter': '>' .* \(in views 'big', 'wide'\)$"):
+            next(report)
 
 
 class TestNonFiniteOutput:

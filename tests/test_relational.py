@@ -36,7 +36,6 @@ from deltaflow.relational import (
     build_inc_join,
     build_intersect,
     build_projection,
-    build_stream_join,
     build_union,
     build_union_all,
     build_window,
@@ -393,11 +392,19 @@ class TestWindow:
 
 
 class TestStreamJoin:
-    def test_relation_accumulates_events_do_not(self):
+    """The incremental join over an event source: the table side is traced,
+    the events are read raw, so each tick emits I(table) joined with its events."""
+
+    def circuit(self, events_left=False):
         c = Circuit()
         s = c.add_source("s")
         t = c.add_source("t", event=True)
-        c.add_sink(build_stream_join(c, s, t, KeyFunc([0]), KeyFunc([0])), "o")
+        left, right = (t, s) if events_left else (s, t)
+        c.add_sink(build_inc_join(c, left, right, KeyFunc([0]), KeyFunc([0])), "o")
+        return c
+
+    def test_relation_accumulates_events_do_not(self):
+        c = self.circuit()
         out0 = as_z(c.step({"s": ZSet({("k", 1): 1}), "t": ZSet()})["o"])
         assert out0.is_zero()
         out1 = as_z(c.step({"s": ZSet(), "t": ZSet({("k", "e"): 1})})["o"])
@@ -407,29 +414,47 @@ class TestStreamJoin:
         assert out2.is_zero()
 
     def test_event_before_relation_row(self):
-        c = Circuit()
-        s = c.add_source("s")
-        t = c.add_source("t", event=True)
-        c.add_sink(build_stream_join(c, s, t, KeyFunc([0]), KeyFunc([0])), "o")
+        c = self.circuit()
         out0 = as_z(c.step({"s": ZSet(), "t": ZSet({("k", "early"): 1})})["o"])
         assert out0.is_zero()
         out1 = as_z(c.step({"s": ZSet({("k", 1): 1}), "t": ZSet()})["o"])
         assert out1.is_zero()
 
+    def test_only_the_table_side_is_traced(self):
+        c = self.circuit()
+        assert [n.kind for n in c.nodes] == ["source", "source", "trace", "lifted"]
+        fn = c.nodes[-1].fn
+        assert fn.probe_args == (0,)
+        # a tick without events scans nothing, whatever the table's change
+        view = TraceView(Trace(KeyFunc([0])), 0, {(1,): {(1, 2): 1}}, 1)
+        assert fn.rows_in(view, ZERO) == 0
+        assert fn.rows_in(view, ZSet({(1, "e"): 2})) == 1
+
     def test_oracle(self):
+        self.check_oracle(events_left=False)
+
+    def test_oracle_events_left(self):
+        self.check_oracle(events_left=True)
+
+    def check_oracle(self, events_left):
+        weights = [1, -1, 2, -2, 3, -3]
         rng = random.Random(3)
-        c = Circuit()
-        s = c.add_source("s")
-        t = c.add_source("t", event=True)
-        c.add_sink(build_stream_join(c, s, t, KeyFunc([0]), KeyFunc([0])), "o")
+        c = self.circuit(events_left)
         acc = ZSet()
         fn = JoinFn(KeyFunc([0]), KeyFunc([0]))
-        for _ in range(10):
-            ds = ZSet({(rng.randrange(3), rng.randrange(9)): 1 for _ in range(rng.randrange(2))})
-            ev = ZSet({(rng.randrange(3), "e%d" % rng.randrange(9)): 1 for _ in range(rng.randrange(2))})
+        matched = 0
+        for _ in range(40):
+            # table inserts and deletions with weights up to 3 either way,
+            # and deletions of rows the table holds
+            ds = ZSet({(rng.randrange(3), rng.randrange(9)): rng.choice(weights) for _ in range(rng.randrange(3))})
+            ds = ds + ZSet({x: -w for x, w in acc.raw_items() if rng.random() < 0.2})
+            # events of multiplicity 1 or 2
+            ev = ZSet({(rng.randrange(3), "e%d" % rng.randrange(9)): rng.choice([1, 2]) for _ in range(rng.randrange(3))})
             acc = acc + ds
             got = as_z(c.step({"s": ds, "t": ev})["o"])
-            assert got == fn(acc, ev)
+            assert got == (fn(ev, acc) if events_left else fn(acc, ev))
+            matched += len(got)
+        assert matched > 0
 
 
 _AGG_POOLS = {

@@ -598,6 +598,20 @@ class TestEventStreams:
         with pytest.raises(CircuitError, match="needs join keys"):
             incrementalize_query(c)
 
+    def test_join_over_events_in_a_fixpoint_body_is_rejected(self):
+        # On the parent clock the join would read every slot up to u of its
+        # table side, where one joined with events reads slot u alone.
+        c = Circuit()
+        blk, inner = c.add_nested(c.add_source("s"))
+        entry = inner.add_delta0()
+        events = build_filter(inner, entry, BinOp(">", Col(0), Const(0)))
+        inner.nodes[events].meta["event"] = True
+        with pytest.raises(CircuitError, match="incremental 'join' reads an event stream"):
+            build_inc_join(inner, entry, events, KeyFunc([0]), KeyFunc([0]), depth=inner.level - 1)
+        # on the body's own clock the same join is built, its events untraced
+        j = build_inc_join(inner, entry, events, KeyFunc([0]), KeyFunc([0]))
+        assert inner.nodes[j].fn.probe_args == (0,)
+
     def test_state_and_window_over_an_event_stream(self):
         ticks = [{"e": {(1,): 1}, "k": {(1,): 1}}, {"e": {(2,): 1}, "k": {(12,): 1}}, {}]
         c = Circuit()
