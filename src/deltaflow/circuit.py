@@ -12,27 +12,26 @@ Stateful operators carry a `depth` (number of liftings applied):
   clock, so its per-tick value is a StreamVector and the operator acts along
   the vector (column) axis statelessly;
 * depth == circuit.level - 1: the operator runs on the parent clock of a
-  nested domain; its state is a vector indexed by the local tick and it
-  persists across parent ticks.
+  nested domain and persists across parent ticks.  Only a trace may: it
+  keeps one slot per inner tick u (validate() rejects any other state here).
 
 Every stateful node (integrate, delay, differentiate, trace, stream-sum,
 window) keeps its state by one rule.  A node reads its state when it is
 evaluated and latches the next state at the end of the tick, never in
 between.  On its own clock the state sits at key `nid` in the circuit's
-`_state`.  On the parent clock it sits in the nested domain's parent-clock
-store, which lives in the parent's `_state` and is updated in place: at key
-`(nid, u)`, u the inner tick.  A trace node keeps one trace (zset.Trace)
-updated in place at key `nid`: in slot 0 on its own clock, in slot u on
-the parent clock; the domain's accumulated per-iteration change is a trace
-at the stream-sum's id; an own-clock trace may also keep a summary per key
-(zset.SummaryTrace).  A trace node's value is a TraceView that only
-probing operators may read, never a sink, and a trace is never lifted past
-its clock.  Traces latch before the other state, and an overflow while
-latching rolls back the own-clock traces latched before it.  A nested
-domain's parent-clock store commits with the end-of-tick latch of the
-parent: a parent tick that fails anywhere (a cap hit, an overflow, an
-operator error after the block ran) is rolled back, so the store is as it
-was before the tick.
+`_state`.  A trace node keeps one trace (zset.Trace) updated in place at
+key `nid`: in slot 0 on its own clock, in the circuit's `_state`; in slot u
+on the parent clock, in the nested domain's parent-clock store, which lives
+in the parent's `_state`.  The domain's accumulated per-iteration change is
+a trace at the stream-sum's id in that store; an own-clock trace may also
+keep a summary per key (zset.SummaryTrace).  A trace node's value is a
+TraceView that only probing operators may read, never a sink, and a trace
+is never lifted past its clock.  Traces latch before the other state, and
+an overflow while latching rolls back the own-clock traces latched before
+it.  A nested domain's parent-clock traces commit with the end-of-tick
+latch of the parent: a parent tick that fails anywhere (a cap hit, an
+overflow, an operator error after the block ran) rolls them back, so the
+store is as it was before the tick.
 
 A node's `meta["event"]`, set when it is added, says that its values are
 per-tick events, which the rewrite leaves raw: a source as declared, a
@@ -54,9 +53,9 @@ COUNT still emits (0,).  A skipped node scans and emits no rows, so the
 Nested clock domains are bracketed by a single delta0 entry and a single
 stream-sum exit.  Each parent tick runs the inner clock until the sum node's
 input hits the termination predicate (default: the group zero), with a floor
-of the longest run seen so far when the domain carries parent-clock state, so
-corrections from earlier ticks are fully replayed and every inner tick u
-that holds state is visited again.
+of the longest run seen so far when the domain carries parent-clock traces,
+so corrections from earlier ticks are fully replayed and every inner tick u
+that holds a slot is visited again.
 """
 
 from .errors import CircuitError, DeltaflowError, NonTerminationError, TypeMismatchError, ValidationError
@@ -71,12 +70,12 @@ GENERAL = "general"
 DELAY_CLASS = "delay"
 BOUNDARY = "boundary"
 
-# State kinds with a nesting depth: own, parent or vector (column) clock;
-# a trace runs on its own or the parent clock only.
+# State kinds with a nesting depth: own or vector (column) clock; a trace
+# runs on its own or the parent clock only.
 _STATEFUL_KINDS = frozenset({"delay", "integrate", "differentiate", "trace"})
 # Every kind that keeps state; stream-sums and windows run on their own clock.
 # A window node's fn(state, content, clock) returns (output, next_state).
-_STATE_KINDS = _STATEFUL_KINDS | {"stream_sum", "window", "window_fold"}
+STATE_KINDS = _STATEFUL_KINDS | {"stream_sum", "window", "window_fold"}
 
 
 class Metrics:
@@ -108,38 +107,29 @@ class Node:
 
 class _InnerCtx:
     """Evaluation context of a nested domain's block run: the inner tick u,
-    the entry value, the domain's state (its parent-clock store `outer` and
-    run length), the journal of what the store's `(nid, u)` keys held before
-    this parent tick, and the run length to keep when the parent tick ends."""
+    the entry value, the domain's state (its parent-clock traces `outer`,
+    by node id, and run length), and the run length to keep when the parent
+    tick ends."""
 
-    __slots__ = ("u", "entry", "bstate", "outer", "journal", "max_len")
+    __slots__ = ("u", "entry", "bstate", "outer", "max_len")
 
     def __init__(self, entry, bstate):
         self.u = 0
         self.entry = entry
         self.bstate = bstate
         self.outer = bstate["outer"]
-        self.journal = {}
         self.max_len = bstate["max_len"]
 
     def commit(self):
-        """The parent tick ended: the block's changes to its state stay."""
-        for v in self.outer.values():
-            if isinstance(v, Trace):
-                v.commit()
+        """The parent tick ended: the block's changes to its traces stay."""
+        for tr in self.outer.values():
+            tr.commit()
         self.bstate["max_len"] = self.max_len
 
     def rollback(self):
-        """The parent tick failed: leave the domain's state as it was before."""
-        outer = self.outer
-        for key, old in self.journal.items():
-            if old is None:
-                del outer[key]
-            else:
-                outer[key] = old
-        for v in outer.values():
-            if isinstance(v, Trace):
-                v.rollback()
+        """The parent tick failed: leave the domain's traces as they were."""
+        for tr in self.outer.values():
+            tr.rollback()
 
 
 class Circuit:
@@ -154,11 +144,10 @@ class Circuit:
         self.sum_id = None
         self._state = {}
         self._validated = False
-        # Set by validate(): feedback stubs on the vector clock, whether any
-        # state runs on the parent clock, and the step program, one callable
-        # per node (see _compile_step).
+        # Set by validate(): feedback stubs on the vector clock, the traces
+        # (all, and those on the own clock), and the step program, one
+        # callable per node (see _compile_step).
         self._vector_stubs = ()
-        self._parent_axis = False
         self._traces = self._own_traces = ()
         self._program = ()
         # The nested domains run in the current tick, committed or rolled
@@ -280,9 +269,11 @@ class Circuit:
         self.sum_id = nid
         return nid
 
-    def add_nested(self, x):
-        """Open a nested clock domain fed by node x; returns (node id, inner circuit)."""
-        inner = Circuit(level=self.level + 1, inner=True)
+    def add_nested(self, x, inner=None):
+        """Open a nested clock domain fed by node x, with the body inner or
+        an empty one; returns (node id, inner circuit)."""
+        if inner is None:
+            inner = Circuit(level=self.level + 1, inner=True)
         inner.metrics = self.metrics
         nid = self._add("nested", (x,), klass=GENERAL, meta={"inner": inner})
         return nid, inner
@@ -316,6 +307,8 @@ class Circuit:
                     raise CircuitError(f"node {n} nesting depth {n.depth} unusable at level {self.level}")
                 if eff == -1 and not self.is_inner:
                     raise CircuitError(f"node {n} references a parent clock but has none")
+                if eff == -1 and n.kind != "trace":
+                    raise CircuitError(f"node {n} keeps state on the parent clock, where only a trace may")
                 if n.kind == "trace" and eff == 1:
                     raise CircuitError(f"trace {n} cannot be lifted past its clock")
             if n.kind == "nested":
@@ -336,7 +329,6 @@ class Circuit:
         self._vector_stubs = [
             n.id for n in nodes if n.kind == "delay" and n.meta.get("feedback") and n.depth - self.level == 1
         ]
-        self._parent_axis = any(n.kind in _STATEFUL_KINDS and n.depth == self.level - 1 for n in nodes)
         self._traces = [n.id for n in nodes if n.kind == "trace"]
         self._own_traces = [nid for nid in self._traces if nodes[nid].depth == self.level]
         self._program = [self._compile_step(n) for n in nodes]
@@ -344,7 +336,7 @@ class Circuit:
 
     def reset(self):
         """Drop all operator state.  Nested bodies clear their own state at
-        the start of every block run, and their parent-clock state lives in
+        the start of every block run, and their parent-clock traces live in
         this circuit's."""
         self._state.clear()
 
@@ -374,8 +366,8 @@ class Circuit:
         # overflows takes its rows back and raises.  A tick that raises rolls
         # back the own-clock traces latched before (parent-clock ones go with
         # the parent tick) and the nested domains it ran; otherwise those
-        # commit.  A latch, which cannot fail, then stores the value of node
-        # src at the end of the tick, or the given value when src is None.
+        # commit.  A latch, which cannot fail, then stores at key the value of
+        # node src at the end of the tick, or the given value when src is None.
         blocks = self._blocks_run = []
         try:
             vals, latches = self._solve(inputs, ctx)
@@ -394,8 +386,9 @@ class Circuit:
             self._state[nid].commit()
         for block in blocks:
             block.commit()
-        for store, key, src, value in latches:
-            store[key] = value if src is None else vals[src]
+        state = self._state
+        for key, src, value in latches:
+            state[key] = value if src is None else vals[src]
         return vals
 
     def _solve(self, inputs, ctx):
@@ -445,7 +438,7 @@ class Circuit:
             return _delta0_step
         if kind == "nested":
             return lambda vals, *_: self._run_block(node, vals[ids[0]])
-        if kind in _STATE_KINDS:
+        if kind in STATE_KINDS:
             return self._state_step(node)
         raise CircuitError(f"unknown node kind {kind!r}")
 
@@ -490,51 +483,32 @@ class Circuit:
         kind, nid, src = node.kind, node.id, node.inputs[0]
         if kind == "window" or kind == "window_fold":
             return self._window_step(node)
-        eff = node.depth - self.level if kind in _STATEFUL_KINDS else 0
-        if eff == 1:
+        if kind in _STATEFUL_KINDS and node.depth > self.level:
             return self._vector_step(node)
         if kind == "trace":
-            return self._trace_step(node, own=eff == 0)
+            return self._trace_step(node, own=node.depth == self.level)
+        state = self._state
 
         if kind == "delay":
             # Emits last tick's input; the new input latches after the full
             # tick so feedback consumers see the strict previous value.
-            def update(store, key, state, vals, latches):
-                latches.append((store, key, src, None))
-                return state
+            def step(vals, inputs, ctx, latches):
+                latches.append((nid, src, None))
+                return state.get(nid, ZERO)
 
         elif kind == "differentiate":
 
-            def update(store, key, state, vals, latches):
+            def step(vals, inputs, ctx, latches):
                 x = vals[src]
-                latches.append((store, key, None, x))
-                return gv_sub(x, state)
+                latches.append((nid, None, x))
+                return gv_sub(x, state.get(nid, ZERO))
 
         else:  # integrate, stream_sum
 
-            def update(store, key, state, vals, latches):
-                out = gv_add(state, vals[src])
-                latches.append((store, key, None, out))
+            def step(vals, inputs, ctx, latches):
+                out = gv_add(state.get(nid, ZERO), vals[src])
+                latches.append((nid, None, out))
                 return out
-
-        if eff == 0:
-            store = self._state
-            return lambda vals, inputs, ctx, latches: update(store, nid, store.get(nid, ZERO), vals, latches)
-
-        def step(vals, inputs, ctx, latches):
-            # At (nid, u) in the parent-clock store, journaled (None: absent)
-            # so that a failed parent tick can restore it.  A key no earlier
-            # tick reached starts from the last one they reached, before this
-            # tick: they had converged there.
-            if ctx is None:
-                raise CircuitError(f"node {node} needs a parent clock")
-            store, key, journal = ctx.outer, (nid, ctx.u), ctx.journal
-            state = store.get(key)
-            if key not in journal:
-                journal[key] = state
-            if state is None:
-                state = journal.get((nid, ctx.max_len - 1)) or ZERO
-            return update(store, key, state, vals, latches)
 
         return step
 
@@ -544,8 +518,11 @@ class Circuit:
 
         def step(vals, inputs, ctx, latches):
             x = vals[src]
-            out, state = fn(store.get(nid), x, vals[clock])
-            latches.append((store, nid, None, state))
+            try:
+                out, state = fn(store.get(nid), x, vals[clock])
+            except TypeMismatchError as e:
+                raise TypeMismatchError(f"operator {node.label!r}: {e}") from e
+            latches.append((nid, None, state))
             metrics.tuples += len(as_zset(x)) + len(out)
             return out
 
@@ -598,13 +575,13 @@ class Circuit:
         inner._state.clear()
         ctx = _InnerCtx(entry_val, bstate)
         outer = ctx.outer
-        # A domain with parent-clock state emits cross-tick corrections: run at
+        # A domain with parent-clock traces emits cross-tick corrections: run at
         # least as long as any earlier tick did, so every inner tick u of
         # earlier ticks is visited again, and test convergence on the
         # accumulated per-iteration change (the current tick's underlying
-        # fixpoint progress, a trace at sum_id beside the nodes' state), not
+        # fixpoint progress, a trace at sum_id beside the nodes' traces), not
         # on this tick's correction alone.
-        incremental = inner._parent_axis
+        incremental = len(inner._own_traces) < len(inner._traces)
         if incremental:
             floor = ctx.max_len
             progress_trace = outer.get(sum_id)

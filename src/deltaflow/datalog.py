@@ -9,7 +9,7 @@ delta0 boundary, and the loop runs until the per-iteration change is empty.
 
 from dataclasses import dataclass, field
 
-from .circuit import Circuit
+from .circuit import STATE_KINDS, Circuit
 from .errors import CircuitError, ValidationError
 from .expr import BinOp, Col, Const, KeyFunc, MapFunc
 from .relational import (
@@ -123,7 +123,7 @@ def stratify(program):
     low = {}
     on_stack = {}
     stack = []
-    sccs = []
+    units = []
     counter = [0]
 
     def strongconnect(v):
@@ -160,7 +160,7 @@ def stratify(program):
                     comp.append(w)
                     if w == node:
                         break
-                sccs.append(sorted(comp))
+                units.append(sorted(comp))
 
     for r in derived:
         if r not in index:
@@ -168,19 +168,17 @@ def stratify(program):
 
     # With edges pointing head -> body relation, Tarjan pops dependencies
     # before their dependents, so the SCC list is already in evaluation order.
-    units = sccs
     unit_of = {r: i for i, unit in enumerate(units) for r in unit}
     for b, h in neg_edges:
         if unit_of[b] == unit_of[h]:
             raise ValidationError(f"program is not stratifiable: {h!r} depends negatively on {b!r} through a cycle")
-    ordered = sorted(units, key=lambda u: unit_of[u[0]])
     # Verify the order is consistent (deps only point backwards).
-    for i, unit in enumerate(ordered):
+    for i, unit in enumerate(units):
         for r in unit:
             for d in deps[r]:
                 if unit_of[d] > i:
                     raise CircuitError("internal stratification ordering error")
-    return ordered
+    return units
 
 
 # -- rule body compilation ----------------------------------------------------------
@@ -366,7 +364,7 @@ def build_while(q, cap=None):
     if len(q.sources) != 1 or len(q.sinks) != 1:
         raise CircuitError("while-loop body needs exactly one source and one sink")
     for n in q.nodes:
-        if n.kind in ("delay", "integrate", "differentiate", "nested", "delta0", "stream_sum"):
+        if n.kind in STATE_KINDS or n.kind in ("nested", "delta0"):
             raise CircuitError("while-loop body must be a scalar (stateless) query")
     (sname, s_id), = q.sources.items()
     (vname, v_id), = q.sinks.items()

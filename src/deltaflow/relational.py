@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 
 from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
-from .errors import CircuitError, ValidationError
+from .errors import CircuitError, TypeMismatchError, ValidationError
 from .expr import KeyFunc, MapFunc, kernel
 from .groupval import ZERO, as_zset
 from .zset import (
@@ -657,13 +657,11 @@ def build_inc_aggregate(c: Circuit, d, agg):
     return c.add_lifted(IncAggregateFn(agg), [tr], klass=GENERAL, label="aggregate")
 
 
-def build_inc_distinct(c: Circuit, d, depth=None):
+def build_inc_distinct(c: Circuit, d):
     """Incremental distinct: delta in, delta out.  DistinctDeltaFn's work is
     O(|delta|); its integral is rebuilt each tick, an O(relation) state update.
     In a fixpoint body the rewrite swaps the integral for a two-axis trace."""
-    depth = c.level if depth is None else depth
-    i = c.add_integrate(d, depth=depth)
-    z = c.add_delay(i, depth=depth)
+    z = c.add_delay(c.add_integrate(d))
     return c.add_lifted(DistinctDeltaFn(), [z, d], klass=GENERAL, label="distinct_delta")
 
 
@@ -720,15 +718,21 @@ def _advance_theta(old, theta_in):
     candidates = [read(x) for x, w in z.raw_items() if w > 0]
     if not candidates:
         return old
-    new = max(candidates)
-    if old is not None and new < old:
-        raise ValidationError(f"window: clock input decreased from {old} to {new}")
+    try:
+        new = max(candidates)
+        if old is not None and new < old:
+            raise ValidationError(f"window: clock input decreased from {old} to {new}")
+    except TypeError as e:
+        raise TypeMismatchError(f"clock values of mixed types: {e}") from e
     return new
 
 
 def _window_filter(content, theta, spec):
     if theta is None:
         return content
-    bound = theta - spec.width
     read = column_reader(spec.ts_column)
-    return ZSet._wrap({x: w for x, w in content.raw_items() if read(x) >= bound})
+    try:
+        bound = theta - spec.width
+        return ZSet._wrap({x: w for x, w in content.raw_items() if read(x) >= bound})
+    except TypeError as e:
+        raise TypeMismatchError(f"timestamp column {spec.ts_column} against clock {theta!r}: {e}") from e

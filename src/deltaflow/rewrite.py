@@ -25,18 +25,22 @@ every edge carries changes instead of snapshots:
   probing aggregate (IncAggregateFn): the weight and value sums are linear,
   so only forming a touched group's row is not;
 * anything else keeps explicit integrate/differentiate brackets (MIN and
-  MAX, any aggregate in a nested body), and the operators over one input
+  MAX, any aggregate in a loop body), and the operators over one input
   share its integral;
 * feedback loops keep their shape with the incremental body (cycle rule);
-* nested fixpoint domains are rebuilt with the same rules one clock level
-  down.  There an already-incremental join becomes the same probing join
-  (IncJoinFn) over one two-axis trace per side, and the incremental distinct
-  (DistinctDeltaFn) probes one two-axis trace at the elements the parent
-  tick touched, so a fixpoint update works in proportion to its change.
-  The state the old body kept for them is left unread and dropped.
+* a nested fixpoint domain, its loop incrementalized first, is rebuilt along
+  the parent clock through trace forms only, as traces are the only state
+  on a parent clock: linear and delay-class nodes are copied, and the
+  incremental join (IncJoinFn) and distinct (DistinctDeltaFn) probe
+  two-axis traces of their changes, at what the parent tick touched, in
+  place of their own-clock state.  A body with any other node (an
+  aggregate, a host function, a window, or a join or distinct whose loop
+  is not incrementalized), or a domain fed by events, takes the general
+  rule whole, as the reference does: the loop over the integral of its
+  input (events raw), differentiated.
 """
 
-from .circuit import BILINEAR, GENERAL, LINEAR, Circuit
+from .circuit import BILINEAR, BOUNDARY, DELAY_CLASS, GENERAL, LINEAR, Circuit, Node
 from .errors import CircuitError
 from .relational import (
     AggregateFn,
@@ -155,7 +159,7 @@ def optimize(c):
     c = c.clone()
     _fold_maps_into_joins(c)
     out = Circuit(level=c.level)
-    out.copy_sinks(c, _delta_compile(c, out, bracket_depth=c.level))
+    out.copy_sinks(c, _delta_compile(c, out))
     _share_integrals(out)
     return _rebuild_topological(out)
 
@@ -176,11 +180,11 @@ def _fold_maps_into_joins(c):
     """Fold each linear map (project or map) whose input is an equi-join or
     cartesian product that nothing else reads into that join, in place and
     in nested bodies too: the join fn applies the map to each row it emits
-    (JoinFn.then) and the map node is left unread."""
+    (JoinFn.then) and the map node is left unread, or dropped in a body."""
     cons = _consumers(c)
     for n in c.nodes:
         if n.kind == "nested":
-            _fold_maps_into_joins(n.meta["inner"])
+            _rebuild_topological(_fold_maps_into_joins(n.meta["inner"]))
         if not (n.kind == "lifted" and isinstance(n.fn, MapFn)):
             continue
         j = c.nodes[n.inputs[0]]
@@ -193,92 +197,107 @@ def _fold_maps_into_joins(c):
         ):
             j.fn = j.fn.then(n.fn.fn, n.label)
             _redirect(c, n.id, j.id)
+    return c
 
 
-def _delta_compile(src, out, bracket_depth):
+class _NoTraceForm(Exception):
+    """A fixpoint body has a node with no trace form (see _delta_traced)."""
+
+
+def _delta_compile(src, out, parent=False):
     """Copy src into out through the rewrite rules, so that every node of
-    out computes the delta stream of the node of src it stands for; returns
-    the mapping from src's node ids to out's."""
+    out computes the delta stream of the node of src it stands for, along
+    out's own clock or, with parent, its parent's; returns the mapping from
+    src's node ids to out's."""
     dmap = {}
-    return out.copy_nodes(src.nodes, dmap, lambda n: _delta_node(src, out, n, dmap, bracket_depth))
+    return out.copy_nodes(src.nodes, dmap, lambda n: _delta_node(src, out, n, dmap, parent))
 
 
-def _delta_node(src, out, n, dmap, bracket_depth):
+def _delta_node(src, out, n, dmap, parent):
     """The rewrite rule for node n, or None: n is copied, as linear,
     delay-class and boundary nodes and event-typed nodes over events are
     their own incremental versions."""
     if n.meta.get("bracket") in ("i", "d"):
         return dmap[n.inputs[0]]  # the delta of an integral/derivative bracket is its input
 
+    events = [src.nodes[i].meta["event"] for i in n.inputs]
     if n.kind == "nested":
-        return _delta_nested(out, n, dmap, bracket_depth)
+        return _delta_nested(out, n, dmap, events, parent)
+    if n.meta["event"] and all(events):
+        return None
+    if parent:
+        return _delta_traced(src, out, n, dmap, events)
 
     if n.kind == "window_fold":
         raise CircuitError(f"no incremental rewrite for node kind {n.kind!r}")
-
-    events = [src.nodes[i].meta["event"] for i in n.inputs]
     if n.kind == "window" and not events[0]:
         wf = build_window(out, dmap[n.inputs[0]], dmap[n.inputs[1]], n.meta["window"])
-        return out.add_differentiate(wf, depth=bracket_depth)
-    if n.meta["event"] and all(events):
-        return None
+        return out.add_differentiate(wf)
     if any(events) and n.klass != BILINEAR:
-        return _bracket(out, n, dmap, events, bracket_depth)
+        return _bracket(out, n, dmap, events)
     if n.kind == "lifted" and n.klass != LINEAR:
-        return _delta_lifted(src, out, n, dmap, bracket_depth)
+        return _delta_lifted(out, n, dmap)
     return None
 
 
-def _bracket(out, n, dmap, events, depth):
+def _bracket(out, n, dmap, events):
     """The general rule: a copy of n over the integrals of its inputs,
     event inputs raw, with its output differentiated."""
-    ins = {i: dmap[i] if ev else out.add_integrate(dmap[i], depth=depth) for i, ev in zip(n.inputs, events)}
-    return out.add_differentiate(out._copy_node(n, ins, []), depth=depth)
+    ins = {i: dmap[i] if ev else out.add_integrate(dmap[i]) for i, ev in zip(n.inputs, events)}
+    return out.add_differentiate(out._copy_node(n, ins, []))
 
 
-def _delta_lifted(src, out, n, dmap, bracket_depth):
+def _delta_lifted(out, n, dmap):
     fn = n.fn
     ins = [dmap[i] for i in n.inputs]
-
-    if isinstance(fn, DistinctDeltaFn):
-        # Incremental distinct seen one clock level up: the same operator
-        # reads a two-axis trace of the change in place of its integral.
-        d = ins[1]
-        return out.add_lifted(fn, [out.add_trace(d, depth=bracket_depth), d], klass=GENERAL, label=n.label)
-
-    if isinstance(fn, IncJoinFn):
-        # Incremental join seen one clock level up: the traces it probes
-        # are read through to their inputs, whose changes get two-axis traces.
-        a, b = (dmap[src.nodes[i].inputs[0]] for i in n.inputs)
-        return build_inc_join(out, a, b, None, None, depth=bracket_depth, fn=fn.join)
-
     if n.klass == BILINEAR:
-        if bracket_depth < out.level:
-            # IncJoinFn's formula assumes changes on both clocks.
-            raise CircuitError(f"{n.label} in a nested body whose loop is not incrementalized first")
-        return build_inc_join(out, ins[0], ins[1], None, None, depth=bracket_depth, fn=fn)
-
+        return build_inc_join(out, ins[0], ins[1], None, None, fn=fn)
     if n.label == "distinct":
-        return build_inc_distinct(out, ins[0], depth=bracket_depth)
-
+        return build_inc_distinct(out, ins[0])
     if isinstance(fn, AggregateFn) and fn.kind in ("count", "sum", "avg") and not out.is_inner:
         # A linear aggregate at top level keeps running totals per group.
         return build_inc_aggregate(out, ins[0], fn)
+    return _bracket(out, n, dmap, (False,) * len(ins))
 
-    return _bracket(out, n, dmap, (False,) * len(ins), bracket_depth)
+
+def _delta_traced(src, out, n, dmap, events):
+    """The trace form of node n of a body along its parent clock (see the
+    module docstring); the old own-clock state is left unread.  A node with
+    none, or that reads events, raises _NoTraceForm."""
+    if any(events):
+        raise _NoTraceForm
+    if isinstance(n.fn, DistinctDeltaFn):
+        d = dmap[n.inputs[1]]
+        return out.add_lifted(n.fn, [out.add_trace(d), d], klass=GENERAL, label=n.label)
+    if isinstance(n.fn, IncJoinFn):
+        a, b = (dmap[src.nodes[i].inputs[0]] for i in n.inputs)
+        return build_inc_join(out, a, b, None, None, depth=out.level - 1, fn=n.fn.join)
+    if n.klass in (LINEAR, DELAY_CLASS, BOUNDARY):
+        return None
+    raise _NoTraceForm
 
 
-def _delta_nested(out, n, dmap, bracket_depth):
-    inner_old = n.meta["inner"]
-    if any(x.meta.get("bracket") == "i" for x in inner_old.nodes):
-        inner_old = loop_incrementalize(inner_old)
-    nid, inner_new = out.add_nested(dmap[n.inputs[0]])
-    _delta_compile(inner_old, inner_new, bracket_depth=inner_new.level - 1)
-    _share_integrals(inner_new)
-    # Drop the old body's state that the nested rewrites read through (an
-    # incremental join's traces, an incremental distinct's integral).
-    _rebuild_topological(inner_new)
-    return nid
+def _delta_nested(out, n, dmap, events, parent):
+    """The trace form of a nested domain, or else the general rule whole
+    (see the module docstring).  None fits a domain fed by events, which are
+    not changes, or one in a body rebuilt along its parent clock: it would
+    keep state two clock levels up, so the outermost domain takes the rule."""
+    if parent:
+        raise _NoTraceForm
+    body = n.meta["inner"]
+    if any(x.meta.get("bracket") == "i" for x in body.nodes):
+        body = loop_incrementalize(body)
+    if not events[0]:
+        inner = Circuit(level=out.level + 1, inner=True)
+        try:
+            _delta_compile(body, inner, parent=True)
+        except _NoTraceForm:
+            pass
+        else:
+            # The old body's state that the trace forms read through is dropped.
+            return out.add_nested(dmap[n.inputs[0]], _rebuild_topological(inner))[0]
+    whole = Node(n.id, n.kind, n.inputs, klass=n.klass, meta={**n.meta, "inner": body})
+    return _bracket(out, whole, dmap, events)
 
 
 def loop_incrementalize(inner):
@@ -289,7 +308,7 @@ def loop_incrementalize(inner):
     """
     out = Circuit(level=inner.level, inner=True)
     out.metrics = inner.metrics  # the body counts on its parent's counter
-    _delta_compile(inner, out, bracket_depth=inner.level)
+    _delta_compile(inner, out)
     return out
 
 

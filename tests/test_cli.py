@@ -774,6 +774,33 @@ class TestStepErrorsNameTheView:
             " (in view 'big')\n"
         )
 
+    WINDOW = {
+        "relations": [{"name": "t", "columns": ["k", "ts"]}, {"name": "clk", "columns": ["now"], "kind": "stream"}],
+        "views": [{"name": "w", "query": {
+            "op": "window", "input": {"op": "rel", "name": "t"}, "ts_column": 1, "width": 5, "theta": "clk"}}],
+    }
+
+    @pytest.mark.parametrize("mode", ["incremental", "reference", "compare"])
+    @pytest.mark.parametrize(
+        "changes, clash",
+        [
+            ([["t", [2, "a"], 1]], "timestamp column 1 against clock 4: '>=' not supported"),
+            ([["clk", ["x"], 1]], "clock values of mixed types: '<' not supported"),
+        ],
+        ids=["str_timestamp", "str_clock"],
+    )
+    def test_window_type_clash(self, mode, changes, clash, tmp_path, capsys):
+        sp = write(tmp_path, "s.json", json.dumps(self.WINDOW))
+        first = {"tx": 0, "changes": [["t", [1, 3], 1], ["clk", [4], 1]]}
+        tp = write(tmp_path, "t.ndjson", jline(first) + jline({"tx": 1, "changes": changes}))
+        assert main(["validate", "--spec", sp, "--trace", tp]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o.ndjson"
+        assert main(["run", "--mode", mode, "--spec", sp, "--trace", tp, "--out", str(out)]) == 2
+        assert out.read_text() == '{"changes":[["w",[1,3],1]],"tx":0}\n'
+        err = capsys.readouterr().err
+        assert err.startswith(f"deltaflow: tx 1: operator 'window': {clash}") and err.endswith(" (in view 'w')\n")
+
     @pytest.mark.parametrize("mode", ["incremental", "reference"])
     def test_a_shared_node_names_every_view_that_reads_it(self, mode):
         c = Circuit()

@@ -475,31 +475,46 @@ class TestWhile:
             snapshots = [zset_of(rows(rng)) for _ in range(6)]
             assert _while_mismatch(_WHILE_BODIES[body], snapshots) is None, snapshots
 
-    def test_plain_join_in_a_nested_body_is_rejected(self):
+    def test_plain_join_in_a_nested_body_takes_the_general_rule(self):
         """A nested body whose loop is not incrementalized first (no "i"
-        bracket) carries snapshots along its loop clock, which the one
-        incremental join does not read."""
-        from deltaflow import incrementalize_query
-        from deltaflow.relational import build_equijoin
+        bracket) carries snapshots along its loop clock, so its join and
+        distinct have no trace form: the whole domain runs over the integral
+        of its input, as in the reference, and matches it tick for tick."""
+        from deltaflow.relational import build_distinct, build_equijoin, build_projection
+        from deltaflow.rewrite import compile_query
 
+        # R := distinct(E + project[0, 3](R join E on R.1 = E.0)), where E,
+        # the unmarked integral of the entry, is the snapshot at every u
         c = Circuit()
         block, inner = c.add_nested(c.add_source("x"))
-        entry = inner.add_delta0()
+        e = inner.add_integrate(inner.add_delta0())
         fb = inner.add_feedback(depth=inner.level)
-        x = inner.add_plus([entry, fb])
-        j = build_equijoin(inner, x, x, KeyFunc([0]), KeyFunc([0]))
-        inner.connect_feedback(j, fb)
-        inner.add_stream_sum(inner.add_differentiate(j), max_iterations=10)
+        hops = build_projection(inner, build_equijoin(inner, fb, e, KeyFunc([1]), KeyFunc([0])), [0, 3])
+        r = build_distinct(inner, inner.add_plus([e, hops]))
+        inner.connect_feedback(r, fb)
+        inner.add_stream_sum(inner.add_differentiate(r), max_iterations=50)
         c.add_sink(block, "x")
-        with pytest.raises(CircuitError, match="nested body"):
-            incrementalize_query(c)
+        reference, inc = compile_query(c)
+        assert [n.kind for n in inc.nodes] == ["source", "integrate", "nested", "differentiate"]
+        rng = random.Random(23)
+        prev = ZSet()
+        for t in range(12):
+            snap = zset_of(random_edges(rng, 5, rng.randrange(1, 7)))
+            delta = snap - prev
+            got, want = inc.step({"x": delta})["x"], reference.step({"x": delta})["x"]
+            assert as_z(got) == as_z(want), t
+            prev = snap
 
     def test_body_must_be_stateless(self):
-        q = Circuit()
-        s = q.add_source("x")
-        q.add_sink(q.add_integrate(s), "x")
-        with pytest.raises(CircuitError):
-            build_while(q)
+        from deltaflow.relational import AggregateFn, build_inc_aggregate
+
+        # an integral, and an own-clock trace probed by an incremental COUNT
+        for stateful in (Circuit.add_integrate, lambda q, s: build_inc_aggregate(q, s, AggregateFn("count"))):
+            q = Circuit()
+            s = q.add_source("x")
+            q.add_sink(stateful(q, s), "x")
+            with pytest.raises(CircuitError, match="stateless"):
+                build_while(q)
 
 
 def _ident():

@@ -33,6 +33,8 @@ from deltaflow.trace import Transaction
 from deltaflow.zset import SummaryTrace, Trace
 from conftest import run_all
 from oracles import as_z
+from test_census import _spec_docs
+from test_datalog import _WHILE_BODIES
 
 
 def _set_cap(circuit, cap):
@@ -104,12 +106,11 @@ class TestStepAtomicity:
             assert as_z(got["R"]) == as_z(want["R"]), t
             assert c.metrics.iterations - i0 == fresh.metrics.iterations - f0, t
 
-    def test_parent_clock_slots_are_restored(self):
-        """An aggregate in a while-loop body keeps its integral and
-        derivative at (nid, u) slots on the parent clock.  A tick cut after
-        it ran past every earlier run restores each slot exactly: the slots
-        it reached first are deleted, not left as zero, because a later tick
-        starts those from the last slot the earlier runs reached."""
+    def test_whole_domain_tick_cut_by_the_cap_is_restored(self):
+        """An aggregate in a while-loop body has no trace form, so the loop
+        runs whole over the integral of its input.  A tick cut by the cap
+        leaves every state as it was, and stepping it again gives what a
+        circuit that never failed gives."""
 
         def min_down():
             # Q(x) = x union {MIN(x) - 1} while that is >= 0
@@ -119,24 +120,18 @@ class TestStepAtomicity:
             q.add_sink(build_union(q, s, build_filter(q, m, BinOp(">=", Col(0), Const(0)))), "x")
             return q
 
-        def slots(bstate):
-            return {k: v for k, v in bstate["outer"].items() if isinstance(k, tuple)}
-
         fresh, c = incrementalize_query(build_while(min_down())), incrementalize_query(build_while(min_down()))
-        block = next(n.id for n in c.nodes if n.kind == "nested")
         ticks = [{(2,): 1}, {(5,): 1}, {(2,): -1}, {(5,): -1, (9,): 1}, {(9,): -1}]
         for t, rows in enumerate(ticks):
             inputs = {"x": ZSet(rows)}
             if t in (2, 3):
-                bstate = c._state[block]
-                before, state_before, max_len = slots(bstate), _plain(c._state), bstate["max_len"]
-                assert before and {u for _, u in before} == set(range(max_len)), t
-                _set_cap(c, max_len + 1)  # cut one iteration past every earlier run
+                before = _plain(c._state)
+                assert before, t
+                _set_cap(c, 2)
                 with pytest.raises(NonTerminationError):
                     c.step(inputs)
                 _set_cap(c, None)
-                assert slots(bstate) == before and bstate["max_len"] == max_len, t
-                assert _plain(c._state) == state_before, t
+                assert _plain(c._state) == before, t
             assert as_z(c.step(inputs)["x"]) == as_z(fresh.step(inputs)["x"]), t
 
     def test_tick_failing_after_the_block_ran_leaves_its_state(self):
@@ -245,15 +240,43 @@ class TestRunLength:
         """Nested joins and distinct keep their state in two-axis traces:
         no integrate, delay or differentiate runs on the parent clock."""
         c = compile_circuits(compile_spec(RUN_LENGTH_DOC), "incremental").incremental
-        state = ("integrate", "delay", "differentiate", "trace")
-        counts = []
-        for inner in [n.meta["inner"] for n in c.nodes if n.kind == "nested"]:
-            parent = [n for n in inner.nodes if n.kind in state and n.depth == inner.level - 1]
-            assert {n.kind for n in parent} == {"trace"}
-            counts.append(len(parent))
+        parent = [_parent_clock_state(inner) for inner in _bodies(c)]
+        assert all({n.kind for n in nodes} == {"trace"} for nodes in parent)
+        counts = [len(nodes) for nodes in parent]
         # P: a join and the antijoin's semijoin with two traces each, and the
         # antijoin's and the rules' distinct with one; Q: a join and a distinct
         assert sorted(counts) == [3, 6]
+
+    @pytest.mark.parametrize("name", sorted(_spec_docs()))
+    def test_no_spec_keeps_other_state_on_a_parent_clock(self, name):
+        """Every golden and perfbench spec, closure-churn's included."""
+        c = compile_circuits(compile_spec(_spec_docs()[name]), "incremental").incremental
+        for inner in _bodies(c):
+            assert {n.kind for n in _parent_clock_state(inner)} <= {"trace"}
+
+    @pytest.mark.parametrize("body", sorted(_WHILE_BODIES))
+    def test_while_bodies_keep_traces_only_or_run_whole(self, body):
+        """A while-loop body of joins and distinct keeps two-axis traces; one
+        with an aggregate has no trace form, so the loop runs whole over the
+        integral of its input, its output differentiated."""
+        c = incrementalize_query(build_while(_WHILE_BODIES[body]()))
+        for inner in _bodies(c):
+            assert {n.kind for n in _parent_clock_state(inner)} <= {"trace"}
+        whole = [n.kind for n in c.nodes] == ["source", "integrate", "nested", "differentiate"]
+        assert whole == any(n.kind == "lifted" and n.label == "aggregate" for n in _WHILE_BODIES[body]().nodes)
+
+
+def _bodies(c):
+    """Every nested body of c, at any depth."""
+    for n in c.nodes:
+        if n.kind == "nested":
+            yield n.meta["inner"]
+            yield from _bodies(n.meta["inner"])
+
+
+def _parent_clock_state(inner):
+    state = ("integrate", "delay", "differentiate", "trace")
+    return [n for n in inner.nodes if n.kind in state and n.depth == inner.level - 1]
 
 
 class TestTrace:
@@ -321,6 +344,14 @@ class TestTraceValidation:
         c.add_sink(blk, "o")
         with pytest.raises(CircuitError, match="lifted past its clock"):
             c.step({"s": ZSet()})
+
+    @pytest.mark.parametrize("add", [Circuit.add_integrate, Circuit.add_delay, Circuit.add_differentiate])
+    def test_other_state_on_the_parent_clock_is_rejected(self, add):
+        c, blk, inner, e = self._domain()
+        inner.add_stream_sum(add(inner, e, depth=inner.level - 1))
+        c.add_sink(blk, "o")
+        with pytest.raises(CircuitError, match="on the parent clock, where only a trace may"):
+            c.validate()
 
 
 def _joined():

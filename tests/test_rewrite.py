@@ -629,6 +629,19 @@ class TestEventStreams:
         rng = random.Random(8)
         self._check(c, [{"t": rand_zset(rng), "e": rand_zset(rng)} for _ in range(12)])
 
+    @pytest.mark.parametrize("body", ["successors", "closure"])
+    def test_fixpoint_fed_by_events_runs_whole(self, body):
+        """Events are not changes, so a while-loop over an event stream has
+        no trace form even when its body has one: the loop runs on each
+        tick's events, raw, and its output is differentiated."""
+        from test_datalog import _WHILE_BODIES, _WHILE_ROWS
+
+        c = build_while(_WHILE_BODIES[body]())
+        c.nodes[c.sources["x"]].meta["event"] = True
+        assert [n.kind for n in compile_query(c)[1].nodes] == ["source", "nested", "differentiate"]
+        rng = random.Random(12)
+        self._check(c, [{"x": dict.fromkeys(_WHILE_ROWS[body](rng), 1)} for _ in range(10)])
+
 
 def _set_delta(rng, cur):
     ins = {(rng.randrange(4), rng.randrange(4), rng.randrange(8)) for _ in range(2)} - cur
