@@ -52,10 +52,16 @@ COUNT still emits (0,).  A skipped node scans and emits no rows, so the
 
 Nested clock domains are bracketed by a single delta0 entry and a single
 stream-sum exit.  Each parent tick runs the inner clock until the sum node's
-input hits the termination predicate (default: the group zero), with a floor
-of the longest run seen so far when the domain carries parent-clock traces,
-so corrections from earlier ticks are fully replayed and every inner tick u
-that holds a slot is visited again.
+input hits the termination predicate (default: the group zero), visiting at
+least u = 0 and every u at which a parent-clock trace of the domain holds a
+slot from earlier ticks, where corrections are owed.  Above those no earlier
+tick left state, so every probing term that pairs this tick's changes or
+logs with an earlier slot (IncJoinFn's (L_a, B_u) and (A_u, L_b),
+DistinctDeltaFn's R[u] lookups) is zero, and the run stops as a fresh run
+would.  Traces drop empty slots, so a run follows the state, not the length
+of earlier runs.  The predicate sees iteration u's accumulated change (a
+trace at the stream-sum's id), as the reference's run does.  `iterations`
+counts the inner ticks visited; the cap bounds the highest.
 """
 
 from .errors import CircuitError, DeltaflowError, NonTerminationError, TypeMismatchError, ValidationError
@@ -107,24 +113,20 @@ class Node:
 
 class _InnerCtx:
     """Evaluation context of a nested domain's block run: the inner tick u,
-    the entry value, the domain's state (its parent-clock traces `outer`,
-    by node id, and run length), and the run length to keep when the parent
-    tick ends."""
+    the entry value, and the domain's parent-clock traces `outer`, by node
+    id, which the parent tick commits or rolls back."""
 
-    __slots__ = ("u", "entry", "bstate", "outer", "max_len")
+    __slots__ = ("u", "entry", "outer")
 
-    def __init__(self, entry, bstate):
+    def __init__(self, entry, outer):
         self.u = 0
         self.entry = entry
-        self.bstate = bstate
-        self.outer = bstate["outer"]
-        self.max_len = bstate["max_len"]
+        self.outer = outer
 
     def commit(self):
         """The parent tick ended: the block's changes to its traces stay."""
         for tr in self.outer.values():
             tr.commit()
-        self.bstate["max_len"] = self.max_len
 
     def rollback(self):
         """The parent tick failed: leave the domain's traces as they were."""
@@ -274,9 +276,16 @@ class Circuit:
         an empty one; returns (node id, inner circuit)."""
         if inner is None:
             inner = Circuit(level=self.level + 1, inner=True)
-        inner.metrics = self.metrics
+        inner._count_on(self.metrics)
         nid = self._add("nested", (x,), klass=GENERAL, meta={"inner": inner})
         return nid, inner
+
+    def _count_on(self, metrics):
+        """Count this circuit's work and its nested bodies', at any depth, on metrics."""
+        self.metrics = metrics
+        for n in self.nodes:
+            if n.kind == "nested":
+                n.meta["inner"]._count_on(metrics)
 
     # -- introspection ---------------------------------------------------------
 
@@ -569,26 +578,17 @@ class Circuit:
         if cap is None:
             cap = DEFAULT_ITERATION_CAP
         term = sum_node.meta.get("termination") or gv_is_zero
-        bstate = self._state.get(node.id)
-        if bstate is None:
-            bstate = self._state[node.id] = {"max_len": 0, "outer": {}}
+        bstate = self._state.setdefault(node.id, {"outer": {}})
         inner._state.clear()
-        ctx = _InnerCtx(entry_val, bstate)
-        outer = ctx.outer
-        # A domain with parent-clock traces emits cross-tick corrections: run at
-        # least as long as any earlier tick did, so every inner tick u of
-        # earlier ticks is visited again, and test convergence on the
-        # accumulated per-iteration change (the current tick's underlying
-        # fixpoint progress, a trace at sum_id beside the nodes' traces), not
-        # on this tick's correction alone.
-        incremental = len(inner._own_traces) < len(inner._traces)
-        if incremental:
-            floor = ctx.max_len
-            progress_trace = outer.get(sum_id)
-            if progress_trace is None:
-                progress_trace = outer[sum_id] = Trace()
-        else:
-            floor = 0
+        outer = bstate["outer"]
+        ctx = _InnerCtx(entry_val, outer)
+        # Visit every inner tick at which a trace holds a slot, and with
+        # parent-clock traces test convergence on the accumulated change of
+        # each iteration, not on this tick's correction (module docstring).
+        floor = 1 + max((max(tr.slots, default=0) for tr in outer.values()), default=0)
+        progress_trace = None
+        if len(inner._own_traces) < len(inner._traces):
+            progress_trace = outer.setdefault(sum_id, Trace())
         change_src = sum_node.inputs[0]
         probe = node.meta.get("probe")
         if probe is not None:
@@ -601,11 +601,11 @@ class Circuit:
                 if probe is not None:
                     probes.append(vals[probe])
                 progress = vals[change_src]
-                if incremental:
+                if progress_trace is not None:
                     progress_trace[u] = as_zset(progress)._entries
                     progress = ZSet._wrap(progress_trace.slots.get(u, {}))
                 u += 1
-                if u >= max(floor, 1) and term(progress):
+                if u >= floor and term(progress):
                     break
                 if u >= cap:
                     raise NonTerminationError(f"nested domain exceeded {cap} iterations")
@@ -613,7 +613,6 @@ class Circuit:
             ctx.rollback()
             raise
         self.metrics.iterations += u
-        ctx.max_len = max(floor, u)
         self._blocks_run.append(ctx)
         return vals[sum_id]
 
@@ -672,7 +671,7 @@ class Circuit:
         meta = dict(n.meta)
         if n.kind == "nested":
             meta["inner"] = meta["inner"].clone()
-            meta["inner"].metrics = self.metrics
+            meta["inner"]._count_on(self.metrics)
         # mapping's values are nodes of this circuit already; _add's range
         # check on them made compile_circuits ~40% slower on a closure spec
         nid = len(self.nodes)

@@ -36,11 +36,11 @@ every edge carries changes instead of snapshots:
   place of their own-clock state.  A body with any other node (an
   aggregate, a host function, a window, or a join or distinct whose loop
   is not incrementalized), or a domain fed by events, takes the general
-  rule whole, as the reference does: the loop over the integral of its
-  input (events raw), differentiated.
+  rule whole, as the reference does: its naive body over the integral of
+  its input (events raw), differentiated.
 """
 
-from .circuit import BILINEAR, BOUNDARY, DELAY_CLASS, GENERAL, LINEAR, Circuit, Node
+from .circuit import BILINEAR, BOUNDARY, DELAY_CLASS, GENERAL, LINEAR, Circuit
 from .errors import CircuitError
 from .relational import (
     AggregateFn,
@@ -284,10 +284,10 @@ def _delta_nested(out, n, dmap, events, parent):
     keep state two clock levels up, so the outermost domain takes the rule."""
     if parent:
         raise _NoTraceForm
-    body = n.meta["inner"]
-    if any(x.meta.get("bracket") == "i" for x in body.nodes):
-        body = loop_incrementalize(body)
     if not events[0]:
+        body = n.meta["inner"]
+        if any(x.meta.get("bracket") == "i" for x in body.nodes):
+            body = loop_incrementalize(body)
         inner = Circuit(level=out.level + 1, inner=True)
         try:
             _delta_compile(body, inner, parent=True)
@@ -296,8 +296,7 @@ def _delta_nested(out, n, dmap, events, parent):
         else:
             # The old body's state that the trace forms read through is dropped.
             return out.add_nested(dmap[n.inputs[0]], _rebuild_topological(inner))[0]
-    whole = Node(n.id, n.kind, n.inputs, klass=n.klass, meta={**n.meta, "inner": body})
-    return _bracket(out, whole, dmap, events)
+    return _bracket(out, n, dmap, events)
 
 
 def loop_incrementalize(inner):

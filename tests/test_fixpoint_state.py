@@ -6,7 +6,7 @@ with a tick that fails."""
 import random
 
 import pytest
-from deltaflow import Circuit, CircuitError, NonTerminationError, TypeMismatchError, ValidationError, ZSet
+from deltaflow import Circuit, CircuitError, NonTerminationError, RunReport, TypeMismatchError, ValidationError, ZSet
 from deltaflow.datalog import build_while
 from deltaflow.errors import WeightOverflowError
 from deltaflow.expr import BinOp, Col, Const, KeyFunc, MapFunc
@@ -26,12 +26,11 @@ from deltaflow.relational import (
     build_semijoin,
     build_union,
 )
-from deltaflow.rewrite import incrementalize_query
+from deltaflow.rewrite import compile_query, incrementalize_query
 from deltaflow.runner import _closure_spec, compile_circuits
 from deltaflow.specfile import compile_spec
 from deltaflow.trace import Transaction
 from deltaflow.zset import SummaryTrace, Trace
-from conftest import run_all
 from oracles import as_z
 from test_census import _spec_docs
 from test_datalog import _WHILE_BODIES
@@ -225,16 +224,29 @@ RUN_LENGTH_TRACE = [
 
 class TestRunLength:
     def test_runs_longer_then_shorter_compare_equal(self):
+        """Each domain's run visits inner tick 0 and every inner tick its
+        traces hold, and beyond them runs as long as the reference's run:
+        how long earlier ticks ran does not matter."""
         cs = compile_circuits(compile_spec(RUN_LENGTH_DOC), "compare")
-        report, ticks = run_all(cs, RUN_LENGTH_TRACE, "compare")
+        blocks = {c: _probed_blocks(c) for c in (cs.incremental, cs.reference)}
+        report = RunReport(cs, RUN_LENGTH_TRACE, "compare")
+        ticks, floors, runs = [], [], []
+        steps = iter(report)
+        for _ in RUN_LENGTH_TRACE:
+            floors.append([1 + _highest_slot(cs.incremental, b) for b in blocks[cs.incremental]])
+            ticks.append(next(steps))
+            runs.append([[len(c.nested_probe_values(b)) for b in blocks[c]] for c in (cs.incremental, cs.reference)])
         assert report.verdict == {"equal": True}
-        runs = [m["reference_iterations"] for _, _, m in ticks]
+        ref = [m["reference_iterations"] for _, _, m in ticks]
         # the trace keeps its shape: tick 1 runs longest, later ticks shorter
-        assert runs[1] > max(runs[0], *runs[2:]), runs
-        assert min(runs[2:]) < runs[1], runs
-        # the incremental circuit never runs shorter than its longest run
+        assert ref[1] > max(ref[0], *ref[2:]), ref
+        assert min(ref[2:]) < ref[1], ref
         inc = [m["iterations"] for _, _, m in ticks]
-        assert all(n >= runs[1] for n in inc[1:]), inc
+        assert inc == [8, 10, 10, 8, 8, 8, 8, 8, 8]
+        for t, ((inc_runs, ref_runs), floor) in enumerate(zip(runs, floors)):
+            assert inc_runs == [max(r, f) for r, f in zip(ref_runs, floor)], t
+            # at least 1 + the highest slot held, at most the longest run so far
+            assert sum(floor) <= inc[t] <= max(ref[t], *inc[:t], 0), t
 
     def test_nested_state_is_traces_only(self):
         """Nested joins and distinct keep their state in two-axis traces:
@@ -264,6 +276,40 @@ class TestRunLength:
             assert {n.kind for n in _parent_clock_state(inner)} <= {"trace"}
         whole = [n.kind for n in c.nodes] == ["source", "integrate", "nested", "differentiate"]
         assert whole == any(n.kind == "lifted" and n.label == "aggregate" for n in _WHILE_BODIES[body]().nodes)
+
+    @pytest.mark.parametrize("body", ["grouped_count", "grouped_min", "min"])
+    def test_whole_loops_do_the_work_of_the_reference(self, body):
+        """A loop that runs whole runs the reference's naive body, so each
+        tick scans the same rows and runs the same iterations."""
+        reference, inc = compile_query(build_while(_WHILE_BODIES[body]()))
+        rng = random.Random(17)
+        prev = ZSet()
+        for t in range(30):
+            rows = {(rng.randrange(3), rng.randrange(5)) for _ in range(rng.randrange(4))}
+            snap = ZSet({r[1:] if body == "min" else r: 1 for r in rows})
+            work = []
+            for c in (inc, reference):
+                t0, i0 = c.metrics.tuples, c.metrics.iterations
+                out = as_z(c.step({"x": snap - prev})["x"])
+                work.append((out, c.metrics.tuples - t0, c.metrics.iterations - i0))
+            assert work[0] == work[1], t
+            prev = snap
+
+
+def _probed_blocks(c):
+    """The nested domains of c, each recording its entry per iteration, so
+    that the length of its probe values is its last run."""
+    blocks = [n.id for n in c.nodes if n.kind == "nested"]
+    for b in blocks:
+        c.probe_nested(b, c.nodes[b].meta["inner"].entry_id)
+    return blocks
+
+
+def _highest_slot(c, block):
+    """The highest inner tick at which a parent-clock trace of the domain
+    holds a slot (0 when none does)."""
+    outer = c._state.get(block, {}).get("outer", {})
+    return max((max(tr.slots, default=0) for tr in outer.values()), default=0)
 
 
 def _bodies(c):
