@@ -1,4 +1,4 @@
-"""Batch command line: run / compare / validate / bench.
+"""Batch command line: run / compare / validate / explain / bench.
 
 Exit codes: 0 success, 2 validation error, 3 divergence, 4 iteration cap,
 5 weight overflow.  `run` and `compare` read the trace line by line and write
@@ -11,6 +11,7 @@ import contextlib
 import json
 import sys
 
+from .circuit import STATE_KINDS
 from .errors import DeltaflowError
 from .runner import RunReport, bench_closure, bench_join, check_verdict, compile_circuits
 from .specfile import load_spec
@@ -39,6 +40,9 @@ def _build_parser():
     val = sub.add_parser("validate", help="check a spec (and optionally a trace) without running")
     val.add_argument("--spec", required=True)
     val.add_argument("--trace", default=None)
+
+    exp = sub.add_parser("explain", help="print the incremental circuit with the rewrite rule of each node")
+    exp.add_argument("--spec", required=True)
 
     bench = sub.add_parser("bench", help="built-in workloads measuring incremental advantage")
     bench.add_argument("--workload", choices=["join", "closure"], required=True)
@@ -98,6 +102,30 @@ def _cmd_validate(args):
     return 0
 
 
+def _cmd_explain(args):
+    inc = compile_circuits(load_spec(args.spec), mode="incremental").incremental
+    sys.stdout.write("".join(_explain_lines(inc, "")))
+    return 0
+
+
+def _explain_lines(c, indent):
+    """One line per node of circuit c: its id, kind, label (or its fn's
+    op_name, or a source's name), depth, the rewrite rule that built it,
+    `state` for a state kind and the views it is the sink of; each nested
+    body is indented under its node."""
+    views = {}
+    for name, nid in c.sinks.items():
+        views.setdefault(nid, []).append(name)
+    for n in c.nodes:
+        label = getattr(n.fn, "op_name", None) or n.label or n.name
+        fields = [str(n.id), n.kind, label, f"depth={n.depth}", f"rule={n.meta['rule']}"]
+        fields += ["state"] if n.kind in STATE_KINDS else []
+        fields += [f"view={v}" for v in views.get(n.id, ())]
+        yield indent + " ".join(f for f in fields if f) + "\n"
+        if n.kind == "nested":
+            yield from _explain_lines(n.meta["inner"], indent + "  ")
+
+
 def _cmd_bench(args):
     if args.workload == "join":
         result = bench_join(args.base, args.delta, args.seed)
@@ -116,6 +144,8 @@ def main(argv=None):
             return _cmd_run(args, "compare")
         if args.command == "validate":
             return _cmd_validate(args)
+        if args.command == "explain":
+            return _cmd_explain(args)
         if args.command == "bench":
             return _cmd_bench(args)
         raise AssertionError(args.command)

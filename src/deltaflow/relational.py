@@ -657,11 +657,11 @@ def build_inc_aggregate(c: Circuit, d, agg):
     return c.add_lifted(IncAggregateFn(agg), [tr], klass=GENERAL, label="aggregate")
 
 
-def build_inc_distinct(c: Circuit, d):
+def build_inc_distinct(c: Circuit, d, integral=None):
     """Incremental distinct: delta in, delta out.  DistinctDeltaFn's work is
-    O(|delta|); its integral is rebuilt each tick, an O(relation) state update.
-    In a fixpoint body the rewrite swaps the integral for a two-axis trace."""
-    z = c.add_delay(c.add_integrate(d))
+    O(|delta|); its integral (given, or new) is rebuilt each tick, an O(relation)
+    state update, which a fixpoint body's rewrite swaps for a two-axis trace."""
+    z = c.add_delay(c.add_integrate(d) if integral is None else integral)
     return c.add_lifted(DistinctDeltaFn(), [z, d], klass=GENERAL, label="distinct_delta")
 
 

@@ -2,42 +2,18 @@
 incrementalization, and the chain-rule optimizer, chained by compile_query.
 
 The optimizer copies a naively incrementalized circuit node by node
-(Circuit.copy_nodes) through a table of rewrite rules (_delta_node), so that
-every edge carries changes instead of snapshots:
-
-* by default a node is copied unchanged: linear, delay-class and boundary
-  nodes (sources, delta0, stream-sum) are their own incremental versions;
-* an event-typed node (`meta["event"]`) over events only is copied too; a
-  join of a table and events is the incremental join below, with
-  z(I(events)) = 0, so its events are not traced; any other node that reads
-  events (an aggregate, a window, a state node) keeps the general bracket
-  below, its event inputs raw;
-* an integrate/differentiate bracket is dropped, as its delta is its input;
-* a linear map (project or map) that is all that reads an equi-join or
-  cartesian product is folded into it first: a linear operator distributes
-  over a bilinear one, so the join emits mapped rows (JoinFn.then), here and
-  in nested bodies; the reference circuit keeps the two apart;
-* bilinear nodes (joins) become one in-place trace per table side and one
-  probing join, da*db + z(I(a))*db + da*z(I(b)) (IncJoinFn);
-* distinct becomes the sign-transition form (integrate, delay, H);
-* a top-level COUNT, SUM or AVG over a table becomes one own-clock trace
-  keyed by the group key, which keeps each group's running totals, and one
-  probing aggregate (IncAggregateFn): the weight and value sums are linear,
-  so only forming a touched group's row is not;
-* anything else keeps explicit integrate/differentiate brackets (MIN and
-  MAX, any aggregate in a loop body), and the operators over one input
-  share its integral;
-* feedback loops keep their shape with the incremental body (cycle rule);
-* a nested fixpoint domain, its loop incrementalized first, is rebuilt along
-  the parent clock through trace forms only, as traces are the only state
-  on a parent clock: linear and delay-class nodes are copied, and the
-  incremental join (IncJoinFn) and distinct (DistinctDeltaFn) probe
-  two-axis traces of their changes, at what the parent tick touched, in
-  place of their own-clock state.  A body with any other node (an
-  aggregate, a host function, a window, or a join or distinct whose loop
-  is not incrementalized), or a domain fed by events, takes the general
-  rule whole, as the reference does: its naive body over the integral of
-  its input (events raw), differentiated.
+(Circuit.copy_nodes) so that every edge carries changes instead of
+snapshots.  A node's rule is the first row of an ordered table whose test
+holds: (name, applies, build), commented with the paper's identity (Q^Δ
+the incremental form of Q; I, D, z integration, differentiation, delay).
+build adds the node's incremental form, or is None to copy the node, and
+every node it adds, copies included, records name in meta["rule"].  A
+circuit is rebuilt along its own clock by OWN_CLOCK, and a fixpoint body,
+its loop incrementalized first, along its parent clock by PARENT_CLOCK,
+through trace forms only, the only state on a parent clock.  An own-clock
+node that no row names is an error; a body node that no row names sends
+its whole domain to the general rule, as the reference does.  A body has
+no sources, so it reads no events.  Maps are folded into joins first.
 """
 
 from .circuit import BILINEAR, BOUNDARY, DELAY_CLASS, GENERAL, LINEAR, Circuit
@@ -159,144 +135,8 @@ def optimize(c):
     c = c.clone()
     _fold_maps_into_joins(c)
     out = Circuit(level=c.level)
-    out.copy_sinks(c, _delta_compile(c, out))
-    _share_integrals(out)
+    out.copy_sinks(c, _delta_compile(c, out, OWN_CLOCK))
     return _rebuild_topological(out)
-
-
-def _share_integrals(c):
-    """Make the readers of each integrate node read the first one with the
-    same input and clock instead, so that the aggregates over one input
-    keep one integral; the unread copies are dropped when c is rebuilt."""
-    first = {}
-    for n in c.nodes:
-        if n.kind == "integrate":
-            nid = first.setdefault((n.inputs, n.depth), n.id)
-            if nid != n.id:
-                _redirect(c, n.id, nid)
-
-
-def _fold_maps_into_joins(c):
-    """Fold each linear map (project or map) whose input is an equi-join or
-    cartesian product that nothing else reads into that join, in place and
-    in nested bodies too: the join fn applies the map to each row it emits
-    (JoinFn.then) and the map node is left unread, or dropped in a body."""
-    cons = _consumers(c)
-    for n in c.nodes:
-        if n.kind == "nested":
-            _rebuild_topological(_fold_maps_into_joins(n.meta["inner"]))
-        if not (n.kind == "lifted" and isinstance(n.fn, MapFn)):
-            continue
-        j = c.nodes[n.inputs[0]]
-        join = getattr(j.fn, "join", j.fn)  # a probing join's join fn
-        if (
-            j.kind == "lifted"
-            and isinstance(join, JoinFn)
-            and not join.semi
-            and cons[j.id] == [n.id]
-        ):
-            j.fn = j.fn.then(n.fn.fn, n.label)
-            _redirect(c, n.id, j.id)
-    return c
-
-
-class _NoTraceForm(Exception):
-    """A fixpoint body has a node with no trace form (see _delta_traced)."""
-
-
-def _delta_compile(src, out, parent=False):
-    """Copy src into out through the rewrite rules, so that every node of
-    out computes the delta stream of the node of src it stands for, along
-    out's own clock or, with parent, its parent's; returns the mapping from
-    src's node ids to out's."""
-    dmap = {}
-    return out.copy_nodes(src.nodes, dmap, lambda n: _delta_node(src, out, n, dmap, parent))
-
-
-def _delta_node(src, out, n, dmap, parent):
-    """The rewrite rule for node n, or None: n is copied, as linear,
-    delay-class and boundary nodes and event-typed nodes over events are
-    their own incremental versions."""
-    if n.meta.get("bracket") in ("i", "d"):
-        return dmap[n.inputs[0]]  # the delta of an integral/derivative bracket is its input
-
-    events = [src.nodes[i].meta["event"] for i in n.inputs]
-    if n.kind == "nested":
-        return _delta_nested(out, n, dmap, events, parent)
-    if n.meta["event"] and all(events):
-        return None
-    if parent:
-        return _delta_traced(src, out, n, dmap, events)
-
-    if n.kind == "window_fold":
-        raise CircuitError(f"no incremental rewrite for node kind {n.kind!r}")
-    if n.kind == "window" and not events[0]:
-        wf = build_window(out, dmap[n.inputs[0]], dmap[n.inputs[1]], n.meta["window"])
-        return out.add_differentiate(wf)
-    if any(events) and n.klass != BILINEAR:
-        return _bracket(out, n, dmap, events)
-    if n.kind == "lifted" and n.klass != LINEAR:
-        return _delta_lifted(out, n, dmap)
-    return None
-
-
-def _bracket(out, n, dmap, events):
-    """The general rule: a copy of n over the integrals of its inputs,
-    event inputs raw, with its output differentiated."""
-    ins = {i: dmap[i] if ev else out.add_integrate(dmap[i]) for i, ev in zip(n.inputs, events)}
-    return out.add_differentiate(out._copy_node(n, ins, []))
-
-
-def _delta_lifted(out, n, dmap):
-    fn = n.fn
-    ins = [dmap[i] for i in n.inputs]
-    if n.klass == BILINEAR:
-        return build_inc_join(out, ins[0], ins[1], None, None, fn=fn)
-    if n.label == "distinct":
-        return build_inc_distinct(out, ins[0])
-    if isinstance(fn, AggregateFn) and fn.kind in ("count", "sum", "avg") and not out.is_inner:
-        # A linear aggregate at top level keeps running totals per group.
-        return build_inc_aggregate(out, ins[0], fn)
-    return _bracket(out, n, dmap, (False,) * len(ins))
-
-
-def _delta_traced(src, out, n, dmap, events):
-    """The trace form of node n of a body along its parent clock (see the
-    module docstring); the old own-clock state is left unread.  A node with
-    none, or that reads events, raises _NoTraceForm."""
-    if any(events):
-        raise _NoTraceForm
-    if isinstance(n.fn, DistinctDeltaFn):
-        d = dmap[n.inputs[1]]
-        return out.add_lifted(n.fn, [out.add_trace(d), d], klass=GENERAL, label=n.label)
-    if isinstance(n.fn, IncJoinFn):
-        a, b = (dmap[src.nodes[i].inputs[0]] for i in n.inputs)
-        return build_inc_join(out, a, b, None, None, depth=out.level - 1, fn=n.fn.join)
-    if n.klass in (LINEAR, DELAY_CLASS, BOUNDARY):
-        return None
-    raise _NoTraceForm
-
-
-def _delta_nested(out, n, dmap, events, parent):
-    """The trace form of a nested domain, or else the general rule whole
-    (see the module docstring).  None fits a domain fed by events, which are
-    not changes, or one in a body rebuilt along its parent clock: it would
-    keep state two clock levels up, so the outermost domain takes the rule."""
-    if parent:
-        raise _NoTraceForm
-    if not events[0]:
-        body = n.meta["inner"]
-        if any(x.meta.get("bracket") == "i" for x in body.nodes):
-            body = loop_incrementalize(body)
-        inner = Circuit(level=out.level + 1, inner=True)
-        try:
-            _delta_compile(body, inner, parent=True)
-        except _NoTraceForm:
-            pass
-        else:
-            # The old body's state that the trace forms read through is dropped.
-            return out.add_nested(dmap[n.inputs[0]], _rebuild_topological(inner))[0]
-    return _bracket(out, n, dmap, events)
 
 
 def loop_incrementalize(inner):
@@ -307,8 +147,183 @@ def loop_incrementalize(inner):
     """
     out = Circuit(level=inner.level, inner=True)
     out.metrics = inner.metrics  # the body counts on its parent's counter
-    _delta_compile(inner, out)
+    _delta_compile(inner, out, OWN_CLOCK)
     return out
+
+
+def _fold_maps_into_joins(c):
+    """Fold each linear map (project or map) whose input is an equi-join or
+    cartesian product that nothing else reads into that join, in place and
+    in nested bodies too, as a linear operator distributes over a bilinear
+    one: the join fn applies the map to each row it emits (JoinFn.then) and
+    the map node is left unread, or dropped in a body.  The reference keeps
+    the two apart."""
+    cons = _consumers(c)
+    for n in c.nodes:
+        if n.kind == "nested":
+            _rebuild_topological(_fold_maps_into_joins(n.meta["inner"]))
+        if not (n.kind == "lifted" and isinstance(n.fn, MapFn)):
+            continue
+        j = c.nodes[n.inputs[0]]
+        join = getattr(j.fn, "join", j.fn)  # a probing join's join fn
+        if j.kind == "lifted" and isinstance(join, JoinFn) and not join.semi and cons[j.id] == [n.id]:
+            j.fn = j.fn.then(n.fn.fn, n.label)
+            _redirect(c, n.id, j.id)
+    return c
+
+
+class _NoRule(CircuitError):
+    """No row of the table names a node."""
+
+
+class _Walk:
+    """One walk of circuit src into out: dmap maps src's node ids to out's,
+    and integrals a node of out to its integral, built once, so that the
+    operators over one input share it."""
+
+    __slots__ = ("src", "out", "dmap", "integrals")
+
+    def __init__(self, src, out):
+        self.src, self.out, self.dmap, self.integrals = src, out, {}, {}
+
+    def ins(self, n):
+        return [self.dmap[i] for i in n.inputs]
+
+    def integral(self, x):
+        nid = self.integrals.get(x)
+        if nid is None:
+            nid = self.integrals[x] = self.out.add_integrate(x)
+        return nid
+
+
+def _delta_compile(src, out, table):
+    """Copy src into out through the rules of table, each node of out the
+    change of the node of src it stands for; returns the mapping from src's
+    node ids to out's, or raises _NoRule for a node that no row names."""
+    w = _Walk(src, out)
+    copied = []
+
+    def rule(n):
+        ev = [src.nodes[i].meta["event"] for i in n.inputs]
+        for name, applies, build in table:
+            if applies(w, n, ev):
+                if build is None:
+                    copied.append((n.id, name))
+                    return None
+                first = len(out.nodes)
+                nid = build(w, n, ev)
+                _stamp(out.nodes[first:], name)
+                return nid
+        raise _NoRule(f"no incremental rewrite for node kind {n.kind!r}")
+
+    out.copy_nodes(src.nodes, w.dmap, rule)
+    for i, name in copied:
+        out.nodes[w.dmap[i]].meta["rule"] = name
+    return w.dmap
+
+
+def _stamp(nodes, name):
+    """Name the rule of every node, nested bodies included, that has none."""
+    for m in nodes:
+        m.meta.setdefault("rule", name)
+        if m.kind == "nested":
+            _stamp(m.meta["inner"].nodes, name)
+
+
+def _general(w, n, ev):
+    """A copy of n over the integrals of its inputs, event inputs raw,
+    differentiated, its nodes named general whichever row calls it."""
+    first = len(w.out.nodes)
+    ins = {i: x if e else w.integral(x) for i, x, e in zip(n.inputs, w.ins(n), ev)}
+    nid = w.out.add_differentiate(w.out._copy_node(n, ins, []))
+    _stamp(w.out.nodes[first:], "general")
+    return nid
+
+
+def _nested(w, n, ev):
+    """The domain with its body, its loop incrementalized first, rebuilt
+    along the parent clock, or else the general rule whole; the old body's
+    state that the trace forms read through is dropped."""
+    body = n.meta["inner"]
+    if any(x.meta.get("bracket") == "i" for x in body.nodes):
+        body = loop_incrementalize(body)
+    inner = Circuit(level=w.out.level + 1, inner=True)
+    try:
+        _delta_compile(body, inner, PARENT_CLOCK)
+    except _NoRule:
+        return _general(w, n, ev)
+    return w.out.add_nested(w.dmap[n.inputs[0]], _rebuild_topological(inner))[0]
+
+
+def _inc_distinct(w, n, ev):
+    d = w.dmap[n.inputs[0]]
+    return build_inc_distinct(w.out, d, w.integral(d))
+
+
+def _traced_distinct(w, n, ev):
+    d = w.dmap[n.inputs[1]]
+    return w.out.add_lifted(n.fn, [w.out.add_trace(d), d], klass=GENERAL, label=n.label)
+
+
+def _traced_join(w, n, ev):
+    a, b = (w.dmap[w.src.nodes[i].inputs[0]] for i in n.inputs)  # the changes its traces hold
+    return build_inc_join(w.out, a, b, None, None, depth=w.out.level - 1, fn=n.fn.join)
+
+
+# D(I x) = x: an incrementalization bracket stands for its input.
+_BRACKET = ("bracket", lambda w, n, ev: n.meta.get("bracket") in ("i", "d"), lambda w, n, ev: w.dmap[n.inputs[0]])
+# Events are per-tick values, not changes: an event-typed node over events
+# only is its own incremental version.
+_EVENTS = ("events", lambda w, n, ev: n.meta["event"] and all(ev), None)
+# Q^Δ = Q for a linear Q, a delay (so a feedback loop keeps its shape
+# around its incremental body: the cycle rule) and a domain boundary.
+_LINEAR = ("linear", lambda w, n, ev: n.klass in (LINEAR, DELAY_CLASS, BOUNDARY) or n.kind == "source", None)
+
+OWN_CLOCK = (
+    _BRACKET,
+    # (fix Q)^Δ: the body is rebuilt along the parent clock (PARENT_CLOCK).
+    ("nested", lambda w, n, ev: n.kind == "nested" and not ev[0], _nested),
+    _EVENTS,
+    # window^Δ = D ∘ fold: the window folds its input's changes into its
+    # content and drops what falls behind the clock.
+    (
+        "window",
+        lambda w, n, ev: n.kind == "window" and not ev[0],
+        lambda w, n, ev: w.out.add_differentiate(build_window(w.out, *w.ins(n), n.meta["window"])),
+    ),
+    # (a × b)^Δ = Δa × Δb + z(I a) × Δb + Δa × z(I b): an in-place trace per
+    # table side, probed by one join (IncJoinFn); z(I e) = 0 for events e.
+    (
+        "bilinear",
+        lambda w, n, ev: n.kind == "lifted" and n.klass == BILINEAR,
+        lambda w, n, ev: build_inc_join(w.out, *w.ins(n), None, None, fn=n.fn),
+    ),
+    # distinct^Δ = H(z(I x), Δx): the rows whose weight changes sign.
+    ("distinct", lambda w, n, ev: n.kind == "lifted" and n.label == "distinct" and not ev[0], _inc_distinct),
+    # A top-level COUNT, SUM or AVG sums its group's rows, a linear map: an
+    # own-clock trace keeps the running totals by group (IncAggregateFn).
+    (
+        "linear aggregate",
+        lambda w, n, ev: isinstance(n.fn, AggregateFn) and n.fn.kind in ("count", "sum", "avg")
+        and not (w.out.is_inner or ev[0]),
+        lambda w, n, ev: build_inc_aggregate(w.out, *w.ins(n), n.fn),
+    ),
+    # Q^Δ = D ∘ Q ∘ I for the rest over snapshots: MIN and MAX, an aggregate
+    # in a loop body, a node over events and tables.  A window_fold reads
+    # changes already.
+    ("general", lambda w, n, ev: n.kind != "window_fold" and (n.klass == GENERAL or any(ev)), _general),
+    _LINEAR,
+)
+
+PARENT_CLOCK = (
+    _BRACKET,
+    _EVENTS,
+    # distinct^Δ, H looking up R[u] in a two-axis trace of the changes.
+    ("distinct", lambda w, n, ev: isinstance(n.fn, DistinctDeltaFn), _traced_distinct),
+    # The bilinear rule with two-axis traces of each inner tick's changes.
+    ("bilinear", lambda w, n, ev: isinstance(n.fn, IncJoinFn), _traced_join),
+    _LINEAR,
+)
 
 
 # -- distinct consolidation -------------------------------------------------------
@@ -338,13 +353,9 @@ def _positive_nodes(c):
     pos = set()
     eligible = {"filter", "project", "map", "join", "cartesian", "intersect", "semijoin", "distinct"}
     for n in c.nodes:
-        if n.kind == "source" and not n.meta["event"]:
+        if n.kind in ("nested", "window", "window_fold") or n.kind == "source" and not n.meta["event"]:
             pos.add(n.id)
-        elif n.kind == "nested" or n.kind in ("window", "window_fold"):
-            pos.add(n.id)
-        elif n.kind == "lifted" and n.label in eligible and all(i in pos for i in n.inputs):
-            pos.add(n.id)
-        elif n.kind == "plus" and all(i in pos for i in n.inputs):
+        elif (n.kind == "plus" or n.kind == "lifted" and n.label in eligible) and all(i in pos for i in n.inputs):
             pos.add(n.id)
     return pos
 
@@ -362,44 +373,33 @@ def _consumers(c):
 def _consolidate_once(c):
     pos = _positive_nodes(c)
     cons = _consumers(c)
-
     for n in c.nodes:
-        # idempotence: distinct(distinct(x)) -> distinct(x)
-        if _is_distinct(n):
-            inner = c.nodes[n.inputs[0]]
-            if _is_distinct(inner):
-                n.inputs = (inner.inputs[0],)
-                return True
-
-        # absorb: distinct(Q(distinct(x))) -> distinct(Q(x))
         if _is_distinct(n):
             q = c.nodes[n.inputs[0]]
+            # idempotence: distinct(distinct(x)) -> distinct(x)
+            if _is_distinct(q):
+                n.inputs = (q.inputs[0],)
+                return True
+            # absorb: distinct(Q(distinct(x))) -> distinct(Q(x))
             label = q.label if q.kind == "lifted" else ("plus" if q.kind == "plus" else None)
-            if label in _RULE_ABSORB:
-                for slot, i in enumerate(q.inputs):
-                    d1 = c.nodes[i]
-                    if (
-                        _is_distinct(d1)
-                        and cons[d1.id] == [q.id]
-                        and d1.inputs[0] in pos
-                        and all(j in pos for j in q.inputs)
-                    ):
-                        q.inputs = q.inputs[:slot] + (d1.inputs[0],) + q.inputs[slot + 1 :]
-                        return True
-
+            if label in _RULE_ABSORB and _pull_distinct(c, q, pos, cons):
+                return True
         # commute: Q(distinct(x)) -> distinct(Q(x)) for filter/join-like Q
-        if n.kind == "lifted" and n.label in _RULE_COMMUTE:
-            for slot, i in enumerate(n.inputs):
-                d1 = c.nodes[i]
-                if (
-                    _is_distinct(d1)
-                    and cons[d1.id] == [n.id]
-                    and d1.inputs[0] in pos
-                    and all(j in pos for j in n.inputs)
-                ):
-                    n.inputs = n.inputs[:slot] + (d1.inputs[0],) + n.inputs[slot + 1 :]
-                    _insert_distinct_after(c, n)
-                    return True
+        if n.kind == "lifted" and n.label in _RULE_COMMUTE and _pull_distinct(c, n, pos, cons):
+            _insert_distinct_after(c, n)
+            return True
+    return False
+
+
+def _pull_distinct(c, q, pos, cons):
+    """Make q read x in place of its first input distinct(x) that nothing
+    else reads, when x and q's inputs are positive; whether it did."""
+    if all(j in pos for j in q.inputs):
+        for slot, i in enumerate(q.inputs):
+            d = c.nodes[i]
+            if _is_distinct(d) and cons[i] == [q.id] and d.inputs[0] in pos:
+                q.inputs = q.inputs[:slot] + (d.inputs[0],) + q.inputs[slot + 1 :]
+                return True
     return False
 
 
@@ -431,11 +431,10 @@ def _rebuild_topological(c):
     """
     import heapq
 
-    roots = list(c.sinks.values())
+    stack = list(c.sinks.values())
     if c.is_inner:
-        roots += [x for x in (c.entry_id, c.sum_id) if x is not None]
+        stack += [x for x in (c.entry_id, c.sum_id) if x is not None]
     reach = set()
-    stack = list(roots)
     while stack:
         nid = stack.pop()
         if nid in reach:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .circuit import Circuit
 from .datalog import Atom, Rule, RuleProgram, compile_program_into
 from .errors import ValidationError
-from .expr import BinOp, Col, Const, KeyFunc, parse_expr
+from .expr import BinOp, Col, Const, KeyFunc, Not, parse_expr
 from .relational import (
     AGGREGATES,
     JoinFn,
@@ -223,6 +223,9 @@ def _parse_keys(keys, arity, where):
     return [Col(_col(k, arity, where)) if isinstance(k, int) else _expr(k, arity, where) for k in keys]
 
 
+_BOOL_OPS = frozenset({"==", "!=", "<", "<=", ">", ">=", "and", "or"})
+
+
 def _compile_query(c, q, env, where):
     """The node and arity of query q.  Only a stream join's right side and
     a window's clock may read an event stream."""
@@ -259,6 +262,13 @@ def _compile_query(c, q, env, where):
         exprs = [_expr(e, arity, where) for e in _list(q.get("exprs", []), f"{where}: map 'exprs'")]
         if not exprs:
             raise ValidationError(f"{where}: map needs at least one expression")
+        for e in exprs:
+            if (
+                isinstance(e, Not)
+                or isinstance(e, BinOp) and e.op in _BOOL_OPS
+                or isinstance(e, Const) and isinstance(e.value, bool)
+            ):
+                raise ValidationError(f"{where}: map value {e.to_json()!r} is a boolean, which no trace can hold")
         return build_map(c, node, exprs), len(exprs)
 
     if op == "distinct":

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -559,6 +560,32 @@ class TestExitCodes:
         doc = {"relations": _T, "views": [{"name": "v", "query": _over_t("filter", predicate=pred)}]}
         assert main(["validate", "--spec", write(tmp_path, "s.json", json.dumps(doc))]) == 0
 
+    @pytest.mark.parametrize(
+        "expr",
+        [["==", ["col", 0], ["const", 2]], ["and", ["col", 0], ["col", 1]], ["not", ["col", 0]], ["const", True]],
+        ids=["comparison", "and", "not", "bool-const"],
+    )
+    def test_boolean_map_value_is_2_in_every_mode(self, expr, tmp_path, capsys):
+        """A map value that is a boolean, which no trace can hold, exits 2
+        before tx 0 in validate, run and compare, naming the view."""
+        query = {"op": "map", "exprs": [["col", 1], expr], "input": {"op": "rel", "name": "t"}}
+        doc = {"relations": [{"name": "t", "columns": ["g", "v"]}], "views": [{"name": "m", "query": query}]}
+        sp = write(tmp_path, "s.json", json.dumps(doc))
+        tp = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": [["t", [2, 5], 1]]}))
+        out = tmp_path / "o.ndjson"
+        for argv in (["validate"], ["run", "--trace", tp, "--out", str(out)], ["compare", "--trace", tp, "--out", str(out)]):
+            assert main([*argv, "--spec", sp]) == 2, argv
+            assert "view 'm': map value" in capsys.readouterr().err, argv
+        assert not out.exists()
+
+    def test_arithmetic_over_a_comparison_is_a_valid_map_value(self, tmp_path):
+        query = {"op": "map", "exprs": [["+", ["==", ["col", 0], ["const", 2]], ["const", 1]]], "input": _REL_T}
+        sp = write(tmp_path, "s.json", json.dumps({"relations": _T, "views": [{"name": "m", "query": query}]}))
+        tp = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": [["t", [2, 5], 1]]}))
+        out = tmp_path / "o.ndjson"
+        assert main(["compare", "--spec", sp, "--trace", tp, "--out", str(out)]) == 0
+        assert out.read_text() == '{"changes":[["m",[2],1]],"tx":0}\n'
+
     def test_float_sum_out_of_range_is_2_in_both_modes(self, tmp_path, capsys):
         sp = write(tmp_path, "s.json", json.dumps(_FLOAT_SPEC))
         tp = write(tmp_path, "t.ndjson", jline({"tx": 0, "changes": [["t", [1, 1e308], 3], ["t", [2, 1.0], 1]]}))
@@ -872,3 +899,92 @@ class TestEventViews:
         assert ["hit_regions", [9, "us", 9, "x"], 1] in lines[2]["changes"]
         # window expiry: at clk 9 the account with ts 1 leaves
         assert ["recent", [1, "eu"], -1] in lines[2]["changes"]
+
+
+class TestExplain:
+    """`explain` prints the optimized incremental circuit, one line per
+    node with the rule that built it, nested bodies indented."""
+
+    CLOSURE = """\
+    0 source E depth=0 rule=linear
+    1 integrate depth=0 rule=distinct state
+    2 delay depth=0 rule=distinct state
+    3 lifted distinct_delta depth=0 rule=distinct
+    4 lifted map depth=0 rule=linear
+    5 plus depth=0 rule=linear
+    6 nested depth=0 rule=nested
+      0 delta0 depth=1 rule=linear
+      1 delay depth=1 rule=linear state
+      2 lifted filter depth=0 rule=linear
+      3 lifted map depth=0 rule=linear
+      4 lifted map depth=0 rule=linear
+      5 lifted map depth=0 rule=linear
+      6 lifted map depth=0 rule=linear
+      7 lifted filter depth=0 rule=linear
+      8 lifted map depth=0 rule=linear
+      9 trace depth=0 rule=bilinear state
+      10 trace depth=0 rule=bilinear state
+      11 lifted join+map depth=0 rule=bilinear
+      12 plus depth=0 rule=linear
+      13 trace depth=0 rule=distinct state
+      14 lifted distinct_delta depth=0 rule=distinct
+      15 lifted map depth=0 rule=linear
+      16 plus depth=0 rule=linear
+      17 stream_sum depth=0 rule=linear state
+    7 lifted filter depth=0 rule=linear
+    8 lifted map depth=0 rule=linear view=R
+"""
+
+    AGGREGATES = """\
+    0 source t depth=0 rule=linear
+    1 source u depth=0 rule=linear
+    2 trace depth=0 rule=linear aggregate state
+    3 lifted aggregate depth=0 rule=linear aggregate view=t_count
+    4 trace depth=0 rule=linear aggregate state
+    5 lifted aggregate depth=0 rule=linear aggregate view=t_sum_i
+    6 trace depth=0 rule=linear aggregate state
+    7 lifted aggregate depth=0 rule=linear aggregate view=t_sum_f
+    8 trace depth=0 rule=linear aggregate state
+    9 lifted aggregate depth=0 rule=linear aggregate view=t_avg_i
+    10 trace depth=0 rule=linear aggregate state
+    11 lifted aggregate depth=0 rule=linear aggregate view=t_avg_f
+    12 integrate depth=0 rule=general state
+    13 lifted aggregate depth=0 rule=general
+    14 differentiate depth=0 rule=general state view=t_min_i
+    15 lifted aggregate depth=0 rule=general
+    16 differentiate depth=0 rule=general state view=t_max_i
+    17 lifted aggregate depth=0 rule=general
+    18 differentiate depth=0 rule=general state view=t_min_f
+    19 lifted aggregate depth=0 rule=general
+    20 differentiate depth=0 rule=general state view=t_max_f
+    21 lifted aggregate depth=0 rule=general
+    22 differentiate depth=0 rule=general state view=t_min_s
+    23 lifted aggregate depth=0 rule=general
+    24 differentiate depth=0 rule=general state view=t_max_s
+    25 trace depth=0 rule=linear aggregate state
+    26 lifted aggregate depth=0 rule=linear aggregate view=t_sum_gs
+    27 trace depth=0 rule=linear aggregate state
+    28 lifted aggregate depth=0 rule=linear aggregate view=u_count
+    29 trace depth=0 rule=linear aggregate state
+    30 lifted aggregate depth=0 rule=linear aggregate view=u_sum
+    31 trace depth=0 rule=linear aggregate state
+    32 lifted aggregate depth=0 rule=linear aggregate view=u_sum_f
+    33 integrate depth=0 rule=general state
+    34 lifted aggregate depth=0 rule=general
+    35 differentiate depth=0 rule=general state view=u_min
+    36 lifted aggregate depth=0 rule=general
+    37 differentiate depth=0 rule=general state view=u_max_s
+    38 trace depth=0 rule=linear aggregate state
+    39 lifted aggregate depth=0 rule=linear aggregate view=u_avg
+    40 trace depth=0 rule=linear aggregate state
+    41 lifted aggregate depth=0 rule=linear aggregate view=u_avg_f
+"""
+
+    @pytest.mark.parametrize("golden", ["closure", "aggregates"])
+    def test_golden_output(self, golden, capsys):
+        assert main(["explain", "--spec", str(GOLDENS / f"{golden}.spec.json")]) == 0
+        assert capsys.readouterr().out == textwrap.dedent(getattr(self, golden.upper()))
+
+    def test_bad_spec_is_2(self, tmp_path, capsys):
+        assert main(["explain", "--spec", write(tmp_path, "bad.json", "{")]) == 2
+        assert capsys.readouterr().err.startswith("deltaflow: ")
