@@ -5,7 +5,8 @@ are only created through feedback stubs, which must be strict (delay-class);
 the engine resolves them by reading the delay's stored previous value first
 and latching its new input at the end of the tick.
 
-Stateful operators carry a `depth` (number of liftings applied):
+Every node carries a `depth` (number of liftings applied), by default its
+circuit's level; on a stateful operator it picks the clock:
 
 * depth == circuit.level: the operator runs on this circuit's own clock;
 * depth == circuit.level + 1: the operator is lifted one level past the
@@ -44,7 +45,7 @@ state location once, so a tick runs the list without dispatching on node
 kinds.  The program calls the fn each node holds when it is built (at the
 first step) and is rebuilt after a node is added or a feedback stub
 connected.  A step skips an operator whose change is zero, as linearity
-allows (f(0) = 0): a LINEAR node (a LINEAR lifted fn, plus, negate) whose
+allows (f(0) = 0): a LINEAR node (a LINEAR lifted fn or plus) whose
 inputs are all zero, and an operator with `rows_in` whose `rows_in` is 0,
 yield ZERO without calling fn.  Every other operator runs, so an empty
 COUNT still emits (0,).  A skipped node scans and emits no rows, so the
@@ -160,12 +161,13 @@ class Circuit:
 
     # -- construction --------------------------------------------------------
 
-    def _add(self, kind, inputs=(), **kw):
+    def _add(self, kind, inputs=(), depth=None, **kw):
+        """Add a node on this circuit's clock, or at the given depth."""
         nodes = self.nodes
         for i in inputs:
             if not (0 <= i < len(nodes)):
                 raise CircuitError(f"unknown input node {i}")
-        node = Node(len(nodes), kind, inputs, **kw)
+        node = Node(len(nodes), kind, inputs, self.level if depth is None else depth, **kw)
         if kind != "source":  # a source declares it
             events = [nodes[i].meta["event"] for i in inputs]
             linear = node.klass == LINEAR and bool(events)
@@ -201,16 +203,16 @@ class Circuit:
         return self._add("plus", tuple(inputs), klass=LINEAR)
 
     def add_negate(self, x):
-        return self._add("negate", (x,), klass=LINEAR)
+        return self.add_lifted(gv_neg, [x], klass=LINEAR, label="negate")
 
     def add_delay(self, x, depth=None):
-        return self._add("delay", (x,), depth=self.level if depth is None else depth, klass=DELAY_CLASS)
+        return self._add("delay", (x,), depth=depth, klass=DELAY_CLASS)
 
     def add_integrate(self, x, depth=None):
-        return self._add("integrate", (x,), depth=self.level if depth is None else depth, klass=DELAY_CLASS)
+        return self._add("integrate", (x,), depth=depth, klass=DELAY_CLASS)
 
     def add_differentiate(self, x, depth=None):
-        return self._add("differentiate", (x,), depth=self.level if depth is None else depth, klass=DELAY_CLASS)
+        return self._add("differentiate", (x,), depth=depth, klass=DELAY_CLASS)
 
     def add_trace(self, x, depth=None, index_key=None, summary=False):
         """A trace of change stream x, grouped by index_key (see
@@ -227,13 +229,8 @@ class Circuit:
 
     def add_feedback(self, depth=None, delayed=True):
         """A feedback stub: a delay whose input is wired up later."""
-        return self._add(
-            "delay",
-            (),
-            depth=self.level if depth is None else depth,
-            klass=DELAY_CLASS,
-            meta={"feedback": True, "delayed": delayed},
-        )
+        meta = {"feedback": True, "delayed": delayed}
+        return self._add("delay", (), depth=depth, klass=DELAY_CLASS, meta=meta)
 
     def connect_feedback(self, from_node, stub):
         if not (0 <= stub < len(self.nodes)) or not self.nodes[stub].meta.get("feedback"):
@@ -248,12 +245,12 @@ class Circuit:
         node.inputs = (from_node,)
         self._validated = False
 
-    def add_delta0(self, depth=None):
+    def add_delta0(self):
         if not self.is_inner:
             raise CircuitError("delta0 is only valid on a nested-domain boundary")
         if self.entry_id is not None:
             raise CircuitError("nested domain already has a delta0 entry")
-        nid = self._add("delta0", (), depth=self.level if depth is None else depth, klass=BOUNDARY)
+        nid = self._add("delta0", (), klass=BOUNDARY)
         self.entry_id = nid
         return nid
 
@@ -439,8 +436,6 @@ class Circuit:
             return self._lifted_step(node)
         if kind == "plus":
             return lambda vals, *_: _plus([vals[i] for i in ids])
-        if kind == "negate":
-            return lambda vals, *_: _negate(vals[ids[0]])
         if kind == "source":
             return _source_step(node.name, node.meta.get("sort") == "zset")
         if kind == "delta0":
@@ -696,10 +691,6 @@ def _plus(ins):
     for x in ins:
         acc = gv_add(acc, x)
     return acc
-
-
-def _negate(x):
-    return ZERO if gv_is_zero(x) else gv_neg(x)
 
 
 def _source_step(name, zset_sort):

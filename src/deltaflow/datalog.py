@@ -283,9 +283,9 @@ def _build_unit(c, program, unit, rel_nodes, arities, cap, seminaive=False):
     )
     block, inner = c.add_nested(packed)
     entry = inner.add_delta0()
-    ientry = inner.add_integrate(entry, depth=inner.level)
+    ientry = inner.add_integrate(entry)
     inner.nodes[ientry].meta["bracket"] = "i"
-    fb = inner.add_feedback(depth=inner.level)
+    fb = inner.add_feedback()
 
     source_cache = {}
 
@@ -302,7 +302,7 @@ def _build_unit(c, program, unit, rel_nodes, arities, cap, seminaive=False):
         packed_vals.append(inner.add_lifted(_tag_fn(rel, arities[rel]), [val], klass="linear", label="map"))
     o = inner.add_plus(packed_vals)
     inner.connect_feedback(o, fb)
-    d = inner.add_differentiate(o, depth=inner.level)
+    d = inner.add_differentiate(o)
     inner.nodes[d].meta["bracket"] = "d"
     inner.add_stream_sum(d, max_iterations=cap)
     if seminaive:
@@ -373,14 +373,14 @@ def build_while(q, cap=None):
     src = c.add_source(sname)
     block, inner = c.add_nested(src)
     entry = inner.add_delta0()
-    fb = inner.add_feedback(depth=inner.level)
+    fb = inner.add_feedback()
     ientry = inner.add_integrate(inner.add_differentiate(entry))
     inner.nodes[ientry].meta["bracket"] = "i"
     start = inner.add_plus([ientry, fb])
 
     qout = inner.copy_nodes(q.nodes, {s_id: start})[v_id]
     inner.connect_feedback(qout, fb)
-    d = inner.add_differentiate(qout, depth=inner.level)
+    d = inner.add_differentiate(qout)
     inner.nodes[d].meta["bracket"] = "d"
     inner.add_stream_sum(d, max_iterations=cap)
     c.add_sink(block, vname)

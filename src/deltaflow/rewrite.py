@@ -13,7 +13,9 @@ its loop incrementalized first, along its parent clock by PARENT_CLOCK,
 through trace forms only, the only state on a parent clock.  An own-clock
 node that no row names is an error; a body node that no row names sends
 its whole domain to the general rule, as the reference does.  A body has
-no sources, so it reads no events.  Maps are folded into joins first.
+no sources, so it reads no events.  The fold row adds no node: it folds a
+map into the join node its input's row built.  The walk only reads the
+circuit it rebuilds.
 """
 
 from .circuit import BILINEAR, BOUNDARY, DELAY_CLASS, GENERAL, LINEAR, Circuit
@@ -21,6 +23,7 @@ from .errors import CircuitError
 from .relational import (
     AggregateFn,
     DistinctDeltaFn,
+    DistinctFn,
     IncJoinFn,
     JoinFn,
     MapFn,
@@ -126,14 +129,13 @@ def differential_check(scalar, traces, raise_on_mismatch=True):
 
 
 def optimize(c):
-    """Push the incrementalization through a naively incrementalized circuit."""
+    """Push the incrementalization through a naively incrementalized
+    circuit, which is left as it is."""
     # A circuit whose sources are all event streams has nothing to bracket.
     if not any(n.meta.get("bracket") == "i" for n in c.nodes) and any(
         n.kind == "source" and not n.meta["event"] for n in c.nodes
     ):
         raise CircuitError("optimize expects a naively incrementalized circuit (no brackets found)")
-    c = c.clone()
-    _fold_maps_into_joins(c)
     out = Circuit(level=c.level)
     out.copy_sinks(c, _delta_compile(c, out, OWN_CLOCK))
     return _rebuild_topological(out)
@@ -151,40 +153,20 @@ def loop_incrementalize(inner):
     return out
 
 
-def _fold_maps_into_joins(c):
-    """Fold each linear map (project or map) whose input is an equi-join or
-    cartesian product that nothing else reads into that join, in place and
-    in nested bodies too, as a linear operator distributes over a bilinear
-    one: the join fn applies the map to each row it emits (JoinFn.then) and
-    the map node is left unread, or dropped in a body.  The reference keeps
-    the two apart."""
-    cons = _consumers(c)
-    for n in c.nodes:
-        if n.kind == "nested":
-            _rebuild_topological(_fold_maps_into_joins(n.meta["inner"]))
-        if not (n.kind == "lifted" and isinstance(n.fn, MapFn)):
-            continue
-        j = c.nodes[n.inputs[0]]
-        join = getattr(j.fn, "join", j.fn)  # a probing join's join fn
-        if j.kind == "lifted" and isinstance(join, JoinFn) and not join.semi and cons[j.id] == [n.id]:
-            j.fn = j.fn.then(n.fn.fn, n.label)
-            _redirect(c, n.id, j.id)
-    return c
-
-
 class _NoRule(CircuitError):
     """No row of the table names a node."""
 
 
 class _Walk:
     """One walk of circuit src into out: dmap maps src's node ids to out's,
-    and integrals a node of out to its integral, built once, so that the
-    operators over one input share it."""
+    integrals a node of out to its integral, built once, so that the
+    operators over one input share it, and cons src's node ids to their
+    readers'."""
 
-    __slots__ = ("src", "out", "dmap", "integrals")
+    __slots__ = ("src", "out", "dmap", "integrals", "cons")
 
     def __init__(self, src, out):
-        self.src, self.out, self.dmap, self.integrals = src, out, {}, {}
+        self.src, self.out, self.dmap, self.integrals, self.cons = src, out, {}, {}, _consumers(src)
 
     def ins(self, n):
         return [self.dmap[i] for i in n.inputs]
@@ -265,6 +247,23 @@ def _traced_distinct(w, n, ev):
     return w.out.add_lifted(n.fn, [w.out.add_trace(d), d], klass=GENERAL, label=n.label)
 
 
+def _foldable(w, n, ev):
+    """Whether n is a linear map (project or map) over an equi-join or
+    cartesian product that nothing else reads."""
+    if not (n.kind == "lifted" and n.klass == LINEAR and isinstance(n.fn, MapFn)):
+        return False
+    j = w.src.nodes[n.inputs[0]]
+    join = getattr(j.fn, "join", j.fn)  # a probing join's join fn
+    return j.kind == "lifted" and isinstance(join, JoinFn) and not join.semi and w.cons[j.id] == [n.id]
+
+
+def _fold(w, n, ev):
+    """The join's node, built by its own row, with the map folded in."""
+    j = w.out.nodes[w.dmap[n.inputs[0]]]
+    j.fn = j.fn.then(n.fn.fn, n.label)
+    return j.id
+
+
 def _traced_join(w, n, ev):
     a, b = (w.dmap[w.src.nodes[i].inputs[0]] for i in n.inputs)  # the changes its traces hold
     return build_inc_join(w.out, a, b, None, None, depth=w.out.level - 1, fn=n.fn.join)
@@ -281,6 +280,11 @@ _LINEAR = ("linear", lambda w, n, ev: n.klass in (LINEAR, DELAY_CLASS, BOUNDARY)
 
 OWN_CLOCK = (
     _BRACKET,
+    # (f ∘ ×)^Δ = f ∘ ×^Δ: a linear map f after a join is bilinear too, so
+    # the join's own row serves both, f applied to each row the join emits
+    # (JoinFn.then); the reference keeps the two apart.  A loop body's map
+    # waits for the parent-clock walk, so the semi-naive body keeps it.
+    ("fold", lambda w, n, ev: not w.out.is_inner and _foldable(w, n, ev), _fold),
     # (fix Q)^Δ: the body is rebuilt along the parent clock (PARENT_CLOCK).
     ("nested", lambda w, n, ev: n.kind == "nested" and not ev[0], _nested),
     _EVENTS,
@@ -317,6 +321,8 @@ OWN_CLOCK = (
 
 PARENT_CLOCK = (
     _BRACKET,
+    # The fold, into a join with two-axis traces.
+    ("fold", _foldable, _fold),
     _EVENTS,
     # distinct^Δ, H looking up R[u] in a two-axis trace of the changes.
     ("distinct", lambda w, n, ev: isinstance(n.fn, DistinctDeltaFn), _traced_distinct),
@@ -404,21 +410,12 @@ def _pull_distinct(c, q, pos, cons):
 
 
 def _insert_distinct_after(c, node):
-    from .relational import DistinctFn
-
-    nid = c._add("lifted", (node.id,), fn=DistinctFn(), klass=GENERAL, label="distinct")
-    _redirect(c, node.id, nid)
-
-
-def _redirect(c, old, new):
-    """Make every reader of node old but node new, and every sink on old,
-    read new instead."""
-    for m in c.nodes:
-        if m.id != new and old in m.inputs:
-            m.inputs = tuple(new if i == old else i for i in m.inputs)
-    for name, sid in c.sinks.items():
-        if sid == old:
-            c.sinks[name] = new
+    """Make every reader of node, and every sink on it, read a new
+    distinct of node instead."""
+    old, new = node.id, c._add("lifted", (node.id,), fn=DistinctFn(), klass=GENERAL, label="distinct")
+    for m in c.nodes[:new]:
+        m.inputs = tuple(new if i == old else i for i in m.inputs)
+    c.sinks = {name: new if sid == old else sid for name, sid in c.sinks.items()}
 
 
 def _rebuild_topological(c):

@@ -342,6 +342,36 @@ class TestCompareVerdict:
         report, _ = run_all(cs, trace, "compare")
         assert report.verdict == {"equal": True}
 
+    def test_except_view_is_equal(self, tmp_path):
+        """An except view's negate is a LINEAR lifted node, so the rewrite
+        keeps it as it is; its outputs equal the reference's on a trace with
+        deletions and weights above 1."""
+        rel = lambda name: {"op": "rel", "name": name}  # noqa: E731
+        doc = {
+            "relations": [{"name": "a", "columns": ["x"]}, {"name": "b", "columns": ["x"]}],
+            "views": [{"name": "v", "query": {"op": "except", "left": rel("a"), "right": rel("b")}}],
+        }
+        spec = compile_spec(doc)
+        cs = compile_circuits(spec, mode="compare")
+        for c in (spec.circuit, cs.incremental):
+            negates = [n for n in c.nodes if n.label == "negate"]
+            assert [(n.kind, n.klass) for n in negates] == [("lifted", "linear")]
+        assert not any(n.kind == "negate" for n in cs.reference.nodes)
+        tp = write(
+            tmp_path,
+            "t.ndjson",
+            jline({"tx": 0, "changes": [["a", [1], 1], ["a", [2], 2], ["a", [3], 1], ["b", [2], 1]]})
+            + jline({"tx": 1, "changes": [["a", [1], -1], ["b", [2], 1]]})
+            + jline({"tx": 2, "changes": [["a", [4], 3], ["b", [3], 1]]}),
+        )
+        report, ticks = run_all(cs, load_trace(tp, spec.relations), "compare")
+        assert report.verdict == {"equal": True}
+        assert [out["v"] for _, out, _ in ticks] == [
+            ZSet({(1,): 1, (2,): 1, (3,): 1}),
+            ZSet({(1,): -1, (2,): -1}),
+            ZSet({(3,): -1, (4,): 1}),
+        ]
+
 
 _R = [{"name": "r", "columns": ["a"]}, {"name": "clock", "columns": ["t"], "kind": "stream"}]
 _REL_R = {"op": "rel", "name": "r"}
@@ -915,22 +945,22 @@ class TestExplain:
     6 nested depth=0 rule=nested
       0 delta0 depth=1 rule=linear
       1 delay depth=1 rule=linear state
-      2 lifted filter depth=0 rule=linear
-      3 lifted map depth=0 rule=linear
-      4 lifted map depth=0 rule=linear
-      5 lifted map depth=0 rule=linear
-      6 lifted map depth=0 rule=linear
-      7 lifted filter depth=0 rule=linear
-      8 lifted map depth=0 rule=linear
+      2 lifted filter depth=1 rule=linear
+      3 lifted map depth=1 rule=linear
+      4 lifted map depth=1 rule=linear
+      5 lifted map depth=1 rule=linear
+      6 lifted map depth=1 rule=linear
+      7 lifted filter depth=1 rule=linear
+      8 lifted map depth=1 rule=linear
       9 trace depth=0 rule=bilinear state
       10 trace depth=0 rule=bilinear state
-      11 lifted join+map depth=0 rule=bilinear
-      12 plus depth=0 rule=linear
+      11 lifted join+map depth=1 rule=bilinear
+      12 plus depth=1 rule=linear
       13 trace depth=0 rule=distinct state
-      14 lifted distinct_delta depth=0 rule=distinct
-      15 lifted map depth=0 rule=linear
-      16 plus depth=0 rule=linear
-      17 stream_sum depth=0 rule=linear state
+      14 lifted distinct_delta depth=1 rule=distinct
+      15 lifted map depth=1 rule=linear
+      16 plus depth=1 rule=linear
+      17 stream_sum depth=1 rule=linear state
     7 lifted filter depth=0 rule=linear
     8 lifted map depth=0 rule=linear view=R
 """

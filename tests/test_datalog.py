@@ -465,7 +465,7 @@ class TestWhile:
     def test_incremental_while_runs_past_earlier_ticks(self, body, snapshots):
         assert _while_mismatch(_WHILE_BODIES[body], [zset_of(s) for s in snapshots]) is None
 
-    @pytest.mark.parametrize("body", ["successors", "closure", "grouped_min", "grouped_count"])
+    @pytest.mark.parametrize("body", ["successors", "closure", "grouped_min", "grouped_count", "joined_count"])
     def test_incremental_while_matches_snapshots(self, body):
         """Random snapshots, with rows both added and removed, against the
         difference of two non-incremental loops at every tick."""
@@ -569,9 +569,24 @@ def _aggregate_body(kind, group):
     return build
 
 
+def _joined_count_body():
+    # Q(x) = x union (g, COUNT) of project[0, 3](x join x on x.0 = x.0)
+    # while the count is below 5: a map folded into a join, then aggregated
+    from deltaflow.expr import BinOp, Col, Const
+    from deltaflow.relational import build_aggregate, build_equijoin, build_projection, build_union
+
+    q = Circuit()
+    s = q.add_source("x")
+    pairs = build_projection(q, build_equijoin(q, s, s, KeyFunc([0]), KeyFunc([0])), [0, 3])
+    counts = build_aggregate(q, pairs, "count", 1, [0])
+    q.add_sink(build_union(q, s, build_filter(q, counts, BinOp("<", Col(1), Const(5)))), "x")
+    return q
+
+
 _WHILE_BODIES = {
     "successors": _successors_below_6,
     "closure": _closure_body,
+    "joined_count": _joined_count_body,
     "min": _aggregate_body("min", None),
     "grouped_min": _aggregate_body("min", [0]),
     "grouped_count": _aggregate_body("count", [0]),
@@ -582,6 +597,7 @@ _WHILE_ROWS = {
     "closure": lambda rng: random_edges(rng, 5, rng.randrange(1, 6)),
     "grouped_min": lambda rng: {(rng.randrange(3), rng.randrange(5)) for _ in range(rng.randrange(3))},
     "grouped_count": lambda rng: {(rng.randrange(3), rng.randrange(5)) for _ in range(rng.randrange(3))},
+    "joined_count": lambda rng: {(rng.randrange(3), rng.randrange(5)) for _ in range(rng.randrange(3))},
 }
 
 

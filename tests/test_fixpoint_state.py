@@ -277,10 +277,11 @@ class TestRunLength:
         whole = [n.kind for n in c.nodes] == ["source", "integrate", "nested", "differentiate"]
         assert whole == any(n.kind == "lifted" and n.label == "aggregate" for n in _WHILE_BODIES[body]().nodes)
 
-    @pytest.mark.parametrize("body", ["grouped_count", "grouped_min", "min"])
+    @pytest.mark.parametrize("body", ["grouped_count", "grouped_min", "joined_count", "min"])
     def test_whole_loops_do_the_work_of_the_reference(self, body):
-        """A loop that runs whole runs the reference's naive body, so each
-        tick scans the same rows and runs the same iterations."""
+        """A loop that runs whole runs the reference's naive body node for
+        node, its maps over joins unfolded, so each tick scans the same rows
+        and runs the same iterations."""
         reference, inc = compile_query(build_while(_WHILE_BODIES[body]()))
         rng = random.Random(17)
         prev = ZSet()

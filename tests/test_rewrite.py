@@ -323,7 +323,8 @@ class TestAlgorithmPipeline:
     def test_join_point_census(self):
         """A project read only off a join is folded into the join: the
         join-point view (filter, join, project, distinct) compiles to 9
-        incremental nodes and no project, while the reference keeps it."""
+        incremental nodes and no project, while the reference keeps it and
+        its join stays a plain join."""
         reference, inc = compile_query(compile_spec(JOIN_POINT_DOC).circuit)
         assert len(inc.nodes) == 9
         assert sorted(inc.census().items()) == [
@@ -336,6 +337,7 @@ class TestAlgorithmPipeline:
             (("trace", ""), 2),
         ]
         assert [n.fn.op_name for n in inc.nodes if n.label == "join"] == ["join+project"]
+        assert [n.fn.op_name for n in reference.nodes if n.label == "join"] == ["join"]
         assert reference.census()[("lifted", "project")] == 1
 
     def test_operators_over_one_input_share_one_integral(self):
@@ -451,9 +453,25 @@ class TestAlgorithmPipeline:
         assert body_joins(inc) == [("IncJoinFn", "join+map")]
         assert body_joins(reference) == [("IncJoinFn", "join")]
 
-    def test_compile_clones_each_nested_body_at_most_three_times(self, monkeypatch):
-        """consolidate_distinct's copy, the reference's brackets and
-        optimize's copy; every rebuild moves the body it owns."""
+    @pytest.mark.parametrize(
+        "build", [lambda: compile_spec(JOIN_POINT_DOC).circuit, lambda: _closure_spec().circuit], ids=["join-point", "closure"]
+    )
+    def test_compile_leaves_its_input_as_it_is(self, build):
+        """compile_query reads its input, and optimize the reference, without
+        changing them: the folds happen in the incremental circuit only."""
+        c = build()
+        before = _shape(c)
+        compile_query(c)
+        assert _shape(c) == before
+        reference = incrementalize_naive(consolidate_distinct(c))
+        before = _shape(reference)
+        optimize(reference)
+        assert _shape(reference) == before
+
+    def test_compile_clones_each_nested_body_at_most_twice(self, monkeypatch):
+        """consolidate_distinct's copy and the reference's brackets;
+        optimize only reads the reference's body, and every rebuild moves
+        the body it owns."""
         circuit = _closure_spec().circuit
         clones = []
         clone = Circuit.clone
@@ -465,7 +483,7 @@ class TestAlgorithmPipeline:
 
         monkeypatch.setattr(Circuit, "clone", counted)
         compile_query(circuit)
-        assert len(clones) <= 3
+        assert len(clones) <= 2
 
     def test_stream_sum_termination_and_cap_survive(self):
         """A custom termination predicate stops the incremental loop at the
@@ -647,6 +665,16 @@ class TestEventStreams:
         assert [n.kind for n in compile_query(c)[1].nodes] == ["source", "nested", "differentiate"]
         rng = random.Random(12)
         self._check(c, [{"x": dict.fromkeys(_WHILE_ROWS[body](rng), 1)} for _ in range(10)])
+
+
+def _shape(c):
+    """c's sinks and nodes, nested bodies included, as comparable values."""
+    nodes = [
+        (n.id, n.kind, n.label, n.inputs, n.depth, n.klass, n.fn, getattr(n.fn, "op_name", None), sorted(n.meta))
+        + ((_shape(n.meta["inner"]),) if n.kind == "nested" else ())
+        for n in c.nodes
+    ]
+    return dict(c.sinks), c.entry_id, c.sum_id, nodes
 
 
 def _set_delta(rng, cur):
