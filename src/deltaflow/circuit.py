@@ -16,23 +16,28 @@ circuit's level; on a stateful operator it picks the clock:
   nested domain and persists across parent ticks.  Only a trace may: it
   keeps one slot per inner tick u (validate() rejects any other state here).
 
-Every stateful node (integrate, delay, differentiate, trace, stream-sum,
-window) keeps its state by one rule.  A node reads its state when it is
-evaluated and latches the next state at the end of the tick, never in
-between.  On its own clock the state sits at key `nid` in the circuit's
-`_state`.  A trace node keeps one trace (zset.Trace) updated in place at
-key `nid`: in slot 0 on its own clock, in the circuit's `_state`; in slot u
-on the parent clock, in the nested domain's parent-clock store, which lives
-in the parent's `_state`.  The domain's accumulated per-iteration change is
-a trace at the stream-sum's id in that store; an own-clock trace may also
-keep a summary per key (zset.SummaryTrace).  A trace node's value is a
-TraceView that only probing operators may read, never a sink, and a trace
-is never lifted past its clock.  Traces latch before the other state, and
-an overflow while latching rolls back the own-clock traces latched before
-it.  A nested domain's parent-clock traces commit with the end-of-tick
-latch of the parent: a parent tick that fails anywhere (a cap hit, an
-overflow, an operator error after the block ran) rolls them back, so the
-store is as it was before the tick.
+Every stateful node (delay, trace, stream-sum, window) keeps its state by
+one rule.  A node reads its state when it is evaluated and latches the next
+state at the end of the tick, never in between.  On its own clock the state
+sits at key `nid` in the circuit's `_state`.  A trace node keeps one trace
+(zset.Trace) updated in place at key `nid`: in slot 0 on its own clock, in
+the circuit's `_state`; in slot u on the parent clock, in the nested
+domain's parent-clock store, which lives in the parent's `_state`.  The
+domain's accumulated per-iteration change is a trace at the stream-sum's id
+in that store; an own-clock trace may also keep a summary per key
+(zset.SummaryTrace).  A trace node's value is a TraceView that only probing
+operators may read, never a sink, and a trace is never lifted past its
+clock.  Traces latch before the other state, and an overflow while latching
+rolls back the own-clock traces latched before it.  A nested domain's
+parent-clock traces commit with the end-of-tick latch of the parent: a
+parent tick that fails anywhere (a cap hit, an overflow, an operator error
+after the block ran) rolls them back, so the store is as it was before the
+tick.
+
+I and D are not node kinds but built from the delay z: I(x) = x + z(I(x)) is
+a plus over x and a feedback delay of itself, and D(x) = x - z(x) a plus
+labelled "minus", which subtracts its last input; negation is a "minus" plus
+of one input.
 
 A node's `meta["event"]`, set when it is added, says that its values are
 per-tick events, which the rewrite leaves raw: a source as declared, a
@@ -66,7 +71,7 @@ counts the inner ticks visited; the cap bounds the highest.
 """
 
 from .errors import CircuitError, DeltaflowError, NonTerminationError, TypeMismatchError, ValidationError
-from .groupval import ZERO, StreamVector, as_vector, as_zset, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
+from .groupval import ZERO, StreamVector, as_vector, as_zset, gv_add, gv_eq, gv_is_zero, gv_sub
 from .zset import SummaryTrace, Trace, TraceView, ZSet
 
 DEFAULT_ITERATION_CAP = 1_000_000
@@ -79,7 +84,7 @@ BOUNDARY = "boundary"
 
 # State kinds with a nesting depth: own or vector (column) clock; a trace
 # runs on its own or the parent clock only.
-_STATEFUL_KINDS = frozenset({"delay", "integrate", "differentiate", "trace"})
+_STATEFUL_KINDS = frozenset({"delay", "trace"})
 # Every kind that keeps state; stream-sums and windows run on their own clock.
 # A window node's fn(state, content, clock) returns (output, next_state).
 STATE_KINDS = _STATEFUL_KINDS | {"stream_sum", "window", "window_fold"}
@@ -203,16 +208,22 @@ class Circuit:
         return self._add("plus", tuple(inputs), klass=LINEAR)
 
     def add_negate(self, x):
-        return self.add_lifted(gv_neg, [x], klass=LINEAR, label="negate")
+        return self._add("plus", (x,), klass=LINEAR, label="minus")
 
     def add_delay(self, x, depth=None):
         return self._add("delay", (x,), depth=depth, klass=DELAY_CLASS)
 
     def add_integrate(self, x, depth=None):
-        return self._add("integrate", (x,), depth=depth, klass=DELAY_CLASS)
+        """I(x) = x + z(I(x)): a plus over x and a feedback delay of itself,
+        which is z(I(x)); returns the plus."""
+        stub = self.add_feedback(depth=depth)
+        nid = self.add_plus([x, stub])
+        self.connect_feedback(nid, stub)
+        return nid
 
     def add_differentiate(self, x, depth=None):
-        return self._add("differentiate", (x,), depth=depth, klass=DELAY_CLASS)
+        """D(x) = x - z(x): a plus that subtracts its last input."""
+        return self._add("plus", (x, self.add_delay(x, depth=depth)), klass=LINEAR, label="minus")
 
     def add_trace(self, x, depth=None, index_key=None, summary=False):
         """A trace of change stream x, grouped by index_key (see
@@ -434,6 +445,9 @@ class Circuit:
         kind, ids = node.kind, node.inputs
         if kind == "lifted":
             return self._lifted_step(node)
+        if kind == "plus" and node.label == "minus":
+            *added, sub = ids
+            return lambda vals, *_: gv_sub(_plus([vals[i] for i in added]), vals[sub])
         if kind == "plus":
             return lambda vals, *_: _plus([vals[i] for i in ids])
         if kind == "source":
@@ -487,8 +501,12 @@ class Circuit:
         kind, nid, src = node.kind, node.id, node.inputs[0]
         if kind == "window" or kind == "window_fold":
             return self._window_step(node)
-        if kind in _STATEFUL_KINDS and node.depth > self.level:
-            return self._vector_step(node)
+        if kind == "delay" and node.depth > self.level:
+            # Lifted past the clock: a shift along the vector axis, stateless;
+            # a feedback stub reads the lifted-feedback passes' value.
+            if node.meta.get("feedback"):
+                return lambda *_: self._stub_vals[nid]
+            return lambda vals, *_: as_vector(vals[src]).shift()
         if kind == "trace":
             return self._trace_step(node, own=node.depth == self.level)
         state = self._state
@@ -500,14 +518,7 @@ class Circuit:
                 latches.append((nid, src, None))
                 return state.get(nid, ZERO)
 
-        elif kind == "differentiate":
-
-            def step(vals, inputs, ctx, latches):
-                x = vals[src]
-                latches.append((nid, None, x))
-                return gv_sub(x, state.get(nid, ZERO))
-
-        else:  # integrate, stream_sum
+        else:  # stream_sum
 
             def step(vals, inputs, ctx, latches):
                 out = gv_add(state.get(nid, ZERO), vals[src])
@@ -554,15 +565,6 @@ class Circuit:
             return TraceView(tr, u, tr.group(change), len(change))
 
         return step
-
-    def _vector_step(self, node):
-        """A state node lifted past the clock acts along the vector axis,
-        statelessly; a feedback stub there reads the fixpoint driver's value."""
-        nid, ids = node.id, node.inputs
-        if node.meta.get("feedback"):
-            return lambda *_: self._stub_vals[nid]
-        op = _VECTOR_OPS[node.kind]
-        return lambda vals, *_: op(as_vector(vals[ids[0]]))
 
     def _run_block(self, node, entry_val):
         inner = node.meta["inner"]
@@ -709,9 +711,6 @@ def _delta0_step(vals, inputs, ctx, latches):
     return ctx.entry if ctx.u == 0 else ZERO
 
 
-_VECTOR_OPS = {"delay": StreamVector.shift, "integrate": StreamVector.prefix_sum, "differentiate": StreamVector.diff}
-
-
 class LiftedVectorFn:
     """Apply a per-tick function independently at every inner-time slot.
 
@@ -742,7 +741,7 @@ def lift_circuit(c):
     """Lift a stream circuit one level: per-tick values become StreamVectors.
 
     Every node's nesting depth goes up by one, so delays become column delays
-    and integrate/differentiate act along the inner axis; the result applies
+    and I and D, built from them, act along the inner axis; the result applies
     the original circuit independently to each row of a nested stream.
     """
     c.validate()

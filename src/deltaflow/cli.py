@@ -12,7 +12,7 @@ import json
 import sys
 
 from .circuit import STATE_KINDS
-from .errors import DeltaflowError
+from .errors import DeltaflowError, ValidationError
 from .runner import RunReport, bench_closure, bench_join, check_verdict, compile_circuits
 from .specfile import load_spec
 from .trace import dump_metrics, dump_transaction, load_trace
@@ -66,6 +66,8 @@ def _open(path, default=None):
 
 
 def _cmd_run(args, mode):
+    if args.max_iterations is not None and args.max_iterations < 1:
+        raise ValidationError(f"--max-iterations must be at least 1, got {args.max_iterations}")
     spec = load_spec(args.spec)
     cs = compile_circuits(spec, mode=mode, max_iterations=args.max_iterations)
     report = RunReport(cs, load_trace(args.trace, spec.relations), mode)

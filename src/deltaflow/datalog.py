@@ -358,9 +358,9 @@ def build_while(q, cap=None):
     it stops changing; the circuit emits the limit.
 
     The body is bracketed as _build_unit's is: the input enters through D
-    then an integrate marked "i" (I(D(x)) = x), and the loop value leaves
-    through a differentiate marked "d", so the incremental rewrite first
-    turns the loop into its semi-naive form, along its own clock."""
+    then an I marked "i" (I(D(x)) = x), and the loop value leaves through
+    a D marked "d", so the incremental rewrite first turns the loop into its
+    semi-naive form, along its own clock."""
     if len(q.sources) != 1 or len(q.sinks) != 1:
         raise CircuitError("while-loop body needs exactly one source and one sink")
     for n in q.nodes:

@@ -71,22 +71,6 @@ class StreamVector:
             return self
         return StreamVector((ZERO,) + self.items[:-1])
 
-    def prefix_sum(self):
-        out = []
-        acc = ZERO
-        for x in self.items:
-            acc = gv_add(acc, x)
-            out.append(acc)
-        return StreamVector(tuple(out))
-
-    def diff(self):
-        out = []
-        prev = ZERO
-        for x in self.items:
-            out.append(gv_sub(x, prev))
-            prev = x
-        return StreamVector(tuple(out))
-
     def prefix(self, n, pad=ZERO):
         return [self[i] if i < len(self.items) else pad for i in range(n)]
 

@@ -659,9 +659,11 @@ def build_inc_aggregate(c: Circuit, d, agg):
 
 def build_inc_distinct(c: Circuit, d, integral=None):
     """Incremental distinct: delta in, delta out.  DistinctDeltaFn's work is
-    O(|delta|); its integral (given, or new) is rebuilt each tick, an O(relation)
-    state update, which a fixpoint body's rewrite swaps for a two-axis trace."""
-    z = c.add_delay(c.add_integrate(d) if integral is None else integral)
+    O(|delta|); it reads z(I d), the feedback delay of d's integral (given,
+    or new), which is rebuilt each tick, an O(relation) state update, and
+    which a fixpoint body's rewrite swaps for a two-axis trace."""
+    integral = c.add_integrate(d) if integral is None else integral
+    z = c.nodes[integral].inputs[1]
     return c.add_lifted(DistinctDeltaFn(), [z, d], klass=GENERAL, label="distinct_delta")
 
 

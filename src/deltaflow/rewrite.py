@@ -6,6 +6,9 @@ The optimizer copies a naively incrementalized circuit node by node
 snapshots.  A node's rule is the first row of an ordered table whose test
 holds: (name, applies, build), commented with the paper's identity (Q^Δ
 the incremental form of Q; I, D, z integration, differentiation, delay).
+I and D are built from z and a plus (Circuit.add_integrate), so they are
+linear nodes to the tables; a bracket's plus stands for its first input,
+and the delay beside it, which nothing reads then, is dropped.
 build adds the node's incremental form, or is None to copy the node, and
 every node it adds, copies included, records name in meta["rule"].  A
 circuit is rebuilt along its own clock by OWN_CLOCK, and a fixpoint body,
@@ -44,10 +47,10 @@ def compile_query(c):
     """Compile a scalar query circuit to (reference, incremental).
 
     Distinct operators are consolidated first, so both circuits share that
-    form.  The reference wraps it in integrate/differentiate brackets and
-    recomputes from snapshots; the incremental circuit pushes the
-    incrementalization through every node, so no full snapshot is rebuilt
-    where a cheaper form exists.
+    form.  The reference wraps it in I and D brackets and recomputes from
+    snapshots; the incremental circuit pushes the incrementalization
+    through every node, so no full snapshot is rebuilt where a cheaper form
+    exists.
     """
     reference = incrementalize_naive(consolidate_distinct(c))
     return reference, optimize(reference)
@@ -59,7 +62,7 @@ def incrementalize_query(c):
 
 
 def incrementalize_naive(c):
-    """Wrap a stream circuit as integrate -> body -> differentiate.
+    """Wrap a stream circuit as I -> body -> D.
 
     The result consumes per-tick deltas and emits per-tick deltas, but the
     body still computes on full snapshots.  Sources and sinks on event-typed
@@ -145,12 +148,13 @@ def loop_incrementalize(inner):
     """Incrementalize a fixpoint body along its own loop clock.
 
     For a naive evaluation body this yields the semi-naive form: the loop
-    carries per-iteration changes instead of growing snapshots.
+    carries per-iteration changes instead of growing snapshots.  The delays
+    of the brackets the walk drops are dropped too, as nothing reads them.
     """
     out = Circuit(level=inner.level, inner=True)
     out.metrics = inner.metrics  # the body counts on its parent's counter
     _delta_compile(inner, out, OWN_CLOCK)
-    return out
+    return _rebuild_topological(out)
 
 
 class _NoRule(CircuitError):
@@ -269,7 +273,7 @@ def _traced_join(w, n, ev):
     return build_inc_join(w.out, a, b, None, None, depth=w.out.level - 1, fn=n.fn.join)
 
 
-# D(I x) = x: an incrementalization bracket stands for its input.
+# D(I x) = x: an incrementalization bracket's plus stands for its input.
 _BRACKET = ("bracket", lambda w, n, ev: n.meta.get("bracket") in ("i", "d"), lambda w, n, ev: w.dmap[n.inputs[0]])
 # Events are per-tick values, not changes: an event-typed node over events
 # only is its own incremental version.
@@ -357,11 +361,13 @@ def _is_distinct(n):
 
 def _positive_nodes(c):
     pos = set()
-    eligible = {"filter", "project", "map", "join", "cartesian", "intersect", "semijoin", "distinct"}
+    eligible = {"filter", "project", "map", "join", "cartesian", "intersect", "semijoin", "distinct", "plus"}
     for n in c.nodes:
         if n.kind in ("nested", "window", "window_fold") or n.kind == "source" and not n.meta["event"]:
             pos.add(n.id)
-        elif (n.kind == "plus" or n.kind == "lifted" and n.label in eligible) and all(i in pos for i in n.inputs):
+        # an operator is named by its label, or its kind when it has none: a
+        # plus by "plus", a plus that subtracts by "minus", never positive
+        elif (n.label or n.kind) in eligible and all(i in pos for i in n.inputs):
             pos.add(n.id)
     return pos
 
@@ -387,8 +393,7 @@ def _consolidate_once(c):
                 n.inputs = (q.inputs[0],)
                 return True
             # absorb: distinct(Q(distinct(x))) -> distinct(Q(x))
-            label = q.label if q.kind == "lifted" else ("plus" if q.kind == "plus" else None)
-            if label in _RULE_ABSORB and _pull_distinct(c, q, pos, cons):
+            if (q.label or q.kind) in _RULE_ABSORB and _pull_distinct(c, q, pos, cons):
                 return True
         # commute: Q(distinct(x)) -> distinct(Q(x)) for filter/join-like Q
         if n.kind == "lifted" and n.label in _RULE_COMMUTE and _pull_distinct(c, n, pos, cons):

@@ -545,8 +545,8 @@ def aggregate_general(f, m):
     """Apply a set function to the underlying set of a positive Z-set.
 
     This is the fallback for aggregates that are not linear (MIN, MAX, ...):
-    they see the whole set, so their incremental form keeps explicit
-    integrate/differentiate brackets.
+    they see the whole set, so their incremental form keeps explicit I and
+    D brackets.
     """
     if not is_positive(m):
         raise ValidationError("set-function aggregation requires a positive Z-set")

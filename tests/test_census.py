@@ -17,37 +17,38 @@ GOLDENS = ROOT / "tests" / "goldens"
 
 # "kind:label" -> count, per golden name or perfbench workload.
 INCREMENTAL_CENSUS = {
-    "aggregates": {"differentiate:": 8, "integrate:": 2, "lifted:aggregate": 19, "source:": 2, "trace:": 11},
+    "aggregates": {"delay:": 10, "lifted:aggregate": 19, "plus:": 2, "plus:minus": 8, "source:": 2, "trace:": 11},
     "batch_join": {
         "lifted:aggregate": 1, "lifted:cartesian": 1, "lifted:join": 3, "lifted:project": 1, "source:": 3,
         "trace:": 9,
     },
     "closure": {
-        "delay:": 2, "delta0:": 1, "integrate:": 1, "lifted:distinct_delta": 2, "lifted:filter": 3,
-        "lifted:join": 1, "lifted:map": 8, "nested:": 1, "plus:": 3, "source:": 1, "stream_sum:": 1,
+        "delay:": 2, "delta0:": 1, "lifted:distinct_delta": 2, "lifted:filter": 3,
+        "lifted:join": 1, "lifted:map": 8, "nested:": 1, "plus:": 4, "source:": 1, "stream_sum:": 1,
         "trace:": 3,
     },
     "filtered_join": {
-        "delay:": 1, "integrate:": 1, "lifted:distinct_delta": 1, "lifted:filter": 2, "lifted:join": 1,
-        "lifted:project": 2, "source:": 2, "trace:": 2,
+        "delay:": 1, "lifted:distinct_delta": 1, "lifted:filter": 2, "lifted:join": 1,
+        "lifted:project": 2, "plus:": 1, "source:": 2, "trace:": 2,
     },
     "streams": {
-        "differentiate:": 1, "lifted:stream_join": 1, "source:": 3, "trace:": 1, "window_fold:window": 1,
+        "delay:": 1, "lifted:stream_join": 1, "plus:minus": 1, "source:": 3, "trace:": 1,
+        "window_fold:window": 1,
     },
     "join-point": {
-        "delay:": 1, "integrate:": 1, "lifted:distinct_delta": 1, "lifted:filter": 1, "lifted:join": 1,
+        "delay:": 1, "lifted:distinct_delta": 1, "lifted:filter": 1, "lifted:join": 1, "plus:": 1,
         "source:": 2, "trace:": 2,
     },
     "join-batch": {
-        "delay:": 1, "integrate:": 1, "lifted:distinct_delta": 1, "lifted:filter": 1, "lifted:join": 1,
+        "delay:": 1, "lifted:distinct_delta": 1, "lifted:filter": 1, "lifted:join": 1, "plus:": 1,
         "source:": 2, "trace:": 2,
     },
     "closure-churn": {
-        "delay:": 2, "delta0:": 1, "integrate:": 1, "lifted:distinct_delta": 2, "lifted:filter": 3,
-        "lifted:join": 1, "lifted:map": 6, "nested:": 1, "plus:": 3, "source:": 1, "stream_sum:": 1,
+        "delay:": 2, "delta0:": 1, "lifted:distinct_delta": 2, "lifted:filter": 3,
+        "lifted:join": 1, "lifted:map": 6, "nested:": 1, "plus:": 4, "source:": 1, "stream_sum:": 1,
         "trace:": 3,
     },
-    "agg-groups": {"differentiate:": 1, "integrate:": 1, "lifted:aggregate": 2, "source:": 1, "trace:": 1},
+    "agg-groups": {"delay:": 2, "lifted:aggregate": 2, "plus:": 1, "plus:minus": 1, "source:": 1, "trace:": 1},
 }
 
 

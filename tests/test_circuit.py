@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import zsets
-from deltaflow import Circuit, CircuitError, NonTerminationError, ValidationError, ZSet
+from conftest import row_elements, zsets
+from deltaflow import Circuit, CircuitError, NonTerminationError, StreamVector, ValidationError, ZSet, lift_circuit
 from deltaflow.circuit import LINEAR
 from deltaflow.groupval import ZERO, gv_eq, gv_is_zero
 from deltaflow.relational import DistinctDeltaFn, FilterFn, IncJoinFn, MapFn
@@ -321,6 +321,20 @@ def _scale(k):
     return fn
 
 
+# Z-sets with deletions and weights up to 3
+_small_weight_zsets = st.dictionaries(row_elements, st.integers(-3, 3).filter(bool), max_size=4).map(ZSet)
+
+
+def _identities(depth=None):
+    """Sinks D(I s), I(D s) and I(s), on the clock depth picks."""
+    c = Circuit()
+    s = c.add_source("s", sort="any")
+    c.add_sink(c.add_differentiate(c.add_integrate(s, depth), depth), "di")
+    c.add_sink(c.add_integrate(c.add_differentiate(s, depth), depth), "id")
+    c.add_sink(c.add_integrate(s, depth), "i")
+    return c
+
+
 class TestStreamProperties:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(zsets, min_size=1, max_size=12))
@@ -358,6 +372,24 @@ class TestStreamProperties:
         b = run_unary(lambda c, s: c.add_integrate(c.add_delay(s)), merged)
         for i in range(cut):
             assert gv_eq(a[i], b[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(_small_weight_zsets, min_size=1, max_size=6), min_size=1, max_size=3))
+    def test_integrate_and_differentiate_identities_on_every_clock(self, rows):
+        """D(I x) = x, I(D x) = x and I(x)[t] = x[0] + ... + x[t], with I and
+        D built from delays and plus nodes: along the own clock (the rows'
+        ticks in turn), along the vector clock (each row one tick's vector)
+        and through lift_circuit."""
+        xs = [x for row in rows for x in row]
+        c = _identities()
+        for t, x in enumerate(xs):
+            out = c.step({"s": x})
+            assert (as_z(out["di"]), as_z(out["id"]), as_z(out["i"])) == (x, x, sum(xs[: t + 1], ZSet())), t
+        for c in (_identities(depth=1), lift_circuit(_identities())):
+            for row in rows:
+                out = c.step({"s": StreamVector(row)})
+                prefix = StreamVector([sum(row[: u + 1], ZSet()) for u in range(len(row))])
+                assert (out["di"], out["id"], out["i"]) == (StreamVector(row), StreamVector(row), prefix)
 
     def test_matches_list_oracle(self):
         rng = random.Random(4)

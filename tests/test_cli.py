@@ -343,9 +343,9 @@ class TestCompareVerdict:
         assert report.verdict == {"equal": True}
 
     def test_except_view_is_equal(self, tmp_path):
-        """An except view's negate is a LINEAR lifted node, so the rewrite
-        keeps it as it is; its outputs equal the reference's on a trace with
-        deletions and weights above 1."""
+        """An except view's negate is a plus that subtracts its input, a
+        LINEAR node, so the rewrite keeps it as it is; its outputs equal the
+        reference's on a trace with deletions and weights above 1."""
         rel = lambda name: {"op": "rel", "name": name}  # noqa: E731
         doc = {
             "relations": [{"name": "a", "columns": ["x"]}, {"name": "b", "columns": ["x"]}],
@@ -354,9 +354,9 @@ class TestCompareVerdict:
         spec = compile_spec(doc)
         cs = compile_circuits(spec, mode="compare")
         for c in (spec.circuit, cs.incremental):
-            negates = [n for n in c.nodes if n.label == "negate"]
-            assert [(n.kind, n.klass) for n in negates] == [("lifted", "linear")]
-        assert not any(n.kind == "negate" for n in cs.reference.nodes)
+            negates = [n for n in c.nodes if n.label == "minus"]
+            assert [(n.kind, n.klass, len(n.inputs)) for n in negates] == [("plus", "linear", 1)]
+        assert not any(n.kind == "negate" or n.label == "negate" for n in cs.reference.nodes)
         tp = write(
             tmp_path,
             "t.ndjson",
@@ -486,6 +486,18 @@ class TestExitCodes:
              "--max-iterations", "2", "--out", str(tmp_path / "o")]
         )
         assert rc == 4
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_max_iterations_below_one_is_2(self, command, cap, tmp_path, capsys):
+        out = tmp_path / "o"
+        rc = main(
+            [command, "--spec", str(GOLDENS / "closure.spec.json"), "--trace", str(GOLDENS / "closure.trace.ndjson"),
+             "--max-iterations", cap, "--out", str(out)]
+        )
+        assert rc == 2
+        assert "--max-iterations" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_overflow_is_5(self, tmp_path):
         spec = {
@@ -937,8 +949,8 @@ class TestExplain:
 
     CLOSURE = """\
     0 source E depth=0 rule=linear
-    1 integrate depth=0 rule=distinct state
-    2 delay depth=0 rule=distinct state
+    1 delay depth=0 rule=distinct state
+    2 plus depth=0 rule=distinct
     3 lifted distinct_delta depth=0 rule=distinct
     4 lifted map depth=0 rule=linear
     5 plus depth=0 rule=linear
@@ -978,36 +990,46 @@ class TestExplain:
     9 lifted aggregate depth=0 rule=linear aggregate view=t_avg_i
     10 trace depth=0 rule=linear aggregate state
     11 lifted aggregate depth=0 rule=linear aggregate view=t_avg_f
-    12 integrate depth=0 rule=general state
-    13 lifted aggregate depth=0 rule=general
-    14 differentiate depth=0 rule=general state view=t_min_i
-    15 lifted aggregate depth=0 rule=general
-    16 differentiate depth=0 rule=general state view=t_max_i
+    12 delay depth=0 rule=general state
+    13 plus depth=0 rule=general
+    14 lifted aggregate depth=0 rule=general
+    15 delay depth=0 rule=general state
+    16 plus minus depth=0 rule=general view=t_min_i
     17 lifted aggregate depth=0 rule=general
-    18 differentiate depth=0 rule=general state view=t_min_f
-    19 lifted aggregate depth=0 rule=general
-    20 differentiate depth=0 rule=general state view=t_max_f
-    21 lifted aggregate depth=0 rule=general
-    22 differentiate depth=0 rule=general state view=t_min_s
+    18 delay depth=0 rule=general state
+    19 plus minus depth=0 rule=general view=t_max_i
+    20 lifted aggregate depth=0 rule=general
+    21 delay depth=0 rule=general state
+    22 plus minus depth=0 rule=general view=t_min_f
     23 lifted aggregate depth=0 rule=general
-    24 differentiate depth=0 rule=general state view=t_max_s
-    25 trace depth=0 rule=linear aggregate state
-    26 lifted aggregate depth=0 rule=linear aggregate view=t_sum_gs
-    27 trace depth=0 rule=linear aggregate state
-    28 lifted aggregate depth=0 rule=linear aggregate view=u_count
-    29 trace depth=0 rule=linear aggregate state
-    30 lifted aggregate depth=0 rule=linear aggregate view=u_sum
-    31 trace depth=0 rule=linear aggregate state
-    32 lifted aggregate depth=0 rule=linear aggregate view=u_sum_f
-    33 integrate depth=0 rule=general state
-    34 lifted aggregate depth=0 rule=general
-    35 differentiate depth=0 rule=general state view=u_min
-    36 lifted aggregate depth=0 rule=general
-    37 differentiate depth=0 rule=general state view=u_max_s
+    24 delay depth=0 rule=general state
+    25 plus minus depth=0 rule=general view=t_max_f
+    26 lifted aggregate depth=0 rule=general
+    27 delay depth=0 rule=general state
+    28 plus minus depth=0 rule=general view=t_min_s
+    29 lifted aggregate depth=0 rule=general
+    30 delay depth=0 rule=general state
+    31 plus minus depth=0 rule=general view=t_max_s
+    32 trace depth=0 rule=linear aggregate state
+    33 lifted aggregate depth=0 rule=linear aggregate view=t_sum_gs
+    34 trace depth=0 rule=linear aggregate state
+    35 lifted aggregate depth=0 rule=linear aggregate view=u_count
+    36 trace depth=0 rule=linear aggregate state
+    37 lifted aggregate depth=0 rule=linear aggregate view=u_sum
     38 trace depth=0 rule=linear aggregate state
-    39 lifted aggregate depth=0 rule=linear aggregate view=u_avg
-    40 trace depth=0 rule=linear aggregate state
-    41 lifted aggregate depth=0 rule=linear aggregate view=u_avg_f
+    39 lifted aggregate depth=0 rule=linear aggregate view=u_sum_f
+    40 delay depth=0 rule=general state
+    41 plus depth=0 rule=general
+    42 lifted aggregate depth=0 rule=general
+    43 delay depth=0 rule=general state
+    44 plus minus depth=0 rule=general view=u_min
+    45 lifted aggregate depth=0 rule=general
+    46 delay depth=0 rule=general state
+    47 plus minus depth=0 rule=general view=u_max_s
+    48 trace depth=0 rule=linear aggregate state
+    49 lifted aggregate depth=0 rule=linear aggregate view=u_avg
+    50 trace depth=0 rule=linear aggregate state
+    51 lifted aggregate depth=0 rule=linear aggregate view=u_avg_f
 """
 
     @pytest.mark.parametrize("golden", ["closure", "aggregates"])

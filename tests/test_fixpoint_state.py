@@ -7,6 +7,7 @@ import random
 
 import pytest
 from deltaflow import Circuit, CircuitError, NonTerminationError, RunReport, TypeMismatchError, ValidationError, ZSet
+from deltaflow.circuit import STATE_KINDS
 from deltaflow.datalog import build_while
 from deltaflow.errors import WeightOverflowError
 from deltaflow.expr import BinOp, Col, Const, KeyFunc, MapFunc
@@ -34,6 +35,7 @@ from deltaflow.zset import SummaryTrace, Trace
 from oracles import as_z
 from test_census import _spec_docs
 from test_datalog import _WHILE_BODIES
+from test_rule_table import runs_whole
 
 
 def _set_cap(circuit, cap):
@@ -250,7 +252,7 @@ class TestRunLength:
 
     def test_nested_state_is_traces_only(self):
         """Nested joins and distinct keep their state in two-axis traces:
-        no integrate, delay or differentiate runs on the parent clock."""
+        no delay runs on the parent clock."""
         c = compile_circuits(compile_spec(RUN_LENGTH_DOC), "incremental").incremental
         parent = [_parent_clock_state(inner) for inner in _bodies(c)]
         assert all({n.kind for n in nodes} == {"trace"} for nodes in parent)
@@ -274,8 +276,7 @@ class TestRunLength:
         c = incrementalize_query(build_while(_WHILE_BODIES[body]()))
         for inner in _bodies(c):
             assert {n.kind for n in _parent_clock_state(inner)} <= {"trace"}
-        whole = [n.kind for n in c.nodes] == ["source", "integrate", "nested", "differentiate"]
-        assert whole == any(n.kind == "lifted" and n.label == "aggregate" for n in _WHILE_BODIES[body]().nodes)
+        assert runs_whole(c) == any(n.kind == "lifted" and n.label == "aggregate" for n in _WHILE_BODIES[body]().nodes)
 
     @pytest.mark.parametrize("body", ["grouped_count", "grouped_min", "joined_count", "min"])
     def test_whole_loops_do_the_work_of_the_reference(self, body):
@@ -322,8 +323,7 @@ def _bodies(c):
 
 
 def _parent_clock_state(inner):
-    state = ("integrate", "delay", "differentiate", "trace")
-    return [n for n in inner.nodes if n.kind in state and n.depth == inner.level - 1]
+    return [n for n in inner.nodes if n.kind in STATE_KINDS and n.depth == inner.level - 1]
 
 
 class TestTrace:
@@ -451,6 +451,32 @@ class TestOwnClockTraces:
         # the filter compares a string with 0 in the joined row of key 4
         ticks = JOIN_TICKS[:2] + [{"a": ZSet({(4, "s"): 1, (5, 1): 1}), "b": ZSet({(4, 1): 1})}] + JOIN_TICKS[2:]
         self._fail_then_match_fresh(_joined(), ticks, 2, TypeMismatchError)
+
+    def test_general_rule_error_leaves_every_integral_then_restep_matches(self):
+        """MAX takes the general rule, D(max(I t)).  A tick at which the MAX
+        compares a str with an int fails; every integral's feedback delay,
+        z(I t), keeps what it held, and the next ticks match a fresh circuit
+        fed only the good ticks."""
+        q = Circuit()
+        q.add_sink(build_aggregate(q, q.add_source("t"), "max", 1, [0]), "m")
+        c, fresh = incrementalize_query(q), incrementalize_query(q)
+        assert {n.meta["rule"] for n in c.nodes if n.kind != "source"} == {"general"}
+        stubs = [n.id for n in c.nodes if n.meta.get("feedback")]
+        good = [
+            {"t": ZSet({(1, 5): 1, (2, 3): 2})},
+            {"t": ZSet({(1, 7): 1, (2, 3): -1})},
+            {"t": ZSet({(1, 5): -1, (2, 9): 3})},
+            {"t": ZSet({(2, 3): -1, (1, 2): 1})},
+        ]
+        for inputs in good[:2]:
+            c.step(inputs)
+            fresh.step(inputs)
+        held = {nid: c._state[nid] for nid in stubs}
+        with pytest.raises(TypeMismatchError, match="MAX"):
+            c.step({"t": ZSet({(1, "x"): 1, (2, 4): 1})})
+        assert stubs and all(c._state[nid] is held[nid] for nid in stubs)
+        for t, inputs in enumerate(good[2:]):
+            assert as_z(c.step(inputs)["m"]) == as_z(fresh.step(inputs)["m"]), t
 
     def test_overflow_while_latching_rolls_back_the_traces_latched_before(self):
         # a's trace latches, then b's overflows: a's is rolled back and the

@@ -18,6 +18,7 @@ from deltaflow import (
     optimize,
     incrementalize_query,
 )
+from deltaflow.circuit import STATE_KINDS
 from deltaflow.expr import BinOp, Col, Const, KeyFunc, MapFunc
 from deltaflow.datalog import build_while
 from deltaflow.relational import (
@@ -39,6 +40,7 @@ from deltaflow.rewrite import differential_check
 from deltaflow.runner import _closure_spec
 from deltaflow.specfile import compile_spec
 from oracles import as_z, brute_incremental
+from test_rule_table import runs_whole
 
 
 def rand_zset(rng, keys=4, vals=4, size=3, arity=2):
@@ -106,7 +108,7 @@ class TestNaiveIncrementalization:
 
 class TestCalculusRules:
     def test_invariance_of_delay_like(self):
-        # Q^d == Q for plus, negate, delay, integrate, differentiate
+        # Q^d == Q for plus, negate, delay, and I and D built from them
         def build(c):
             a = c.add_source("a")
             b = c.add_source("b")
@@ -190,7 +192,7 @@ class TestCalculusRules:
         # loop shape preserved: exactly one feedback stub, no brackets
         stubs = [n for n in inc.nodes if n.meta.get("feedback")]
         assert len(stubs) == 1
-        assert not any(n.kind in ("integrate", "differentiate") for n in inc.nodes)
+        assert {n.meta["rule"] for n in inc.nodes} == {"linear"}
 
 
 class TestOptimize:
@@ -200,7 +202,7 @@ class TestOptimize:
         p = build_projection(c, build_filter(c, s, lambda r: r[0] > 0), [0])
         c.add_sink(p, "o")
         inc = optimize(incrementalize_naive(c))
-        assert not any(n.kind in ("integrate", "differentiate") for n in inc.nodes)
+        assert not any(n.kind in STATE_KINDS or n.label == "minus" for n in inc.nodes)
         assert_equivalent(inc, c, ["s"])
 
     def test_no_integral_feeds_a_derivative(self):
@@ -208,8 +210,8 @@ class TestOptimize:
         for build in (_fig_query, _union_query, _mixed_query):
             inc = incrementalize_query(build())
             for n in inc.nodes:
-                if n.kind == "differentiate":
-                    assert inc.nodes[n.inputs[0]].kind != "integrate"
+                if n.label == "minus" and len(n.inputs) == 2:  # D(x) = x - z(x)
+                    assert not _is_integral(inc, n.inputs[0])
 
     def test_bilinear_expansion_equivalence(self):
         c = _join_only()
@@ -234,8 +236,9 @@ class TestOptimize:
         s = c.add_source("s")
         c.add_sink(build_aggregate(c, s, "min", column=0), "o")
         inc = optimize(incrementalize_naive(c))
-        kinds = [n.kind for n in inc.nodes]
-        assert "integrate" in kinds and "differentiate" in kinds
+        # D(min(I(s))): I's feedback delay and plus, min, D's delay and minus
+        general = [(n.kind, n.label) for n in inc.nodes if n.meta["rule"] == "general"]
+        assert general == [("delay", ""), ("plus", ""), ("lifted", "aggregate"), ("delay", ""), ("plus", "minus")]
         naive = incrementalize_naive(c)
         # min needs positive inputs: drive with insert-only traces
         rng = random.Random(2)
@@ -313,7 +316,7 @@ class TestAlgorithmPipeline:
     def test_fig_census(self):
         inc = incrementalize_query(_fig_query())
         cen = inc.census()
-        integrals = sum(v for (k, _), v in cen.items() if k == "integrate")
+        integrals = sum(1 for n in inc.nodes if _is_integral(inc, n.id))
         traces = sum(v for (k, _), v in cen.items() if k == "trace")
         joins = sum(v for (_, l), v in cen.items() if l == "join")
         hs = sum(v for (_, l), v in cen.items() if l == "distinct_delta")
@@ -329,10 +332,10 @@ class TestAlgorithmPipeline:
         assert len(inc.nodes) == 9
         assert sorted(inc.census().items()) == [
             (("delay", ""), 1),
-            (("integrate", ""), 1),
             (("lifted", "distinct_delta"), 1),
             (("lifted", "filter"), 1),
             (("lifted", "join"), 1),
+            (("plus", ""), 1),
             (("source", ""), 2),
             (("trace", ""), 2),
         ]
@@ -358,7 +361,7 @@ class TestAlgorithmPipeline:
         }
         scalar = compile_spec(doc).circuit
         inc = compile_query(scalar)[1]
-        assert inc.census()[("integrate", "")] == 2
+        assert sum(1 for n in inc.nodes if _is_integral(inc, n.id)) == 2
         assert inc.census()[("trace", "")] == 2
         rng, live, ticks = random.Random(3), {}, []
         for _ in range(30):  # insert a row, with weight 1 or 2, or delete one
@@ -387,7 +390,7 @@ class TestAlgorithmPipeline:
                 kinds = {n.kind for n in inc.nodes}
                 linear = kind in ("count", "sum", "avg")
                 assert ("trace" in kinds) == linear, (kind, group)
-                assert ("integrate" in kinds and "differentiate" in kinds) != linear, (kind, group)
+                assert ("general" in {n.meta["rule"] for n in inc.nodes}) != linear, (kind, group)
                 for t, d in enumerate(ticks):
                     got, want = as_z(inc.step({"s": d})["o"]), as_z(reference.step({"s": d})["o"])
                     assert got == want, (kind, group, t)
@@ -395,7 +398,7 @@ class TestAlgorithmPipeline:
                         assert got == (ZSet({(0,): 1}) if group is None and kind in ("count", "sum") else ZSet())
 
         reference, inc = compiled("sum", [0], event=True)
-        assert {"differentiate"} <= {n.kind for n in inc.nodes} and ("trace", "") not in inc.census()
+        assert "general" in {n.meta["rule"] for n in inc.nodes} and ("trace", "") not in inc.census()
         for d in ticks[1:]:
             assert as_z(inc.step({"s": d})["o"]) == as_z(reference.step({"s": d})["o"])
 
@@ -406,13 +409,13 @@ class TestAlgorithmPipeline:
         x = q.add_source("x")
         q.add_sink(build_union(q, x, build_aggregate(q, x, "sum", 0, [0])), "x")
         reference, inc = compile_query(build_while(q))
-        assert [n.kind for n in inc.nodes] == ["source", "integrate", "nested", "differentiate"]
+        assert runs_whole(inc)
         body, ref_body = (next(n.meta["inner"] for n in c.nodes if n.kind == "nested") for c in (inc, reference))
         shape = lambda c: [(n.kind, n.label, n.inputs, n.depth) for n in c.nodes]
         assert shape(body) == shape(ref_body)
         (agg,) = [n for n in body.nodes if n.label == "aggregate"]
         assert type(agg.fn) is AggregateFn and body.nodes[agg.inputs[0]].kind == "plus"
-        assert not any(n.inputs == (agg.id,) for n in body.nodes if n.kind == "differentiate")
+        assert not any(n.label == "minus" and agg.id in n.inputs for n in body.nodes)
 
     @pytest.mark.parametrize(
         "kind, group, ticks",
@@ -529,9 +532,10 @@ class TestAlgorithmPipeline:
 
     def test_union_query_only_stateful_nodes_are_the_distinct_state(self):
         inc = incrementalize_query(_union_query())
-        stateful = [n for n in inc.nodes if n.kind in ("integrate", "delay", "differentiate")]
-        assert len(stateful) == 2  # the H block's integral and its delay
-        assert {n.kind for n in stateful} == {"integrate", "delay"}
+        stateful = [n for n in inc.nodes if n.kind in STATE_KINDS]
+        # the H block's z(I x): the feedback delay of its integral
+        assert [n.meta.get("feedback") for n in stateful] == [True]
+        assert _is_integral(inc, stateful[0].inputs[0])
         assert sum(1 for n in inc.nodes if n.label == "distinct_delta") == 1
 
     def test_end_to_end_matches_reference(self):
@@ -662,9 +666,17 @@ class TestEventStreams:
 
         c = build_while(_WHILE_BODIES[body]())
         c.nodes[c.sources["x"]].meta["event"] = True
-        assert [n.kind for n in compile_query(c)[1].nodes] == ["source", "nested", "differentiate"]
+        inc = compile_query(c)[1]
+        assert runs_whole(inc) and not any(_is_integral(inc, n.id) for n in inc.nodes)
         rng = random.Random(12)
         self._check(c, [{"x": dict.fromkeys(_WHILE_ROWS[body](rng), 1)} for _ in range(10)])
+
+
+def _is_integral(c, nid):
+    """Whether node nid of c is an integral I(x) = x + z(I(x)): a plus that
+    reads a feedback delay of itself."""
+    n = c.nodes[nid]
+    return n.kind == "plus" and any(c.nodes[i].meta.get("feedback") and c.nodes[i].inputs == (nid,) for i in n.inputs)
 
 
 def _shape(c):

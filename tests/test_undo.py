@@ -16,6 +16,7 @@ import random
 
 import pytest
 from deltaflow import ZSet
+from deltaflow.circuit import STATE_KINDS
 from deltaflow.runner import compile_circuits
 from deltaflow.specfile import compile_spec
 from oracles import as_z
@@ -98,10 +99,11 @@ def _cost(c, inputs):
 
 
 def _window_nodes(c):
-    """The windows' state nodes and the differentiate of each window's
-    output, which latches the window's content."""
-    folds = {n.id for n in c.nodes if n.kind == "window_fold"}
-    return folds, {n.id for n in c.nodes if n.kind == "differentiate" and set(n.inputs) <= folds}
+    """The state nodes of the window rule: each window's fold, and the
+    delay of its output's D, which latches the window's content."""
+    state = {n.id for n in c.nodes if n.meta["rule"] == "window" and n.kind in STATE_KINDS}
+    folds = {nid for nid in state if c.nodes[nid].kind == "window_fold"}
+    return folds, state - folds
 
 
 @pytest.mark.parametrize("name", sorted(_spec_docs()))
