@@ -16,33 +16,30 @@ circuit's level; on a stateful operator it picks the clock:
   nested domain and persists across parent ticks.  Only a trace may: it
   keeps one slot per inner tick u (validate() rejects any other state here).
 
-Every stateful node (delay, trace, stream-sum, window) keeps its state by
-one rule.  A node reads its state when it is evaluated and latches the next
-state at the end of the tick, never in between.  On its own clock the state
-sits at key `nid` in the circuit's `_state`.  A trace node keeps one trace
-(zset.Trace) updated in place at key `nid`: in slot 0 on its own clock, in
-the circuit's `_state`; in slot u on the parent clock, in the nested
-domain's parent-clock store, which lives in the parent's `_state`.  The
-domain's accumulated per-iteration change is a trace at the stream-sum's id
-in that store; an own-clock trace may also keep a summary per key
-(zset.SummaryTrace).  A trace node's value is a TraceView that only probing
-operators may read, never a sink, and a trace is never lifted past its
-clock.  Traces latch before the other state, and an overflow while latching
-rolls back the own-clock traces latched before it.  A nested domain's
-parent-clock traces commit with the end-of-tick latch of the parent: a
-parent tick that fails anywhere (a cap hit, an overflow, an operator error
-after the block ran) rolls them back, so the store is as it was before the
-tick.
+State lives only in delays and traces, and latches at the end of the
+tick, traces first.  A delay emits the value its input had at the end of
+the last tick, kept at key `nid` in its circuit's `_state`.  A trace node
+keeps one trace (zset.Trace; a SummaryTrace also keeps a summary per key)
+updated in place at key `nid`: in slot 0 on its own clock, in the
+circuit's `_state`; in slot u on the parent clock, in the nested domain's
+parent-clock store, which lives in the parent's `_state`.  Its value is a
+TraceView that only probing operators may read, never a sink, and a trace
+is never lifted past its clock.  An overflow while latching rolls back the
+own-clock traces latched before it, and a parent tick that fails anywhere
+(a cap hit, an overflow, an operator error after a block ran) rolls back
+its domains' parent-clock traces, which otherwise commit with it.
 
-I and D are not node kinds but built from the delay z: I(x) = x + z(I(x)) is
-a plus over x and a feedback delay of itself, and D(x) = x - z(x) a plus
-labelled "minus", which subtracts its last input; negation is a "minus" plus
-of one input.
+Every other stateful operator is built from the delay z.  I(x) = x + z(I(x))
+is a plus over x and a feedback delay of itself, D(x) = x - z(x) a plus
+labelled "minus", which subtracts its last input, and negation a "minus"
+plus of one input.  A nested domain's exit is I along its inner clock, and
+a window (relational.build_window) keeps its content and its clock in
+feedback delays.
 
 A node's `meta["event"]`, set when it is added, says that its values are
 per-tick events, which the rewrite leaves raw: a source as declared, a
-LINEAR node whose inputs all are, a BILINEAR node with any input that is;
-never a GENERAL operator, a state node, a window or a trace.
+LINEAR node whose inputs all are, a BILINEAR node with any input that is, a
+window's clock; never another GENERAL operator, a state node or a trace.
 
 validate() compiles the circuit, nested bodies included, to a step program:
 one callable per node that binds the node's inputs, fn, label, metrics and
@@ -53,21 +50,30 @@ connected.  A step skips an operator whose change is zero, as linearity
 allows (f(0) = 0): a LINEAR node (a LINEAR lifted fn or plus) whose
 inputs are all zero, and an operator with `rows_in` whose `rows_in` is 0,
 yield ZERO without calling fn.  Every other operator runs, so an empty
-COUNT still emits (0,).  A skipped node scans and emits no rows, so the
-`tuples` metric is the same as if it had run.
+COUNT still emits (0,).
+
+`tuples` counts every row a step reads, writes or copies: an operator's
+rows scanned and emitted (_lifted_step), a trace's change, and each table a
+plus clones: the larger operand of a Z-set sum (zset._merged's base), the
+left one of a difference, or the one a negation copies.  So I, D, the exit
+and the window are counted; a delay only passes its value on.  A skipped
+node scans and emits no rows, as if it had run.
 
 Nested clock domains are bracketed by a single delta0 entry and a single
-stream-sum exit.  Each parent tick runs the inner clock until the sum node's
-input hits the termination predicate (default: the group zero), visiting at
-least u = 0 and every u at which a parent-clock trace of the domain holds a
-slot from earlier ticks, where corrections are owed.  Above those no earlier
+exit (add_stream_sum), whose plus carries the termination predicate and the
+iteration cap and whose delay each block run clears.  Each parent tick runs
+the inner clock until the exit's first input, the iteration's change, hits
+the termination predicate (default: the group zero), visiting at least
+u = 0 and every u at which a parent-clock trace of the domain holds a slot
+from earlier ticks, where corrections are owed.  Above those no earlier
 tick left state, so every probing term that pairs this tick's changes or
 logs with an earlier slot (IncJoinFn's (L_a, B_u) and (A_u, L_b),
 DistinctDeltaFn's R[u] lookups) is zero, and the run stops as a fresh run
 would.  Traces drop empty slots, so a run follows the state, not the length
 of earlier runs.  The predicate sees iteration u's accumulated change (a
-trace at the stream-sum's id), as the reference's run does.  `iterations`
-counts the inner ticks visited; the cap bounds the highest.
+trace at the exit's id in the parent-clock store), as the reference's run
+does.  `iterations` counts the inner ticks visited; the cap bounds the
+highest.
 """
 
 from .errors import CircuitError, DeltaflowError, NonTerminationError, TypeMismatchError, ValidationError
@@ -80,14 +86,10 @@ LINEAR = "linear"
 BILINEAR = "bilinear"
 GENERAL = "general"
 DELAY_CLASS = "delay"
-BOUNDARY = "boundary"
 
-# State kinds with a nesting depth: own or vector (column) clock; a trace
-# runs on its own or the parent clock only.
-_STATEFUL_KINDS = frozenset({"delay", "trace"})
-# Every kind that keeps state; stream-sums and windows run on their own clock.
-# A window node's fn(state, content, clock) returns (output, next_state).
-STATE_KINDS = _STATEFUL_KINDS | {"stream_sum", "window", "window_fold"}
+# The kinds that keep state: a delay runs on its own or the vector (column)
+# clock, a trace on its own or the parent clock.
+STATE_KINDS = frozenset({"delay", "trace"})
 
 
 class Metrics:
@@ -153,9 +155,9 @@ class Circuit:
         self._state = {}
         self._validated = False
         # Set by validate(): feedback stubs on the vector clock, the traces
-        # (all, and those on the own clock), and the step program, one
-        # callable per node (see _compile_step).
-        self._vector_stubs = ()
+        # (all, and those on the own clock), the own-clock delays as (id,
+        # input), and the step program, one callable per node.
+        self._vector_stubs = self._delays = ()
         self._traces = self._own_traces = ()
         self._program = ()
         # The nested domains run in the current tick, committed or rolled
@@ -261,22 +263,19 @@ class Circuit:
             raise CircuitError("delta0 is only valid on a nested-domain boundary")
         if self.entry_id is not None:
             raise CircuitError("nested domain already has a delta0 entry")
-        nid = self._add("delta0", (), klass=BOUNDARY)
+        nid = self._add("delta0", (), klass=LINEAR)
         self.entry_id = nid
         return nid
 
     def add_stream_sum(self, x, termination=None, max_iterations=None):
+        """The domain's exit, I(x) along the inner clock: its plus carries
+        the termination predicate and the iteration cap in its meta."""
         if not self.is_inner:
             raise CircuitError("stream-sum is only valid on a nested-domain boundary")
         if self.sum_id is not None:
             raise CircuitError("nested domain already has a stream-sum exit")
-        nid = self._add(
-            "stream_sum",
-            (x,),
-            klass=BOUNDARY,
-            meta={"termination": termination, "cap": max_iterations},
-        )
-        self.sum_id = nid
+        nid = self.sum_id = self.add_integrate(x)
+        self.nodes[nid].meta.update(termination=termination, cap=max_iterations)
         return nid
 
     def add_nested(self, x, inner=None):
@@ -297,9 +296,6 @@ class Circuit:
 
     # -- introspection ---------------------------------------------------------
 
-    def node(self, nid):
-        return self.nodes[nid]
-
     def census(self):
         """Counter over (kind, label) incl. nested bodies; used by shape tests."""
         from collections import Counter
@@ -316,7 +312,7 @@ class Circuit:
             return
         nodes = self.nodes
         for n in nodes:
-            if n.kind in _STATEFUL_KINDS:
+            if n.kind in STATE_KINDS:
                 eff = n.depth - self.level
                 if n.meta.get("feedback") and not n.inputs:
                     raise CircuitError(f"feedback stub {n.id} left unconnected")
@@ -331,7 +327,7 @@ class Circuit:
             if n.kind == "nested":
                 inner = n.meta["inner"]
                 if inner.entry_id is None or inner.sum_id is None:
-                    raise CircuitError("nested domain needs exactly one delta0 entry and one stream-sum exit")
+                    raise CircuitError("nested domain needs exactly one delta0 entry and one exit")
                 inner.validate()
             # A trace is state updated in place: only operators that probe it
             # may read it, so it never reaches a sink or another value.
@@ -348,6 +344,7 @@ class Circuit:
         ]
         self._traces = [n.id for n in nodes if n.kind == "trace"]
         self._own_traces = [nid for nid in self._traces if nodes[nid].depth == self.level]
+        self._delays = [(n.id, n.inputs[0]) for n in nodes if n.kind == "delay" and n.depth == self.level]
         self._program = [self._compile_step(n) for n in nodes]
         self._validated = True
 
@@ -372,22 +369,15 @@ class Circuit:
         vals = self._eval_tick(inputs, ctx=None)
         return {name: vals[nid] for name, nid in self.sinks.items()}
 
-    def run(self, ticks):
-        """Feed a list of input dicts, returning the list of output dicts."""
-        return [self.step(t) for t in ticks]
-
     def _eval_tick(self, inputs, ctx):
-        # State changes are deferred to the end of the tick: delays must not
-        # see their own new input, and the lifted-feedback fixpoint re-runs
-        # the pass without committing anything.  Traces latch first: one that
-        # overflows takes its rows back and raises.  A tick that raises rolls
-        # back the own-clock traces latched before (parent-clock ones go with
-        # the parent tick) and the nested domains it ran; otherwise those
-        # commit.  A latch, which cannot fail, then stores at key the value of
-        # node src at the end of the tick, or the given value when src is None.
+        # State latches at the end of the tick (see the module docstring):
+        # delays must not see their own new input, and the lifted-feedback
+        # fixpoint re-runs the pass without committing anything.  A trace
+        # that overflows takes its rows back and raises; the delays, which
+        # cannot fail, latch last.
         blocks = self._blocks_run = []
         try:
-            vals, latches = self._solve(inputs, ctx)
+            vals = self._solve(inputs, ctx)
             for nid in self._traces:
                 view = vals[nid]
                 view.trace[view.u] = view.rows
@@ -403,61 +393,62 @@ class Circuit:
             self._state[nid].commit()
         for block in blocks:
             block.commit()
-        state = self._state
-        for key, src, value in latches:
-            state[key] = value if src is None else vals[src]
+        for nid, src in self._delays:
+            self._state[nid] = vals[src]
         return vals
 
     def _solve(self, inputs, ctx):
-        """The tick's values and latches: one pass, or with lifted feedback
-        the passes that solve the column-axis fixpoint."""
+        """The tick's values: one pass, or with lifted feedback the passes
+        that solve the column-axis fixpoint."""
         vector_stubs = self._vector_stubs
         if not vector_stubs:
             return self._pass(inputs, ctx)
         stub_vals = self._stub_vals = {sid: ZERO for sid in vector_stubs}
         for _ in range(DEFAULT_ITERATION_CAP):
-            vals, latches = self._pass(inputs, ctx)
+            vals = self._pass(inputs, ctx)
             new_vals = {sid: as_vector(vals[self.nodes[sid].inputs[0]]).shift() for sid in vector_stubs}
             if all(gv_eq(new_vals[s], stub_vals[s]) for s in vector_stubs):
-                return vals, latches
+                return vals
             stub_vals = self._stub_vals = new_vals
         raise NonTerminationError("lifted feedback did not stabilize")
 
     def _pass(self, inputs, ctx):
-        """Run the step program once: each node's value, and the latches."""
+        """Run the step program once: each node's value."""
         vals = []
-        latches = []
         put = vals.append
         try:
             for step in self._program:
-                put(step(vals, inputs, ctx, latches))
+                put(step(vals, inputs, ctx))
         except DeltaflowError as e:
             e.node = len(vals)  # set again by each enclosing circuit
             raise
-        return vals, latches
+        return vals
 
     # -- the step program ----------------------------------------------------------
     #
-    # A node's step(vals, inputs, ctx, latches) returns its value for the
-    # tick from the values of the nodes before it.
+    # A node's step(vals, inputs, ctx) returns its value for the tick from
+    # the values of the nodes before it.
 
     def _compile_step(self, node):
         kind, ids = node.kind, node.inputs
         if kind == "lifted":
             return self._lifted_step(node)
+        metrics = self.metrics
         if kind == "plus" and node.label == "minus":
             *added, sub = ids
-            return lambda vals, *_: gv_sub(_plus([vals[i] for i in added]), vals[sub])
+            return lambda vals, *_: _minus(_plus([vals[i] for i in added], metrics), vals[sub], metrics)
         if kind == "plus":
-            return lambda vals, *_: _plus([vals[i] for i in ids])
+            return lambda vals, *_: _plus([vals[i] for i in ids], metrics)
         if kind == "source":
             return _source_step(node.name, node.meta.get("sort") == "zset")
         if kind == "delta0":
             return _delta0_step
         if kind == "nested":
             return lambda vals, *_: self._run_block(node, vals[ids[0]])
-        if kind in STATE_KINDS:
-            return self._state_step(node)
+        if kind == "trace":
+            return self._trace_step(node, own=node.depth == self.level)
+        if kind == "delay":
+            return self._delay_step(node)
         raise CircuitError(f"unknown node kind {kind!r}")
 
     def _lifted_step(self, node):
@@ -471,7 +462,7 @@ class Circuit:
         scanned = tuple(i for slot, i in enumerate(ids) if slot not in probed)
         linear = node.klass == LINEAR
 
-        def step(vals, inputs, ctx, latches):
+        def step(vals, inputs, ctx):
             ins = [vals[i] for i in ids]
             if rows_in is not None:
                 n = rows_in(*ins)
@@ -496,52 +487,16 @@ class Circuit:
 
         return step
 
-    def _state_step(self, node):
-        """The one state rule: read the node's state, latch the next one."""
-        kind, nid, src = node.kind, node.id, node.inputs[0]
-        if kind == "window" or kind == "window_fold":
-            return self._window_step(node)
-        if kind == "delay" and node.depth > self.level:
-            # Lifted past the clock: a shift along the vector axis, stateless;
-            # a feedback stub reads the lifted-feedback passes' value.
-            if node.meta.get("feedback"):
-                return lambda *_: self._stub_vals[nid]
-            return lambda vals, *_: as_vector(vals[src]).shift()
-        if kind == "trace":
-            return self._trace_step(node, own=node.depth == self.level)
-        state = self._state
-
-        if kind == "delay":
-            # Emits last tick's input; the new input latches after the full
-            # tick so feedback consumers see the strict previous value.
-            def step(vals, inputs, ctx, latches):
-                latches.append((nid, src, None))
-                return state.get(nid, ZERO)
-
-        else:  # stream_sum
-
-            def step(vals, inputs, ctx, latches):
-                out = gv_add(state.get(nid, ZERO), vals[src])
-                latches.append((nid, None, out))
-                return out
-
-        return step
-
-    def _window_step(self, node):
-        fn, nid, store, metrics = node.fn, node.id, self._state, self.metrics
-        src, clock = node.inputs
-
-        def step(vals, inputs, ctx, latches):
-            x = vals[src]
-            try:
-                out, state = fn(store.get(nid), x, vals[clock])
-            except TypeMismatchError as e:
-                raise TypeMismatchError(f"operator {node.label!r}: {e}") from e
-            latches.append((nid, None, state))
-            metrics.tuples += len(as_zset(x)) + len(out)
-            return out
-
-        return step
+    def _delay_step(self, node):
+        """Emit last tick's input (_eval_tick latches it after the full tick);
+        lifted past the clock, a stateless shift along the vector axis, or
+        for a feedback stub the lifted-feedback passes' value."""
+        nid, src, state = node.id, node.inputs[0], self._state
+        if node.depth == self.level:
+            return lambda *_: state.get(nid, ZERO)
+        if node.meta.get("feedback"):
+            return lambda *_: self._stub_vals[nid]
+        return lambda vals, *_: as_vector(vals[src]).shift()
 
     def _trace_step(self, node, own):
         """Group the tick's change once: the view hands the groups to the
@@ -550,7 +505,7 @@ class Circuit:
         index_key = node.meta.get("index_key")
         make = SummaryTrace if node.meta.get("summary") else Trace
 
-        def step(vals, inputs, ctx, latches):
+        def step(vals, inputs, ctx):
             if own:
                 store, u = state, 0
             elif ctx is None:
@@ -640,12 +595,11 @@ class Circuit:
         returns the id of a node of this circuit that replaces the node
         (mapping already holds its inputs' replacements), or None to copy it.
         Sources are declared again, feedback stubs are connected once every
-        node is copied, and the delta0 entry and stream-sum exit keep their
-        roles.  A copy never moves a nested body out of its circuit: the body
-        is cloned onto this circuit's metrics.  A transform that owns its
+        node is copied, and the delta0 entry and the exit keep their roles.
+        A copy never moves a nested body out of its circuit: the body is
+        cloned onto this circuit's metrics.  A transform that owns its
         circuit and only drops or reorders nodes rebuilds it in place instead
-        (rewrite._rebuild_topological), and the bodies move with their nodes.
-        """
+        (rewrite._rebuild_topological), and the bodies move with their nodes."""
         pending = []
         for n in nodes:
             if n.id in mapping:
@@ -676,7 +630,7 @@ class Circuit:
         self.nodes.append(Node(nid, n.kind, inputs, n.depth, n.fn, n.label, n.klass, meta=meta))
         if n.kind == "delta0":
             self.entry_id = nid
-        elif n.kind == "stream_sum":
+        elif "cap" in meta:  # the exit's plus
             self.sum_id = nid
         return nid
 
@@ -686,17 +640,27 @@ class Circuit:
             self.add_sink(mapping[nid], name)
 
 
-def _plus(ins):
+def _plus(ins, metrics):
+    """The sum of ins, counting the larger of two non-empty Z-sets added."""
     if all(map(gv_is_zero, ins)):
         return ZERO
     acc = ZERO
     for x in ins:
+        if type(acc) is ZSet and acc._entries and type(x) is ZSet and x._entries:
+            metrics.tuples += max(len(x), len(acc))
         acc = gv_add(acc, x)
     return acc
 
 
+def _minus(a, b, metrics):
+    """a - b, counting a, or b when a is zero and negation copies it."""
+    if type(b) is ZSet and b._entries:
+        metrics.tuples += len(a) if type(a) is ZSet else len(b)
+    return gv_sub(a, b)
+
+
 def _source_step(name, zset_sort):
-    def step(vals, inputs, ctx, latches):
+    def step(vals, inputs, ctx):
         v = inputs[name]
         if zset_sort and not (isinstance(v, ZSet) or v is ZERO):
             raise ValidationError(f"source {name!r} expects a Z-set, got {type(v).__name__}")
@@ -705,7 +669,7 @@ def _source_step(name, zset_sort):
     return step
 
 
-def _delta0_step(vals, inputs, ctx, latches):
+def _delta0_step(vals, inputs, ctx):
     if ctx is None:
         raise CircuitError("delta0 evaluated outside a nested domain")
     return ctx.entry if ctx.u == 0 else ZERO

@@ -4,7 +4,8 @@ A stratified program becomes a chain of evaluation units (the SCCs of its
 dependency graph in topological order).  A recursive unit turns into a nested
 clock domain: the unit's relations are folded into one tagged union so the
 loop carries a single group value, the externals enter frozen through the
-delta0 boundary, and the loop runs until the per-iteration change is empty.
+delta0 boundary, and the loop runs until the per-iteration change is empty;
+the exit, I along the loop clock, sums those changes to the fixpoint.
 """
 
 from dataclasses import dataclass, field
@@ -262,6 +263,8 @@ def _untag(c, node, tag, arity):
 
 
 def _build_unit(c, program, unit, rel_nodes, arities, cap, seminaive=False):
+    """Build one unit into c.  A recursive one is a nested domain entered
+    through an I marked "i" and left through a D marked "d" into the exit."""
     unit_rules = [r for r in program.rules if r.head.rel in unit]
     recursive = any(a.rel in unit for r in unit_rules for a in r.body) or len(unit) > 1
 
@@ -359,8 +362,9 @@ def build_while(q, cap=None):
 
     The body is bracketed as _build_unit's is: the input enters through D
     then an I marked "i" (I(D(x)) = x), and the loop value leaves through
-    a D marked "d", so the incremental rewrite first turns the loop into its
-    semi-naive form, along its own clock."""
+    a D marked "d" into the exit, I along the loop clock, which sums the
+    changes back to the limit.  So the incremental rewrite first turns the
+    loop into its semi-naive form, along its own clock."""
     if len(q.sources) != 1 or len(q.sinks) != 1:
         raise CircuitError("while-loop body needs exactly one source and one sink")
     for n in q.nodes:

@@ -686,30 +686,59 @@ def build_inc_join(c: Circuit, a, b, key_a, key_b, depth=None, fn=None):
     return c.add_lifted(IncJoinFn(fn, probe), ins, klass=BILINEAR, label=fn.label)
 
 
-def build_window(c: Circuit, delta, theta, spec: WindowSpec):
-    """Sliding window over an accumulated input, emitting the window content.
+class ClockFn:
+    """A window clock's step, now = ClockFn(θ, z(now)): a one-row Z-set of
+    the largest clock value seen (_advance_theta), ZERO before the first."""
 
-    Keeps only in-window tuples as state (the clock input must never
-    decrease), so memory stays bounded by the window.
-    """
+    arity = 2
+    op_name = "window"  # its errors name the window
 
-    def fold(state, d, clock):
-        now, content = state or (None, ZSet())
-        now = _advance_theta(now, clock)
-        content = _window_filter(content + as_zset(d), now, spec)
-        return content, (now, content)
+    def __call__(self, theta, last):
+        old = _clock_value(last)
+        now = _advance_theta(old, theta)
+        return last if now is old else ZSet._wrap({(now,): 1})
 
-    return c._add("window_fold", (delta, theta), fn=fold, klass=GENERAL, label="window", meta={"window": spec})
+
+class WindowFn:
+    """The rows of a Z-set inside the window at the clock `now` reads."""
+
+    arity = 2
+
+    def __init__(self, spec: WindowSpec):
+        self.spec = spec
+
+    def __call__(self, content, now):
+        return _window_filter(as_zset(content), _clock_value(now), self.spec)
+
+
+def build_clock(c: Circuit, theta):
+    """The clock of a window over event stream theta, ClockFn fed back
+    through a delay: its value is no change, so it is event-typed (raw)."""
+    stub = c.add_feedback()
+    now = c.add_lifted(ClockFn(), [theta, stub], klass=GENERAL, label="clock")
+    c.connect_feedback(now, stub)
+    c.nodes[now].meta["event"] = True
+    return now
+
+
+def build_window(c: Circuit, delta, now, spec: WindowSpec):
+    """The content W = WindowFn(delta + z(W), now) of a sliding window over
+    change stream delta at clock now (build_clock).  Its delay holds only
+    in-window rows, so memory stays bounded by the window."""
+    stub = c.add_feedback()
+    w = c.add_lifted(WindowFn(spec), [c.add_plus([delta, stub]), now], klass=GENERAL, label="window")
+    c.connect_feedback(w, stub)
+    return w
 
 
 def build_window_snapshot(c: Circuit, snapshot, theta, spec: WindowSpec):
     """Window over a full snapshot input (the non-incremental reading)."""
+    return c.add_lifted(WindowFn(spec), [snapshot, build_clock(c, theta)], klass=GENERAL, label="window")
 
-    def window(now, snap, clock):
-        now = _advance_theta(now, clock)
-        return _window_filter(as_zset(snap), now, spec), now
 
-    return c._add("window", (snapshot, theta), fn=window, klass=GENERAL, label="window", meta={"window": spec})
+def _clock_value(now):
+    """The value of a clock's one row, or None before the first."""
+    return next((value for (value,) in as_zset(now)._entries), None)
 
 
 def _advance_theta(old, theta_in):

@@ -16,20 +16,22 @@ its loop incrementalized first, along its parent clock by PARENT_CLOCK,
 through trace forms only, the only state on a parent clock.  An own-clock
 node that no row names is an error; a body node that no row names sends
 its whole domain to the general rule, as the reference does.  A body has
-no sources, so it reads no events.  The fold row adds no node: it folds a
-map into the join node its input's row built.  The walk only reads the
-circuit it rebuilds.
-"""
+no sources, so it reads no events, and no bracket once its loop is
+incrementalized: PARENT_CLOCK has neither row.  The fold row adds no node:
+it folds a map into the join node its input's row built.  The walk only
+reads the circuit it rebuilds."""
 
-from .circuit import BILINEAR, BOUNDARY, DELAY_CLASS, GENERAL, LINEAR, Circuit
+from .circuit import BILINEAR, DELAY_CLASS, GENERAL, LINEAR, Circuit
 from .errors import CircuitError
 from .relational import (
     AggregateFn,
+    ClockFn,
     DistinctDeltaFn,
     DistinctFn,
     IncJoinFn,
     JoinFn,
     MapFn,
+    WindowFn,
     build_inc_aggregate,
     build_inc_distinct,
     build_inc_join,
@@ -278,9 +280,9 @@ _BRACKET = ("bracket", lambda w, n, ev: n.meta.get("bracket") in ("i", "d"), lam
 # Events are per-tick values, not changes: an event-typed node over events
 # only is its own incremental version.
 _EVENTS = ("events", lambda w, n, ev: n.meta["event"] and all(ev), None)
-# Q^Δ = Q for a linear Q, a delay (so a feedback loop keeps its shape
-# around its incremental body: the cycle rule) and a domain boundary.
-_LINEAR = ("linear", lambda w, n, ev: n.klass in (LINEAR, DELAY_CLASS, BOUNDARY) or n.kind == "source", None)
+# Q^Δ = Q for a linear Q, the delta0 entry included, and a delay (so a
+# feedback loop keeps its shape around its incremental body: the cycle rule).
+_LINEAR = ("linear", lambda w, n, ev: n.klass in (LINEAR, DELAY_CLASS) or n.kind == "source", None)
 
 OWN_CLOCK = (
     _BRACKET,
@@ -292,12 +294,15 @@ OWN_CLOCK = (
     # (fix Q)^Δ: the body is rebuilt along the parent clock (PARENT_CLOCK).
     ("nested", lambda w, n, ev: n.kind == "nested" and not ev[0], _nested),
     _EVENTS,
-    # window^Δ = D ∘ fold: the window folds its input's changes into its
-    # content and drops what falls behind the clock.
+    # The window clock is a per-tick value, not a change: its chain, now =
+    # ClockFn(θ, z(now)), is copied as it is.
+    ("clock", lambda w, n, ev: isinstance(w.src.nodes[n.inputs[0]].fn if n.kind == "delay" else n.fn, ClockFn), None),
+    # window^Δ = D(W) with W = window(Δx + z(W), now): the window's content
+    # takes its input's changes and drops what falls behind the clock.
     (
         "window",
-        lambda w, n, ev: n.kind == "window" and not ev[0],
-        lambda w, n, ev: w.out.add_differentiate(build_window(w.out, *w.ins(n), n.meta["window"])),
+        lambda w, n, ev: isinstance(n.fn, WindowFn) and not ev[0],
+        lambda w, n, ev: w.out.add_differentiate(build_window(w.out, *w.ins(n), n.fn.spec)),
     ),
     # (a × b)^Δ = Δa × Δb + z(I a) × Δb + Δa × z(I b): an in-place trace per
     # table side, probed by one join (IncJoinFn); z(I e) = 0 for events e.
@@ -317,17 +322,14 @@ OWN_CLOCK = (
         lambda w, n, ev: build_inc_aggregate(w.out, *w.ins(n), n.fn),
     ),
     # Q^Δ = D ∘ Q ∘ I for the rest over snapshots: MIN and MAX, an aggregate
-    # in a loop body, a node over events and tables.  A window_fold reads
-    # changes already.
-    ("general", lambda w, n, ev: n.kind != "window_fold" and (n.klass == GENERAL or any(ev)), _general),
+    # in a loop body, a node over events and tables.
+    ("general", lambda w, n, ev: n.klass == GENERAL or any(ev), _general),
     _LINEAR,
 )
 
 PARENT_CLOCK = (
-    _BRACKET,
     # The fold, into a join with two-axis traces.
     ("fold", _foldable, _fold),
-    _EVENTS,
     # distinct^Δ, H looking up R[u] in a two-axis trace of the changes.
     ("distinct", lambda w, n, ev: isinstance(n.fn, DistinctDeltaFn), _traced_distinct),
     # The bilinear rule with two-axis traces of each inner tick's changes.
@@ -363,7 +365,7 @@ def _positive_nodes(c):
     pos = set()
     eligible = {"filter", "project", "map", "join", "cartesian", "intersect", "semijoin", "distinct", "plus"}
     for n in c.nodes:
-        if n.kind in ("nested", "window", "window_fold") or n.kind == "source" and not n.meta["event"]:
+        if n.kind == "nested" or isinstance(n.fn, WindowFn) or n.kind == "source" and not n.meta["event"]:
             pos.add(n.id)
         # an operator is named by its label, or its kind when it has none: a
         # plus by "plus", a plus that subtracts by "minus", never positive

@@ -42,7 +42,7 @@ def _apply_cap(circuit, cap):
     if cap is None:
         return
     for n in circuit.nodes:
-        if n.kind == "stream_sum":
+        if "cap" in n.meta:  # a nested domain's exit
             n.meta["cap"] = cap
         elif n.kind == "nested":
             _apply_cap(n.meta["inner"], cap)

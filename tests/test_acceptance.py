@@ -30,6 +30,7 @@ from deltaflow.groupval import as_vector
 from deltaflow.relational import (
     JoinFn,
     WindowSpec,
+    build_clock,
     build_distinct,
     build_equijoin,
     build_filter,
@@ -351,7 +352,7 @@ def test_criterion_9_window_streamjoin_while():
     c = Circuit()
     s = c.add_source("s")
     th = c.add_source("clk", event=True)
-    c.add_sink(build_window(c, s, th, WindowSpec(0, 7)), "o")
+    c.add_sink(build_window(c, s, build_clock(c, th), WindowSpec(0, 7)), "o")
     for _ in range(10):
         c.reset()
         acc, clock = ZSet(), 0

@@ -23,17 +23,16 @@ INCREMENTAL_CENSUS = {
         "trace:": 9,
     },
     "closure": {
-        "delay:": 2, "delta0:": 1, "lifted:distinct_delta": 2, "lifted:filter": 3,
-        "lifted:join": 1, "lifted:map": 8, "nested:": 1, "plus:": 4, "source:": 1, "stream_sum:": 1,
-        "trace:": 3,
+        "delay:": 3, "delta0:": 1, "lifted:distinct_delta": 2, "lifted:filter": 3,
+        "lifted:join": 1, "lifted:map": 8, "nested:": 1, "plus:": 5, "source:": 1, "trace:": 3,
     },
     "filtered_join": {
         "delay:": 1, "lifted:distinct_delta": 1, "lifted:filter": 2, "lifted:join": 1,
         "lifted:project": 2, "plus:": 1, "source:": 2, "trace:": 2,
     },
     "streams": {
-        "delay:": 1, "lifted:stream_join": 1, "plus:minus": 1, "source:": 3, "trace:": 1,
-        "window_fold:window": 1,
+        "delay:": 3, "lifted:clock": 1, "lifted:stream_join": 1, "lifted:window": 1, "plus:": 1, "plus:minus": 1,
+        "source:": 3, "trace:": 1,
     },
     "join-point": {
         "delay:": 1, "lifted:distinct_delta": 1, "lifted:filter": 1, "lifted:join": 1, "plus:": 1,
@@ -44,9 +43,8 @@ INCREMENTAL_CENSUS = {
         "source:": 2, "trace:": 2,
     },
     "closure-churn": {
-        "delay:": 2, "delta0:": 1, "lifted:distinct_delta": 2, "lifted:filter": 3,
-        "lifted:join": 1, "lifted:map": 6, "nested:": 1, "plus:": 4, "source:": 1, "stream_sum:": 1,
-        "trace:": 3,
+        "delay:": 3, "delta0:": 1, "lifted:distinct_delta": 2, "lifted:filter": 3,
+        "lifted:join": 1, "lifted:map": 6, "nested:": 1, "plus:": 5, "source:": 1, "trace:": 3,
     },
     "agg-groups": {"delay:": 2, "lifted:aggregate": 2, "plus:": 1, "plus:minus": 1, "source:": 1, "trace:": 1},
 }

@@ -972,7 +972,8 @@ class TestExplain:
       14 lifted distinct_delta depth=1 rule=distinct
       15 lifted map depth=1 rule=linear
       16 plus depth=1 rule=linear
-      17 stream_sum depth=1 rule=linear state
+      17 delay depth=1 rule=linear state
+      18 plus depth=1 rule=linear
     7 lifted filter depth=0 rule=linear
     8 lifted map depth=0 rule=linear view=R
 """
@@ -1036,6 +1037,22 @@ class TestExplain:
     def test_golden_output(self, golden, capsys):
         assert main(["explain", "--spec", str(GOLDENS / f"{golden}.spec.json")]) == 0
         assert capsys.readouterr().out == textwrap.dedent(getattr(self, golden.upper()))
+
+    def test_node_ids_are_deterministic(self, tmp_path):
+        """Two compiles of every golden and perfbench spec, in processes
+        with different hash seeds, print byte-identical explain output."""
+        from test_census import _spec_docs
+
+        specs = [write(tmp_path, f"{name}.json", json.dumps(doc)) for name, doc in sorted(_spec_docs().items())]
+        script = "import sys\nfrom deltaflow.cli import main\nfor p in sys.argv[1:]:\n    main(['explain', '--spec', p])"
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"), PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-c", script, *specs], capture_output=True, text=True, env=env)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].count("\n0 source ") + 1 == len(specs)  # every circuit starts at source 0
 
     def test_bad_spec_is_2(self, tmp_path, capsys):
         assert main(["explain", "--spec", write(tmp_path, "bad.json", "{")]) == 2

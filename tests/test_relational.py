@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import row_zsets, run_all
 from deltaflow import Circuit, ValidationError, ZSet, to_set, to_zset
+from deltaflow.circuit import STATE_KINDS
 from deltaflow.expr import Col, KeyFunc, MapFunc, parse_expr
-from deltaflow.groupval import ZERO
+from deltaflow.groupval import ZERO, as_zset
 from deltaflow.runner import compile_circuits
 from deltaflow.specfile import compile_spec
 from deltaflow.rewrite import compile_query
@@ -28,6 +29,7 @@ from deltaflow.relational import (
     build_aggregate,
     build_antijoin,
     build_cartesian,
+    build_clock,
     build_difference,
     build_distinct,
     build_equijoin,
@@ -39,6 +41,7 @@ from deltaflow.relational import (
     build_union,
     build_union_all,
     build_window,
+    build_window_snapshot,
     cartesian_fn,
     intersect_fn,
     project_fn,
@@ -340,7 +343,7 @@ class TestWindow:
         c = Circuit()
         s = c.add_source("s")
         th = c.add_source("clk", event=True)
-        c.add_sink(build_window(c, s, th, WindowSpec(ts_column=0, width=10)), "o")
+        c.add_sink(build_window(c, s, build_clock(c, th), WindowSpec(ts_column=0, width=10)), "o")
         out = as_z(c.step({"s": ZSet({(95,): 1, (85,): 1}), "clk": ZSet({(100,): 1})})["o"])
         assert out == ZSet({(95,): 1})
 
@@ -348,14 +351,14 @@ class TestWindow:
         c = Circuit()
         s = c.add_source("s")
         th = c.add_source("clk", event=True)
-        c.add_sink(build_window(c, s, th, WindowSpec(0, 10)), "o")
+        c.add_sink(build_window(c, s, build_clock(c, th), WindowSpec(0, 10)), "o")
         assert as_z(c.step({"s": ZSet(), "clk": ZSet({(1,): 1})})["o"]).is_zero()
 
     def test_expiry(self):
         c = Circuit()
         s = c.add_source("s")
         th = c.add_source("clk", event=True)
-        c.add_sink(build_window(c, s, th, WindowSpec(0, 10)), "o")
+        c.add_sink(build_window(c, s, build_clock(c, th), WindowSpec(0, 10)), "o")
         out0 = as_z(c.step({"s": ZSet({(95,): 1}), "clk": ZSet({(100,): 1})})["o"])
         assert (95,) in out0
         out1 = as_z(c.step({"s": ZSet(), "clk": ZSet({(110,): 1})})["o"])
@@ -365,7 +368,7 @@ class TestWindow:
         c = Circuit()
         s = c.add_source("s")
         th = c.add_source("clk", event=True)
-        c.add_sink(build_window(c, s, th, WindowSpec(0, 10)), "o")
+        c.add_sink(build_window(c, s, build_clock(c, th), WindowSpec(0, 10)), "o")
         c.step({"s": ZSet(), "clk": ZSet({(100,): 1})})
         with pytest.raises(ValidationError):
             c.step({"s": ZSet(), "clk": ZSet({(90,): 1})})
@@ -375,7 +378,7 @@ class TestWindow:
         c = Circuit()
         s = c.add_source("s")
         th = c.add_source("clk", event=True)
-        c.add_sink(build_window(c, s, th, WindowSpec(0, 5)), "o")
+        c.add_sink(build_window(c, s, build_clock(c, th), WindowSpec(0, 5)), "o")
         acc = ZSet()
         clock = 0
         for _ in range(10):
@@ -389,6 +392,25 @@ class TestWindow:
     def test_width_must_be_positive(self):
         with pytest.raises(ValidationError):
             WindowSpec(0, 0)
+
+    def test_delays_hold_no_row_once_the_clock_passes_every_row(self):
+        """The incremental window keeps its state in delays only: the
+        window loop's and its D's hold the content, which empties once the
+        clock has passed every row, and the clock's holds its one row."""
+        c = Circuit()
+        s, th = c.add_source("s"), c.add_source("clk", event=True)
+        c.add_sink(build_window_snapshot(c, s, th, WindowSpec(0, 10)), "o")
+        inc = compile_query(c)[1]
+        assert {n.kind for n in inc.nodes if n.kind in STATE_KINDS} == {"delay"}
+        content = [n.id for n in inc.nodes if n.kind == "delay" and n.meta["rule"] == "window"]
+        (clock,) = [n.id for n in inc.nodes if n.kind == "delay" and n.meta["rule"] == "clock"]
+        inc.step({"s": ZSet({(95,): 1, (99,): 2}), "clk": ZSet({(100,): 1})})
+        assert set(inc._state) == {clock, *content} and len(content) == 2
+        assert all(inc._state[nid] == ZSet({(95,): 1, (99,): 2}) for nid in content)
+        out = inc.step({"s": ZSet(), "clk": ZSet({(110,): 1})})["o"]
+        assert out == ZSet({(95,): -1, (99,): -2})
+        assert inc._state[clock] == ZSet({(110,): 1})
+        assert all(as_zset(inc._state[nid]).is_zero() for nid in content)
 
 
 class TestStreamJoin:
