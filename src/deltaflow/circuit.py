@@ -240,10 +240,9 @@ class Circuit:
             meta={"index_key": index_key, "summary": summary},
         )
 
-    def add_feedback(self, depth=None, delayed=True):
+    def add_feedback(self, depth=None):
         """A feedback stub: a delay whose input is wired up later."""
-        meta = {"feedback": True, "delayed": delayed}
-        return self._add("delay", (), depth=depth, klass=DELAY_CLASS, meta=meta)
+        return self._add("delay", (), depth=depth, klass=DELAY_CLASS, meta={"feedback": True})
 
     def connect_feedback(self, from_node, stub):
         if not (0 <= stub < len(self.nodes)) or not self.nodes[stub].meta.get("feedback"):
@@ -253,8 +252,6 @@ class Circuit:
             raise CircuitError(f"feedback stub {stub} already connected")
         if not (0 <= from_node < len(self.nodes)):
             raise CircuitError(f"unknown node {from_node}")
-        if not node.meta.get("delayed", True):
-            raise CircuitError("feedback cycle without a strict (delay) operator")
         node.inputs = (from_node,)
         self._validated = False
 
@@ -615,7 +612,7 @@ class Circuit:
         if n.kind == "source":
             return self.add_source(n.name, sort=n.meta["sort"], event=n.meta["event"])
         if n.meta.get("feedback"):
-            nid = self.add_feedback(depth=n.depth, delayed=n.meta.get("delayed", True))
+            nid = self.add_feedback(depth=n.depth)
             if n.inputs:
                 pending.append((nid, n.inputs[0]))
             return nid

@@ -113,8 +113,8 @@ def _cmd_explain(args):
 def _explain_lines(c, indent):
     """One line per node of circuit c: its id, kind, label (or its fn's
     op_name, or a source's name), depth, the rewrite rule that built it,
-    `state` for a state kind and the views it is the sink of; each nested
-    body is indented under its node."""
+    `state` for a state kind, the views it is the sink of and its inputs'
+    ids; each nested body is indented under its node."""
     views = {}
     for name, nid in c.sinks.items():
         views.setdefault(nid, []).append(name)
@@ -123,6 +123,7 @@ def _explain_lines(c, indent):
         fields = [str(n.id), n.kind, label, f"depth={n.depth}", f"rule={n.meta['rule']}"]
         fields += ["state"] if n.kind in STATE_KINDS else []
         fields += [f"view={v}" for v in views.get(n.id, ())]
+        fields += [f"in={','.join(map(str, n.inputs))}"] if n.inputs else []
         yield indent + " ".join(f for f in fields if f) + "\n"
         if n.kind == "nested":
             yield from _explain_lines(n.meta["inner"], indent + "  ")

@@ -22,7 +22,7 @@ from .relational import (
     build_filter,
     build_map,
 )
-from .rewrite import incrementalize_query, loop_incrementalize
+from .rewrite import incrementalize_query, seminaive
 
 DATALOG_ITERATION_CAP = 100_000
 
@@ -262,9 +262,10 @@ def _untag(c, node, tag, arity):
     return c.add_lifted(MapFn(MapFunc([Col(i + 1) for i in range(arity)])), [f], klass="linear", label="map")
 
 
-def _build_unit(c, program, unit, rel_nodes, arities, cap, seminaive=False):
-    """Build one unit into c.  A recursive one is a nested domain entered
-    through an I marked "i" and left through a D marked "d" into the exit."""
+def _build_unit(c, program, unit, rel_nodes, arities, cap):
+    """Build one unit into c.  A recursive one is a nested domain whose body
+    is naive, as the rules read, entered through an I marked "i" and left
+    through a D marked "d" into the exit."""
     unit_rules = [r for r in program.rules if r.head.rel in unit]
     recursive = any(a.rel in unit for r in unit_rules for a in r.body) or len(unit) > 1
 
@@ -308,14 +309,12 @@ def _build_unit(c, program, unit, rel_nodes, arities, cap, seminaive=False):
     d = inner.add_differentiate(o)
     inner.nodes[d].meta["bracket"] = "d"
     inner.add_stream_sum(d, max_iterations=cap)
-    if seminaive:
-        c.nodes[block].meta["inner"] = loop_incrementalize(inner)
 
     for rel in unit:
         rel_nodes[rel] = _untag(c, block, rel, arities[rel])
 
 
-def compile_program_into(c, program, rel_nodes, cap=None, seminaive=True):
+def compile_program_into(c, program, rel_nodes, cap=None):
     """Build every evaluation unit of the program into circuit c.
 
     rel_nodes maps already-available relation names to nodes; derived
@@ -325,35 +324,32 @@ def compile_program_into(c, program, rel_nodes, cap=None, seminaive=True):
     strata = stratify(program)
     arities = {**program.inputs, **program.outputs}
     for unit in strata:
-        _build_unit(c, program, unit, rel_nodes, arities, cap, seminaive=seminaive)
+        _build_unit(c, program, unit, rel_nodes, arities, cap)
     return rel_nodes
 
 
 def build_naive(program, cap=None):
     """Fixpoint circuit running each recursive unit by naive iteration:
     re-derive everything from the accumulated result until nothing changes."""
-    return _build_program(program, cap, seminaive=False)
-
-
-def build_seminaive(program, cap=None):
-    """Same fixpoint, but each loop body is incrementalized along the loop
-    clock so every iteration only touches newly derived facts."""
-    return _build_program(program, cap, seminaive=True)
-
-
-def _build_program(program, cap, seminaive):
     c = Circuit()
     rel_nodes = {name: c.add_source(name) for name in sorted(program.inputs)}
-    compile_program_into(c, program, rel_nodes, cap, seminaive=seminaive)
+    compile_program_into(c, program, rel_nodes, cap)
     for name in sorted(program.outputs):
         c.add_sink(rel_nodes[name], name)
     return c
 
 
+def build_seminaive(program, cap=None):
+    """Same fixpoint, each loop body incrementalized along the loop clock
+    (rewrite.seminaive), so every iteration only touches newly derived
+    facts."""
+    return seminaive(build_naive(program, cap))
+
+
 def build_incremental_recursive(program, cap=None):
     """Streaming form: consumes per-transaction input deltas and emits output
     deltas, caching the per-iteration changes of the fixpoint across ticks."""
-    return incrementalize_query(build_seminaive(program, cap))
+    return incrementalize_query(build_naive(program, cap))
 
 
 def build_while(q, cap=None):
@@ -363,8 +359,9 @@ def build_while(q, cap=None):
     The body is bracketed as _build_unit's is: the input enters through D
     then an I marked "i" (I(D(x)) = x), and the loop value leaves through
     a D marked "d" into the exit, I along the loop clock, which sums the
-    changes back to the limit.  So the incremental rewrite first turns the
-    loop into its semi-naive form, along its own clock."""
+    changes back to the limit.  So the loop reads changes, and the rewrite
+    rebuilds it along the parent clock (rewrite.optimize) or its own
+    (rewrite.seminaive) as it does a rule program's."""
     if len(q.sources) != 1 or len(q.sinks) != 1:
         raise CircuitError("while-loop body needs exactly one source and one sink")
     for n in q.nodes:

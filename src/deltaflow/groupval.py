@@ -165,16 +165,6 @@ def as_zset(v):
     raise TypeError(f"expected a Z-set, got {type(v).__name__}")
 
 
-def as_indexed(v):
-    if isinstance(v, IndexedZSet):
-        return v
-    if isinstance(v, _Zero):
-        return _EMPTY_INDEXED
-    if isinstance(v, ZSet) and v.is_zero():
-        return _EMPTY_INDEXED
-    raise TypeError(f"expected an indexed Z-set, got {type(v).__name__}")
-
-
 def as_vector(v):
     if isinstance(v, StreamVector):
         return v
@@ -184,5 +174,4 @@ def as_vector(v):
 
 
 _EMPTY = ZSet()
-_EMPTY_INDEXED = IndexedZSet()
 _EMPTY_VECTOR = StreamVector()

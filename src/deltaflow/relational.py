@@ -657,14 +657,14 @@ def build_inc_aggregate(c: Circuit, d, agg):
     return c.add_lifted(IncAggregateFn(agg), [tr], klass=GENERAL, label="aggregate")
 
 
-def build_inc_distinct(c: Circuit, d, integral=None):
+def build_inc_distinct(c: Circuit, d, acc=None):
     """Incremental distinct: delta in, delta out.  DistinctDeltaFn's work is
-    O(|delta|); it reads z(I d), the feedback delay of d's integral (given,
-    or new), which is rebuilt each tick, an O(relation) state update, and
-    which a fixpoint body's rewrite swaps for a two-axis trace."""
-    integral = c.add_integrate(d) if integral is None else integral
-    z = c.nodes[integral].inputs[1]
-    return c.add_lifted(DistinctDeltaFn(), [z, d], klass=GENERAL, label="distinct_delta")
+    O(|delta|); it reads acc, d's earlier changes: given, or z(I d), the
+    feedback delay of a new integral of d, which is rebuilt each tick, an
+    O(relation) state update.  A fixpoint body's rewrite gives a two-axis
+    trace of d."""
+    acc = c.nodes[c.add_integrate(d)].inputs[1] if acc is None else acc
+    return c.add_lifted(DistinctDeltaFn(), [acc, d], klass=GENERAL, label="distinct_delta")
 
 
 def build_inc_join(c: Circuit, a, b, key_a, key_b, depth=None, fn=None):

@@ -1,34 +1,35 @@
 """Circuit-to-circuit transforms: distinct consolidation, naive
-incrementalization, and the chain-rule optimizer, chained by compile_query.
+incrementalization, semi-naive evaluation and the chain-rule optimizer,
+chained by compile_query.
 
 The optimizer copies a naively incrementalized circuit node by node
 (Circuit.copy_nodes) so that every edge carries changes instead of
-snapshots.  A node's rule is the first row of an ordered table whose test
-holds: (name, applies, build), commented with the paper's identity (Q^Δ
-the incremental form of Q; I, D, z integration, differentiation, delay).
+snapshots.  A node's rule is the first row of RULES whose test holds:
+(name, applies, build), commented with the paper's identity (Q^Δ the
+incremental form of Q; I, D, z integration, differentiation, delay).
 I and D are built from z and a plus (Circuit.add_integrate), so they are
-linear nodes to the tables; a bracket's plus stands for its first input,
+linear nodes to the table; a bracket's plus stands for its first input,
 and the delay beside it, which nothing reads then, is dropped.
 build adds the node's incremental form, or is None to copy the node, and
-every node it adds, copies included, records name in meta["rule"].  A
-circuit is rebuilt along its own clock by OWN_CLOCK, and a fixpoint body,
-its loop incrementalized first, along its parent clock by PARENT_CLOCK,
-through trace forms only, the only state on a parent clock.  An own-clock
-node that no row names is an error; a body node that no row names sends
-its whole domain to the general rule, as the reference does.  A body has
-no sources, so it reads no events, and no bracket once its loop is
-incrementalized: PARENT_CLOCK has neither row.  The fold row adds no node:
-it folds a map into the join node its input's row built.  The walk only
-reads the circuit it rebuilds."""
+every node it adds, copies included, records name in meta["rule"].
+
+A walk runs along a clock.  The top level, and a loop body that
+loop_incrementalize turns semi-naive, run along their own; a fixpoint body,
+naive as its rules read, is rebuilt once along its parent clock, where the
+only state is a trace, so bilinear and distinct build their trace forms.
+There a body over changes (one with an "i" bracket) may take only the
+TRACE_FORMS rows, and one over snapshots only linear.  An own-clock node
+that no row names is an error; a body node that no allowed row names sends
+its whole domain to the general rule, as the reference does.  The fold row
+adds no node: it folds a map into the join node its input's row built.
+The walk only reads the circuit it rebuilds."""
 
 from .circuit import BILINEAR, DELAY_CLASS, GENERAL, LINEAR, Circuit
 from .errors import CircuitError
 from .relational import (
     AggregateFn,
     ClockFn,
-    DistinctDeltaFn,
     DistinctFn,
-    IncJoinFn,
     JoinFn,
     MapFn,
     WindowFn,
@@ -50,12 +51,13 @@ def compile_query(c):
 
     Distinct operators are consolidated first, so both circuits share that
     form.  The reference wraps it in I and D brackets and recomputes from
-    snapshots; the incremental circuit pushes the incrementalization
-    through every node, so no full snapshot is rebuilt where a cheaper form
-    exists.
+    snapshots, its fixpoints semi-naive; the incremental circuit pushes the
+    incrementalization through every node, so no full snapshot is rebuilt
+    where a cheaper form exists.
     """
     reference = incrementalize_naive(consolidate_distinct(c))
-    return reference, optimize(reference)
+    incremental = optimize(reference)
+    return seminaive(reference), incremental
 
 
 def incrementalize_query(c):
@@ -91,6 +93,11 @@ def _bracketed(c, wrap_in, wrap_out):
     for name, nid in c.sinks.items():
         out.add_sink(mapping[nid] if c.nodes[nid].meta["event"] else wrap_out(out, mapping[nid]), name)
     return out
+
+
+def _over_changes(c):
+    """Whether circuit c reads changes: it holds an "i" bracket."""
+    return any(n.meta.get("bracket") == "i" for n in c.nodes)
 
 
 def _marked(add, tag):
@@ -137,13 +144,24 @@ def optimize(c):
     """Push the incrementalization through a naively incrementalized
     circuit, which is left as it is."""
     # A circuit whose sources are all event streams has nothing to bracket.
-    if not any(n.meta.get("bracket") == "i" for n in c.nodes) and any(
-        n.kind == "source" and not n.meta["event"] for n in c.nodes
-    ):
+    if not _over_changes(c) and any(n.kind == "source" and not n.meta["event"] for n in c.nodes):
         raise CircuitError("optimize expects a naively incrementalized circuit (no brackets found)")
     out = Circuit(level=c.level)
-    out.copy_sinks(c, _delta_compile(c, out, OWN_CLOCK))
+    out.copy_sinks(c, _delta_compile(c, out))
     return _rebuild_topological(out)
+
+
+def seminaive(c):
+    """Evaluate c's fixpoints semi-naively, in place; returns c.
+
+    Each body over changes is replaced by its loop incrementalization,
+    unless that takes the general row: the naive body runs faster then."""
+    for n in c.nodes:
+        if n.kind == "nested" and _over_changes(n.meta["inner"]):
+            body = loop_incrementalize(n.meta["inner"])
+            if all(m.meta["rule"] != "general" for m in body.nodes):
+                n.meta["inner"] = body
+    return c
 
 
 def loop_incrementalize(inner):
@@ -155,24 +173,30 @@ def loop_incrementalize(inner):
     """
     out = Circuit(level=inner.level, inner=True)
     out.metrics = inner.metrics  # the body counts on its parent's counter
-    _delta_compile(inner, out, OWN_CLOCK)
+    _delta_compile(inner, out)
     return _rebuild_topological(out)
 
 
 class _NoRule(CircuitError):
-    """No row of the table names a node."""
+    """No row that the walk may take names a node."""
 
 
 class _Walk:
-    """One walk of circuit src into out: dmap maps src's node ids to out's,
-    integrals a node of out to its integral, built once, so that the
-    operators over one input share it, and cons src's node ids to their
-    readers'."""
+    """One walk of circuit src into out, along out's parent clock or its
+    own: dmap maps src's node ids to out's, integrals a node of out to its
+    integral, built once, so that the operators over one input share it,
+    and cons src's node ids to their readers'."""
 
-    __slots__ = ("src", "out", "dmap", "integrals", "cons")
+    __slots__ = ("src", "out", "parent", "dmap", "integrals", "cons")
 
-    def __init__(self, src, out):
-        self.src, self.out, self.dmap, self.integrals, self.cons = src, out, {}, {}, _consumers(src)
+    def __init__(self, src, out, parent):
+        self.src, self.out, self.parent = src, out, parent
+        self.dmap, self.integrals, self.cons = {}, {}, _consumers(src)
+
+    @property
+    def depth(self):
+        """The clock of the state the walk builds: out's parent's or out's own."""
+        return self.out.level - 1 if self.parent else self.out.level
 
     def ins(self, n):
         return [self.dmap[i] for i in n.inputs]
@@ -184,17 +208,23 @@ class _Walk:
         return nid
 
 
-def _delta_compile(src, out, table):
-    """Copy src into out through the rules of table, each node of out the
-    change of the node of src it stands for; returns the mapping from src's
-    node ids to out's, or raises _NoRule for a node that no row names."""
-    w = _Walk(src, out)
+def _delta_compile(src, out, parent=False):
+    """Copy src into out through the rules, along out's parent clock or its
+    own, each node of out the change of the node of src it stands for;
+    returns the mapping from src's node ids to out's, or raises _NoRule for
+    a node that no allowed row names."""
+    w = _Walk(src, out, parent)
+    # Along the parent clock a body over changes takes the trace forms only,
+    # one over snapshots the linear row; the own clock takes every row.
+    allowed = (TRACE_FORMS if _over_changes(src) else ("linear",)) if parent else None
     copied = []
 
     def rule(n):
         ev = [src.nodes[i].meta["event"] for i in n.inputs]
-        for name, applies, build in table:
+        for name, applies, build in RULES:
             if applies(w, n, ev):
+                if allowed is not None and name not in allowed:
+                    break
                 if build is None:
                     copied.append((n.id, name))
                     return None
@@ -229,28 +259,22 @@ def _general(w, n, ev):
 
 
 def _nested(w, n, ev):
-    """The domain with its body, its loop incrementalized first, rebuilt
-    along the parent clock, or else the general rule whole; the old body's
-    state that the trace forms read through is dropped."""
-    body = n.meta["inner"]
-    if any(x.meta.get("bracket") == "i" for x in body.nodes):
-        body = loop_incrementalize(body)
+    """The domain with its body rebuilt along the parent clock, or else the
+    general rule whole."""
     inner = Circuit(level=w.out.level + 1, inner=True)
     try:
-        _delta_compile(body, inner, PARENT_CLOCK)
+        _delta_compile(n.meta["inner"], inner, parent=True)
     except _NoRule:
         return _general(w, n, ev)
     return w.out.add_nested(w.dmap[n.inputs[0]], _rebuild_topological(inner))[0]
 
 
 def _inc_distinct(w, n, ev):
+    """distinct^Δ over the earlier changes of its input d: a two-axis trace
+    of d on the parent clock, z(I d) on the own clock."""
     d = w.dmap[n.inputs[0]]
-    return build_inc_distinct(w.out, d, w.integral(d))
-
-
-def _traced_distinct(w, n, ev):
-    d = w.dmap[n.inputs[1]]
-    return w.out.add_lifted(n.fn, [w.out.add_trace(d), d], klass=GENERAL, label=n.label)
+    acc = w.out.add_trace(d) if w.parent else w.out.nodes[w.integral(d)].inputs[1]
+    return build_inc_distinct(w.out, d, acc)
 
 
 def _foldable(w, n, ev):
@@ -270,30 +294,19 @@ def _fold(w, n, ev):
     return j.id
 
 
-def _traced_join(w, n, ev):
-    a, b = (w.dmap[w.src.nodes[i].inputs[0]] for i in n.inputs)  # the changes its traces hold
-    return build_inc_join(w.out, a, b, None, None, depth=w.out.level - 1, fn=n.fn.join)
-
-
-# D(I x) = x: an incrementalization bracket's plus stands for its input.
-_BRACKET = ("bracket", lambda w, n, ev: n.meta.get("bracket") in ("i", "d"), lambda w, n, ev: w.dmap[n.inputs[0]])
-# Events are per-tick values, not changes: an event-typed node over events
-# only is its own incremental version.
-_EVENTS = ("events", lambda w, n, ev: n.meta["event"] and all(ev), None)
-# Q^Δ = Q for a linear Q, the delta0 entry included, and a delay (so a
-# feedback loop keeps its shape around its incremental body: the cycle rule).
-_LINEAR = ("linear", lambda w, n, ev: n.klass in (LINEAR, DELAY_CLASS) or n.kind == "source", None)
-
-OWN_CLOCK = (
-    _BRACKET,
+RULES = (
+    # D(I x) = x: an incrementalization bracket's plus stands for its input.
+    ("bracket", lambda w, n, ev: n.meta.get("bracket") in ("i", "d"), lambda w, n, ev: w.dmap[n.inputs[0]]),
     # (f ∘ ×)^Δ = f ∘ ×^Δ: a linear map f after a join is bilinear too, so
     # the join's own row serves both, f applied to each row the join emits
-    # (JoinFn.then); the reference keeps the two apart.  A loop body's map
-    # waits for the parent-clock walk, so the semi-naive body keeps it.
-    ("fold", lambda w, n, ev: not w.out.is_inner and _foldable(w, n, ev), _fold),
-    # (fix Q)^Δ: the body is rebuilt along the parent clock (PARENT_CLOCK).
+    # (JoinFn.then); the reference keeps the two apart, in its semi-naive
+    # loop bodies too.
+    ("fold", lambda w, n, ev: (w.parent or not w.out.is_inner) and _foldable(w, n, ev), _fold),
+    # (fix Q)^Δ: the body is rebuilt along the parent clock.
     ("nested", lambda w, n, ev: n.kind == "nested" and not ev[0], _nested),
-    _EVENTS,
+    # Events are per-tick values, not changes: an event-typed node over
+    # events only is its own incremental version.
+    ("events", lambda w, n, ev: n.meta["event"] and all(ev), None),
     # The window clock is a per-tick value, not a change: its chain, now =
     # ClockFn(θ, z(now)), is copied as it is.
     ("clock", lambda w, n, ev: isinstance(w.src.nodes[n.inputs[0]].fn if n.kind == "delay" else n.fn, ClockFn), None),
@@ -305,13 +318,15 @@ OWN_CLOCK = (
         lambda w, n, ev: w.out.add_differentiate(build_window(w.out, *w.ins(n), n.fn.spec)),
     ),
     # (a × b)^Δ = Δa × Δb + z(I a) × Δb + Δa × z(I b): an in-place trace per
-    # table side, probed by one join (IncJoinFn); z(I e) = 0 for events e.
+    # table side on the walk's clock, probed by one join (IncJoinFn); z(I e)
+    # = 0 for events e.  On the parent clock the traces are two-axis.
     (
         "bilinear",
         lambda w, n, ev: n.kind == "lifted" and n.klass == BILINEAR,
-        lambda w, n, ev: build_inc_join(w.out, *w.ins(n), None, None, fn=n.fn),
+        lambda w, n, ev: build_inc_join(w.out, *w.ins(n), None, None, depth=w.depth, fn=n.fn),
     ),
-    # distinct^Δ = H(z(I x), Δx): the rows whose weight changes sign.
+    # distinct^Δ = H(z(I x), Δx): the rows whose weight changes sign.  On
+    # the parent clock H looks up R[u] in a two-axis trace of the changes.
     ("distinct", lambda w, n, ev: n.kind == "lifted" and n.label == "distinct" and not ev[0], _inc_distinct),
     # A top-level COUNT, SUM or AVG sums its group's rows, a linear map: an
     # own-clock trace keeps the running totals by group (IncAggregateFn).
@@ -324,18 +339,13 @@ OWN_CLOCK = (
     # Q^Δ = D ∘ Q ∘ I for the rest over snapshots: MIN and MAX, an aggregate
     # in a loop body, a node over events and tables.
     ("general", lambda w, n, ev: n.klass == GENERAL or any(ev), _general),
-    _LINEAR,
+    # Q^Δ = Q for a linear Q, the delta0 entry included, and a delay (so a
+    # feedback loop keeps its shape around its incremental body: the cycle rule).
+    ("linear", lambda w, n, ev: n.klass in (LINEAR, DELAY_CLASS) or n.kind == "source", None),
 )
 
-PARENT_CLOCK = (
-    # The fold, into a join with two-axis traces.
-    ("fold", _foldable, _fold),
-    # distinct^Δ, H looking up R[u] in a two-axis trace of the changes.
-    ("distinct", lambda w, n, ev: isinstance(n.fn, DistinctDeltaFn), _traced_distinct),
-    # The bilinear rule with two-axis traces of each inner tick's changes.
-    ("bilinear", lambda w, n, ev: isinstance(n.fn, IncJoinFn), _traced_join),
-    _LINEAR,
-)
+# The rows with a trace form, the only state on a parent clock.
+TRACE_FORMS = ("bracket", "fold", "bilinear", "distinct", "linear")
 
 
 # -- distinct consolidation -------------------------------------------------------

@@ -112,12 +112,6 @@ class ZSet:
     def __neg__(self):
         return ZSet._wrap({x: -w for x, w in self._entries.items()})
 
-    def scale(self, k):
-        """Multiply every weight by integer k."""
-        if k == 0:
-            return ZSet()
-        return ZSet._wrap({x: check_weight(w * k) for x, w in self._entries.items()})
-
     def is_zero(self):
         return not self._entries
 

@@ -82,13 +82,15 @@ class TestFeedback:
         c.add_sink(p, "o")
         assert [c.step({"s": t})["o"] for t in id_stream()] == [0, 1, 3, 6, 10]
 
-    def test_cycle_without_delay_rejected(self):
+    def test_cycle_only_through_a_feedback_stub(self):
+        """A cycle closes only through a feedback stub, a delay: closing
+        one through any other node is rejected."""
         c = Circuit()
         s = c.add_source("s", sort="any")
-        fb = c.add_feedback(delayed=False)
-        p = c.add_plus([s, fb])
-        with pytest.raises(CircuitError):
-            c.connect_feedback(p, fb)
+        p = c.add_plus([s])
+        q = c.add_plus([p])
+        with pytest.raises(CircuitError, match="is not a feedback stub"):
+            c.connect_feedback(q, p)
 
     def test_feedback_through_lifted_delay_in_nested_domain(self):
         c = Circuit()

@@ -22,6 +22,7 @@ from deltaflow.specfile import CircuitSpec, RelationDecl, compile_spec
 from deltaflow.trace import DUMP_BATCH_ROWS, Transaction, _json_value, dump_transaction
 
 GOLDENS = Path(__file__).parent / "goldens"
+EXPLAIN = Path(__file__).parent / "explain"
 
 
 def write(tmp_path, name, text):
@@ -949,94 +950,108 @@ class TestExplain:
 
     CLOSURE = """\
     0 source E depth=0 rule=linear
-    1 delay depth=0 rule=distinct state
-    2 plus depth=0 rule=distinct
-    3 lifted distinct_delta depth=0 rule=distinct
-    4 lifted map depth=0 rule=linear
-    5 plus depth=0 rule=linear
-    6 nested depth=0 rule=nested
+    1 delay depth=0 rule=distinct state in=2
+    2 plus depth=0 rule=distinct in=0,1
+    3 lifted distinct_delta depth=0 rule=distinct in=1,0
+    4 lifted map depth=0 rule=linear in=3
+    5 plus depth=0 rule=linear in=4
+    6 nested depth=0 rule=nested in=5
       0 delta0 depth=1 rule=linear
-      1 delay depth=1 rule=linear state
-      2 lifted filter depth=1 rule=linear
-      3 lifted map depth=1 rule=linear
-      4 lifted map depth=1 rule=linear
-      5 lifted map depth=1 rule=linear
-      6 lifted map depth=1 rule=linear
-      7 lifted filter depth=1 rule=linear
-      8 lifted map depth=1 rule=linear
-      9 trace depth=0 rule=bilinear state
-      10 trace depth=0 rule=bilinear state
-      11 lifted join+map depth=1 rule=bilinear
-      12 plus depth=1 rule=linear
-      13 trace depth=0 rule=distinct state
-      14 lifted distinct_delta depth=1 rule=distinct
-      15 lifted map depth=1 rule=linear
-      16 plus depth=1 rule=linear
-      17 delay depth=1 rule=linear state
-      18 plus depth=1 rule=linear
-    7 lifted filter depth=0 rule=linear
-    8 lifted map depth=0 rule=linear view=R
+      1 delay depth=1 rule=linear state in=16
+      2 lifted filter depth=1 rule=linear in=0
+      3 lifted map depth=1 rule=linear in=2
+      4 lifted map depth=1 rule=linear in=3
+      5 lifted map depth=1 rule=linear in=3
+      6 lifted map depth=1 rule=linear in=3
+      7 lifted filter depth=1 rule=linear in=1
+      8 lifted map depth=1 rule=linear in=7
+      9 trace depth=0 rule=bilinear state in=3
+      10 trace depth=0 rule=bilinear state in=8
+      11 lifted join+map depth=1 rule=bilinear in=9,10
+      12 plus depth=1 rule=linear in=4,5,6,11
+      13 trace depth=0 rule=distinct state in=12
+      14 lifted distinct_delta depth=1 rule=distinct in=13,12
+      15 lifted map depth=1 rule=linear in=14
+      16 plus depth=1 rule=linear in=15
+      17 delay depth=1 rule=linear state in=18
+      18 plus depth=1 rule=linear in=16,17
+    7 lifted filter depth=0 rule=linear in=6
+    8 lifted map depth=0 rule=linear view=R in=7
 """
 
     AGGREGATES = """\
     0 source t depth=0 rule=linear
     1 source u depth=0 rule=linear
-    2 trace depth=0 rule=linear aggregate state
-    3 lifted aggregate depth=0 rule=linear aggregate view=t_count
-    4 trace depth=0 rule=linear aggregate state
-    5 lifted aggregate depth=0 rule=linear aggregate view=t_sum_i
-    6 trace depth=0 rule=linear aggregate state
-    7 lifted aggregate depth=0 rule=linear aggregate view=t_sum_f
-    8 trace depth=0 rule=linear aggregate state
-    9 lifted aggregate depth=0 rule=linear aggregate view=t_avg_i
-    10 trace depth=0 rule=linear aggregate state
-    11 lifted aggregate depth=0 rule=linear aggregate view=t_avg_f
-    12 delay depth=0 rule=general state
-    13 plus depth=0 rule=general
-    14 lifted aggregate depth=0 rule=general
-    15 delay depth=0 rule=general state
-    16 plus minus depth=0 rule=general view=t_min_i
-    17 lifted aggregate depth=0 rule=general
-    18 delay depth=0 rule=general state
-    19 plus minus depth=0 rule=general view=t_max_i
-    20 lifted aggregate depth=0 rule=general
-    21 delay depth=0 rule=general state
-    22 plus minus depth=0 rule=general view=t_min_f
-    23 lifted aggregate depth=0 rule=general
-    24 delay depth=0 rule=general state
-    25 plus minus depth=0 rule=general view=t_max_f
-    26 lifted aggregate depth=0 rule=general
-    27 delay depth=0 rule=general state
-    28 plus minus depth=0 rule=general view=t_min_s
-    29 lifted aggregate depth=0 rule=general
-    30 delay depth=0 rule=general state
-    31 plus minus depth=0 rule=general view=t_max_s
-    32 trace depth=0 rule=linear aggregate state
-    33 lifted aggregate depth=0 rule=linear aggregate view=t_sum_gs
-    34 trace depth=0 rule=linear aggregate state
-    35 lifted aggregate depth=0 rule=linear aggregate view=u_count
-    36 trace depth=0 rule=linear aggregate state
-    37 lifted aggregate depth=0 rule=linear aggregate view=u_sum
-    38 trace depth=0 rule=linear aggregate state
-    39 lifted aggregate depth=0 rule=linear aggregate view=u_sum_f
-    40 delay depth=0 rule=general state
-    41 plus depth=0 rule=general
-    42 lifted aggregate depth=0 rule=general
-    43 delay depth=0 rule=general state
-    44 plus minus depth=0 rule=general view=u_min
-    45 lifted aggregate depth=0 rule=general
-    46 delay depth=0 rule=general state
-    47 plus minus depth=0 rule=general view=u_max_s
-    48 trace depth=0 rule=linear aggregate state
-    49 lifted aggregate depth=0 rule=linear aggregate view=u_avg
-    50 trace depth=0 rule=linear aggregate state
-    51 lifted aggregate depth=0 rule=linear aggregate view=u_avg_f
+    2 trace depth=0 rule=linear aggregate state in=0
+    3 lifted aggregate depth=0 rule=linear aggregate view=t_count in=2
+    4 trace depth=0 rule=linear aggregate state in=0
+    5 lifted aggregate depth=0 rule=linear aggregate view=t_sum_i in=4
+    6 trace depth=0 rule=linear aggregate state in=0
+    7 lifted aggregate depth=0 rule=linear aggregate view=t_sum_f in=6
+    8 trace depth=0 rule=linear aggregate state in=0
+    9 lifted aggregate depth=0 rule=linear aggregate view=t_avg_i in=8
+    10 trace depth=0 rule=linear aggregate state in=0
+    11 lifted aggregate depth=0 rule=linear aggregate view=t_avg_f in=10
+    12 delay depth=0 rule=general state in=13
+    13 plus depth=0 rule=general in=0,12
+    14 lifted aggregate depth=0 rule=general in=13
+    15 delay depth=0 rule=general state in=14
+    16 plus minus depth=0 rule=general view=t_min_i in=14,15
+    17 lifted aggregate depth=0 rule=general in=13
+    18 delay depth=0 rule=general state in=17
+    19 plus minus depth=0 rule=general view=t_max_i in=17,18
+    20 lifted aggregate depth=0 rule=general in=13
+    21 delay depth=0 rule=general state in=20
+    22 plus minus depth=0 rule=general view=t_min_f in=20,21
+    23 lifted aggregate depth=0 rule=general in=13
+    24 delay depth=0 rule=general state in=23
+    25 plus minus depth=0 rule=general view=t_max_f in=23,24
+    26 lifted aggregate depth=0 rule=general in=13
+    27 delay depth=0 rule=general state in=26
+    28 plus minus depth=0 rule=general view=t_min_s in=26,27
+    29 lifted aggregate depth=0 rule=general in=13
+    30 delay depth=0 rule=general state in=29
+    31 plus minus depth=0 rule=general view=t_max_s in=29,30
+    32 trace depth=0 rule=linear aggregate state in=0
+    33 lifted aggregate depth=0 rule=linear aggregate view=t_sum_gs in=32
+    34 trace depth=0 rule=linear aggregate state in=1
+    35 lifted aggregate depth=0 rule=linear aggregate view=u_count in=34
+    36 trace depth=0 rule=linear aggregate state in=1
+    37 lifted aggregate depth=0 rule=linear aggregate view=u_sum in=36
+    38 trace depth=0 rule=linear aggregate state in=1
+    39 lifted aggregate depth=0 rule=linear aggregate view=u_sum_f in=38
+    40 delay depth=0 rule=general state in=41
+    41 plus depth=0 rule=general in=1,40
+    42 lifted aggregate depth=0 rule=general in=41
+    43 delay depth=0 rule=general state in=42
+    44 plus minus depth=0 rule=general view=u_min in=42,43
+    45 lifted aggregate depth=0 rule=general in=41
+    46 delay depth=0 rule=general state in=45
+    47 plus minus depth=0 rule=general view=u_max_s in=45,46
+    48 trace depth=0 rule=linear aggregate state in=1
+    49 lifted aggregate depth=0 rule=linear aggregate view=u_avg in=48
+    50 trace depth=0 rule=linear aggregate state in=1
+    51 lifted aggregate depth=0 rule=linear aggregate view=u_avg_f in=50
 """
 
     @pytest.mark.parametrize("golden", ["closure", "aggregates"])
     def test_golden_output(self, golden, capsys):
         assert main(["explain", "--spec", str(GOLDENS / f"{golden}.spec.json")]) == 0
         assert capsys.readouterr().out == textwrap.dedent(getattr(self, golden.upper()))
+
+    @pytest.mark.parametrize("name", sorted(p.stem for p in EXPLAIN.glob("*.txt")))
+    def test_every_circuit_is_pinned(self, name, tmp_path, capsys):
+        """Every golden's and perfbench workload's incremental circuit,
+        node for node with its inputs, as tests/explain/<name>.txt pins it."""
+        from test_census import _spec_docs
+
+        assert main(["explain", "--spec", write(tmp_path, "spec.json", json.dumps(_spec_docs()[name]))]) == 0
+        assert capsys.readouterr().out == (EXPLAIN / f"{name}.txt").read_text()
+
+    def test_every_spec_has_a_pinned_circuit(self):
+        from test_census import _spec_docs
+
+        assert sorted(p.stem for p in EXPLAIN.glob("*.txt")) == sorted(_spec_docs())
 
     def test_node_ids_are_deterministic(self, tmp_path):
         """Two compiles of every golden and perfbench spec, in processes

@@ -2,7 +2,7 @@
 
 import pytest
 from deltaflow import IndexedZSet, StreamVector, ZSet
-from deltaflow.groupval import ZERO, as_indexed, as_zset, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
+from deltaflow.groupval import ZERO, as_zset, gv_add, gv_eq, gv_is_zero, gv_neg, gv_sub
 
 
 class TestZero:
@@ -22,7 +22,6 @@ class TestZero:
 
     def test_normalization(self):
         assert as_zset(ZERO).is_zero()
-        assert as_indexed(ZERO).is_zero()
         with pytest.raises(TypeError):
             as_zset(3)
 

@@ -471,6 +471,34 @@ class TestAlgorithmPipeline:
         optimize(reference)
         assert _shape(reference) == before
 
+    def test_spec_bodies_are_naive_and_bracketed(self):
+        """A rule program's body is built as its rules read: it enters
+        through an I marked "i" and leaves through a D marked "d"."""
+        (block,) = [n for n in _closure_spec().circuit.nodes if n.kind == "nested"]
+        brackets = [n.meta["bracket"] for n in block.meta["inner"].nodes if "bracket" in n.meta]
+        assert sorted(brackets) == ["d", "i"]
+
+    def test_optimize_walks_each_body_once_along_its_parent_clock(self, monkeypatch):
+        """optimize rebuilds the naive body in one walk, without the
+        semi-naive form that only the reference runs."""
+        from deltaflow import rewrite
+
+        reference = incrementalize_naive(consolidate_distinct(_closure_spec().circuit))
+        walks = []
+        delta_compile = rewrite._delta_compile
+
+        def spied(src, out, parent=False):
+            walks.append((src.is_inner, parent))
+            return delta_compile(src, out, parent)
+
+        def loop_incrementalize(inner):
+            raise AssertionError("optimize loop-incrementalized a body")
+
+        monkeypatch.setattr(rewrite, "_delta_compile", spied)
+        monkeypatch.setattr(rewrite, "loop_incrementalize", loop_incrementalize)
+        optimize(reference)
+        assert walks == [(False, False), (True, True)]
+
     def test_compile_clones_each_nested_body_at_most_twice(self, monkeypatch):
         """consolidate_distinct's copy and the reference's brackets;
         optimize only reads the reference's body, and every rebuild moves

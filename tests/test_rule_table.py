@@ -1,4 +1,4 @@
-"""The rewrite's rule tables: every node of an incremental circuit names
+"""The rewrite's rule table: every node of an incremental circuit names
 the row that built it, and a node that no row names is an error."""
 
 from collections import Counter
@@ -7,12 +7,12 @@ import pytest
 from deltaflow import Circuit, CircuitError, compile_query, incrementalize_naive, optimize
 from deltaflow.datalog import build_while
 from deltaflow.relational import build_aggregate, build_union
-from deltaflow.rewrite import OWN_CLOCK, PARENT_CLOCK
+from deltaflow.rewrite import RULES
 from deltaflow.runner import compile_circuits
 from deltaflow.specfile import compile_spec
 from test_census import _spec_docs
 
-ROWS = {name for name, _, _ in OWN_CLOCK + PARENT_CLOCK}
+ROWS = {name for name, _, _ in RULES}
 
 # The rules of every node, nested bodies included, per golden name or
 # perfbench workload.

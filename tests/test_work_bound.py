@@ -1,7 +1,8 @@
 """The work ratchet: the paper's claim, that an incremental circuit works in
 proportion to the change, checked by counts.
 
-Each row of the rewrite's rule tables has a micro spec in which it applies.
+Each row of the rewrite's rule table has a micro spec in which it applies,
+on each clock where a walk takes it.
 On fresh circuits, a base of n = 500 and of n = 4,000 rows is stepped, then
 the same 1-row insert and its delete: both sizes must count equal `tuples`.
 GROWS lists the cases whose work still grows with the base, by the ROADMAP
@@ -28,7 +29,9 @@ GROWS = {
     "isolated edge after a path": 4,  # the fixpoint runs to the path's depth
 }
 
-ROWS = [f"{table}.{name}" for table in ("OWN_CLOCK", "PARENT_CLOCK") for name, _, _ in getattr(rewrite, table)]
+# A case is named "CLOCK.row", by the clock of the walk that takes the row:
+# every row on the own clock, the trace forms on the parent's.
+ROWS = [f"OWN_CLOCK.{name}" for name, _, _ in rewrite.RULES] + [f"PARENT_CLOCK.{name}" for name in rewrite.TRACE_FORMS]
 
 T = {"name": "t", "columns": ["a", "b", "c"]}
 U = {"name": "u", "columns": ["a", "b"]}
@@ -106,6 +109,7 @@ CASES = {
     "OWN_CLOCK.linear aggregate": Case(_aggregate("sum"), _tables, INSERT),
     "OWN_CLOCK.general": Case(_aggregate("max"), _tables, INSERT),
     "OWN_CLOCK.linear": FILTER,
+    "PARENT_CLOCK.bracket": WHILE,
     "PARENT_CLOCK.fold": WHILE,
     "PARENT_CLOCK.distinct": WHILE,
     "PARENT_CLOCK.bilinear": WHILE,
@@ -127,15 +131,15 @@ def _inputs(scalar, rows):
 
 
 def _spied(monkeypatch):
-    """Record the rows of both tables that build a node from now on."""
+    """Record each row that builds a node from now on, by the clock of the
+    walk that takes it, as the cases are named."""
     fired = set()
-    for table in ("OWN_CLOCK", "PARENT_CLOCK"):
 
-        def spy(applies, row):
-            return lambda w, n, ev: applies(w, n, ev) and not fired.add(row)
+    def spy(applies, row):
+        return lambda w, n, ev: applies(w, n, ev) and not fired.add(f"{'PARENT' if w.parent else 'OWN'}_CLOCK.{row}")
 
-        rows = tuple((name, spy(applies, f"{table}.{name}"), build) for name, applies, build in getattr(rewrite, table))
-        monkeypatch.setattr(rewrite, table, rows)
+    rows = tuple((name, spy(applies, name), build) for name, applies, build in rewrite.RULES)
+    monkeypatch.setattr(rewrite, "RULES", rows)
     return fired
 
 
